@@ -16,6 +16,7 @@ from .core import (
     FeatureMeta,
     LimaseError,
     ModelOutput,
+    ModelOutputError,
     RandomStream,
     Task,
     child_seed,

@@ -31,6 +31,10 @@ class ConfigError(LimaseError):
     """Invalid configuration or usage (rejected before any work starts)."""
 
 
+class ModelOutputError(LimaseError):
+    """A black box returned outputs the explainer cannot use (NaN, wrong shape)."""
+
+
 @dataclass(frozen=True)
 class Task:
     """Prediction task kind; classification carries its class count."""
@@ -234,11 +238,6 @@ class RandomStream:
 
     def shuffle(self, x: np.ndarray) -> None:
         self._gen.shuffle(x)
-
-
-def draw_gaussian(rng: RandomStream, n: int) -> np.ndarray:
-    """n i.i.d. standard-normal draws from the stream."""
-    return rng.normal(n)
 
 
 def standardize(x: np.ndarray, features: list[FeatureMeta]) -> np.ndarray:

@@ -21,6 +21,7 @@ from .core import (
     ConfigError,
     FeatureMeta,
     LimaseError,
+    ModelOutputError,
     RandomStream,
     child_seed,
     standardize,
@@ -147,7 +148,9 @@ def limase_explain(
     Classification explains the probability of config.class_index,
     defaulting to the model's predicted class at x.  The efficiency
     identity base + sum(phi) = g(x) holds within 1e-9; the g-vs-f gap is
-    reported as fidelity_r2 over the weighted perturbation set.
+    reported as fidelity_r2 over the weighted perturbation set.  Scores
+    that are not one finite value per perturbation row raise
+    ModelOutputError.
     """
     started = time.perf_counter()
     x = np.asarray(x, dtype=float)
@@ -172,6 +175,11 @@ def limase_explain(
         raise
     except Exception as e:
         raise LimaseError(f"black-box prediction failed during perturbation scoring: {e}") from e
+    if targets.shape != (rows.shape[0],) or not np.all(np.isfinite(targets)):
+        raise ModelOutputError(
+            f"black-box scores for the perturbation set must be {rows.shape[0]} finite "
+            f"values; got shape {targets.shape} with "
+            f"{np.count_nonzero(~np.isfinite(targets))} non-finite")
 
     sigma = config.effective_sigma
     weights = kernel_weights(x, rows, sigma, features)

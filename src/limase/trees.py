@@ -6,6 +6,14 @@ thresholds sit at midpoints between consecutive distinct sorted values and
 routing sends x left iff x[feature] <= threshold.  Ties between equally
 good splits resolve to the lowest feature index, then the lowest
 threshold, so a fit is reproducible across platforms.
+
+Split search follows CART's presorting (Breiman et al. 1984) and SLIQ's
+sort-once lists (Mehta et al. 1996): each column is stable-sorted once
+per tree, and a split stable-partitions the sorted lists into its
+children.  A node's lists are therefore exactly what a stable sort of
+its own rows would give, with equal values ordered by row index, so
+every cumulative sum and every tie-break matches a per-node sort bit
+for bit.
 """
 from __future__ import annotations
 
@@ -127,43 +135,55 @@ def _weighted_mean(y: np.ndarray, w: np.ndarray, wsum: float) -> float:
     return float(y0 + np.dot(w, y - y0) / wsum)
 
 
-def _best_split(X, y_centered, w, idx, wsum, min_leaf_w, features):
-    """Best (feature, threshold) by weighted-SSE gain over the given rows.
+def _best_split(rows, vals, w, wu, wsum, total_s, min_leaf_w):
+    """Best (list, threshold) by weighted-SSE gain over presorted lists.
 
-    Returns (gain, feature, threshold) or None.  Gain is the decrease in
-    weighted SSE, computed in node-centered form so it is non-negative by
-    construction.  All candidate features are scanned in one pass of
-    column-wise sorts and cumulative sums; ties break to the lowest
-    feature index, then the lowest threshold.
+    rows is (k, m): each row lists the node's row ids sorted by one
+    candidate feature, and vals holds the matching feature values.  w is
+    the sample weight and wu the weight times the node-centered target,
+    both indexed by row id.  Returns (list index, threshold) or None.
+
+    Gain is the decrease in weighted SSE, computed in node-centered form
+    so it is non-negative by construction.  The cumulative sums run along
+    each list, and all lists are scanned as one flat array in which the
+    last position of each list is no candidate.  The first maximum in
+    flat order is the lowest list, then the lowest threshold.
     """
-    if idx.size < 2:
+    m = rows.shape[1]
+    cw = np.cumsum(w.take(rows), axis=1).ravel()[:-1]
+    cs = np.cumsum(wu.take(rows), axis=1).ravel()[:-1]
+    v = vals.ravel()
+    rest = wsum - cw
+    ok = v[1:] > v[:-1]
+    ok &= cw >= min_leaf_w
+    ok &= rest >= min_leaf_w
+    ok[m - 1::m] = False  # a list's end: the next value belongs to another list
+    cand = np.flatnonzero(ok)
+    if cand.size == 0:
         return None
-    cols = np.asarray(features, dtype=np.intp)
-    Xn = X[np.ix_(idx, cols)]
-    wn = w[idx]
-    un = wn * y_centered
-    total_s = float(un.sum())
-    order = np.argsort(Xn, axis=0, kind="stable")
-    xv = np.take_along_axis(Xn, order, axis=0)
-    cw = np.cumsum(wn[order], axis=0)[:-1]
-    cs = np.cumsum(un[order], axis=0)[:-1]
-    ok = (xv[1:] > xv[:-1]) & (cw >= min_leaf_w) & (wsum - cw >= min_leaf_w)
-    if not ok.any():
+    sl = cs.take(cand)
+    sr = total_s - sl
+    gain = sl * sl / cw.take(cand) + sr * sr / rest.take(cand)
+    best = int(np.argmax(gain))
+    if not gain[best] > 0.0:
         return None
-    sr = total_s - cs
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gain = np.where(ok, cs * cs / cw + sr * sr / (wsum - cw), -np.inf)
-    pos = np.argmax(gain, axis=0)  # first max per column: lowest threshold wins
-    col_gain = gain[pos, np.arange(cols.size)]
-    jbest = int(np.argmax(col_gain))  # first max: lowest feature index wins
-    if not col_gain[jbest] > 0.0:
-        return None
-    k = int(pos[jbest])
-    lo, hi = xv[k, jbest], xv[k + 1, jbest]
+    p = int(cand[best])
+    lo, hi = v[p], v[p + 1]
     threshold = 0.5 * (lo + hi)
     if threshold >= hi:  # adjacent floats: keep right side non-empty
         threshold = lo
-    return float(col_gain[jbest]), int(cols[jbest]), float(threshold)
+    return p // m, float(threshold)
+
+
+def _partition(rows, vals, keep):
+    """The sorted lists restricted to the row ids where keep is true.
+
+    One flat selection keeps each list's order (a stable partition), and
+    every list keeps the same number of entries.
+    """
+    pos = np.flatnonzero(keep.take(rows))
+    k = rows.shape[0]
+    return rows.take(pos).reshape(k, -1), vals.take(pos).reshape(k, -1)
 
 
 def fit_tree(
@@ -182,6 +202,13 @@ def fit_tree(
     when no split improves weighted SSE.  The private _feature_rng/_mtry
     hooks restrict each split search to a random feature subset (used by
     the random forest); without them the search is exhaustive.
+
+    A stable argsort of the live rows, once at the root, lists each
+    feature's row ids in value order; a split stable-partitions these
+    lists into its children, so equal values stay ordered by row index
+    as a fresh stable sort of each node would order them.  A child
+    builds its lists only when it searches for a split.  Node sums
+    (cover, mean, SSE) run over the node's rows in ascending index order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -199,38 +226,55 @@ def fit_tree(
         raise ValueError("all weights are zero")
 
     d = X.shape[1]
+    Xt = np.ascontiguousarray(X.T)
     total_w = float(w[live].sum())
     min_leaf_w = max(float(params.min_samples_leaf),
                      params.min_weight_fraction_leaf * total_w)
+    wu = np.zeros_like(w)  # w * (y - node value) of the node being split, by row id
     nodes: list[TreeNode] = []
 
-    def grow(idx: np.ndarray, depth: int) -> int:
+    def presort() -> tuple[np.ndarray, np.ndarray]:
+        cols = Xt[:, live]
+        order = np.argsort(cols, axis=1, kind="stable")
+        return live.take(order), np.take_along_axis(cols, order, axis=1)
+
+    def grow(idx: np.ndarray, depth: int, parent: tuple | None) -> int:
+        # parent: the parent's sorted lists and the mask of this child's
+        # row ids, partitioned on demand; None at the root
         wi = w[idx]
         wsum = float(wi.sum())
-        value = _weighted_mean(y[idx], wi, wsum)
+        yi = y[idx]
+        value = _weighted_mean(yi, wi, wsum)
         node_id = len(nodes)
         nodes.append(TreeNode(LEAF, float("nan"), LEAF, LEAF, wsum, value))
-        u = y[idx] - value
+        u = yi - value
         sse = float(np.dot(wi, u * u))
         if depth >= params.max_depth or sse <= 0.0:
             return node_id
+        rows, vals = presort() if parent is None else _partition(*parent)
         if _mtry is not None and _mtry < d:
             features = np.sort(_feature_rng.choice(d, size=_mtry, replace=False))
+            scan_rows, scan_vals = rows[features], vals[features]
         else:
-            features = range(d)
-        found = _best_split(X, u, w, idx, wsum, min_leaf_w, features)
+            features = None
+            scan_rows, scan_vals = rows, vals
+        un = wi * u
+        wu[idx] = un
+        found = _best_split(scan_rows, scan_vals, w, wu, wsum, float(un.sum()), min_leaf_w)
         if found is None:
             return node_id
-        _, feature, threshold = found
-        go_left = X[idx, feature] <= threshold
+        j, threshold = found
+        feature = j if features is None else int(features[j])
+        goes_left = Xt[feature] <= threshold
+        left = goes_left[idx]
         node = nodes[node_id]
         node.feature = feature
         node.threshold = threshold
-        node.left = grow(idx[go_left], depth + 1)
-        node.right = grow(idx[~go_left], depth + 1)
+        node.left = grow(idx[left], depth + 1, (rows, vals, goes_left))
+        node.right = grow(idx[~left], depth + 1, (rows, vals, ~goes_left))
         return node_id
 
-    grow(live, 0)
+    grow(live, 0, None)
     return DecisionTree(nodes=nodes, d=d, params=params)
 
 

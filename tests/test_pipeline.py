@@ -7,6 +7,7 @@ from limase.core import (
     ConfigError,
     LimaseError,
     ModelOutput,
+    ModelOutputError,
     RandomStream,
     Task,
     child_seed,
@@ -57,6 +58,31 @@ class FlakyModel(BlackBoxModel):
         if np.abs(X[:, 0]).max() > self.threshold:
             raise RuntimeError("upstream service rejected the batch")
         return ModelOutput(X[:, :1])
+
+
+class NanModel(BlackBoxModel):
+    """Returns NaN for every row once the batch holds a row with feature 0 > threshold."""
+
+    def __init__(self, d, threshold=50.0):
+        self.d, self.task = d, Task.regression()
+        self.threshold = threshold
+
+    def predict(self, X):
+        X = np.atleast_2d(X)
+        out = X[:, :1].copy()
+        if X[:, 0].max() > self.threshold:
+            out[:] = np.nan
+        return ModelOutput(out)
+
+
+class ShortModel(BlackBoxModel):
+    """Drops the last row of every batch."""
+
+    def __init__(self, d):
+        self.d, self.task = d, Task.regression()
+
+    def predict(self, X):
+        return ModelOutput(np.atleast_2d(X)[:-1, :1])
 
 
 def meta_for(rows):
@@ -271,6 +297,19 @@ class TestLimaseExplain:
         with pytest.raises(LimaseError, match="perturbation scoring"):
             limase_explain(FlakyModel(2), x, meta, LimaseConfig(n_samples=50, seed=0))
 
+    def test_nan_scores_raise_typed_error(self):
+        rows = RandomStream(12).normal_matrix(40, 2)
+        meta = meta_for(rows)
+        with pytest.raises(ModelOutputError, match="non-finite"):
+            limase_explain(NanModel(2), np.array([1000.0, 0.0]), meta,
+                           LimaseConfig(n_samples=50, seed=0))
+
+    def test_wrong_score_count_raises_typed_error(self):
+        rows = RandomStream(12).normal_matrix(40, 2)
+        with pytest.raises(ModelOutputError, match=r"shape \(50,\)"):
+            limase_explain(ShortModel(2), rows[0], meta_for(rows),
+                           LimaseConfig(n_samples=50, seed=0))
+
     def test_model_dimension_mismatch(self):
         meta = meta_for(np.zeros((5, 2)))
         with pytest.raises(ValueError):
@@ -328,6 +367,17 @@ class TestBatch:
         assert not isinstance(out[0], LimaseError)
         assert isinstance(out[1], LimaseError)
         assert not isinstance(out[2], LimaseError)
+
+    def test_nan_row_isolated_from_batch(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        meta = meta_for(rows)
+        X = np.vstack([rows[0], [1000.0, 0.0], rows[1]])
+        out = limase_explain_batch(NanModel(2), X, meta, LimaseConfig(n_samples=50, seed=0))
+        assert len(out) == 3
+        assert isinstance(out[1], ModelOutputError)
+        for result in (out[0], out[2]):
+            assert not isinstance(result, LimaseError)
+            assert abs(result.explanation.efficiency_gap()) <= 1e-9
 
     def test_rows_use_distinct_seeds(self, reg_data):
         # identical instances in one batch still get different perturbations

@@ -1,9 +1,9 @@
-"""Weighted CART fitting, routing, and the split-search oracle."""
+"""Weighted CART fitting, routing, the split-search oracle and the reference fit."""
 import numpy as np
 import pytest
 
 from limase.core import ConfigError, RandomStream
-from limase.trees import DecisionTree, TreeParams, fit_tree, predict_batch, predict_tree
+from limase.trees import LEAF, DecisionTree, TreeParams, fit_tree, predict_batch, predict_tree
 
 from conftest import random_tree
 
@@ -52,6 +52,107 @@ def brute_force_split(X, y, w, min_leaf_w):
             if best is None or cand[0] < best[0] - 1e-12:
                 best = cand
     return best
+
+
+def split_sse(X, y, w, feature, threshold):
+    """Weighted SSE of the two sides of one split, each around its own mean."""
+    left = X[:, feature] <= threshold
+    total = 0.0
+    for side in (left, ~left):
+        mu = np.average(y[side], weights=w[side])
+        total += float(np.dot(w[side], (y[side] - mu) ** 2))
+    return total
+
+
+def node_rows(tree: DecisionTree, X: np.ndarray) -> list[np.ndarray]:
+    """Per node, the mask of rows of X routed through it."""
+    masks = [None] * len(tree.nodes)
+    masks[tree.root] = np.ones(X.shape[0], dtype=bool)
+    for i, node in enumerate(tree.nodes):  # preorder: parents come first
+        if not node.is_leaf:
+            left = X[:, node.feature] <= node.threshold
+            masks[node.left] = masks[i] & left
+            masks[node.right] = masks[i] & ~left
+    return masks
+
+
+def reference_fit(X, y, w, params, feature_rng=None, mtry=None):
+    """Node tuples of a tree grown with a fresh stable sort at every node.
+
+    The straightforward form of the split search, kept as the reference
+    that the presorted fit must match bit for bit: every node gathers its
+    rows of the candidate columns, stable-argsorts each, and scans the
+    cumulative sums of weight and centered target.
+    """
+    live = np.nonzero(w > 0)[0]
+    d = X.shape[1]
+    min_leaf_w = max(float(params.min_samples_leaf),
+                     params.min_weight_fraction_leaf * float(w[live].sum()))
+    nodes = []
+
+    def best_split(u, idx, wsum, cols):
+        Xn = X[np.ix_(idx, cols)]
+        wn = w[idx]
+        un = wn * u
+        total_s = float(un.sum())
+        order = np.argsort(Xn, axis=0, kind="stable")
+        xv = np.take_along_axis(Xn, order, axis=0)
+        cw = np.cumsum(wn[order], axis=0)[:-1]
+        cs = np.cumsum(un[order], axis=0)[:-1]
+        ok = (xv[1:] > xv[:-1]) & (cw >= min_leaf_w) & (wsum - cw >= min_leaf_w)
+        if not ok.any():
+            return None
+        sr = total_s - cs
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(ok, cs * cs / cw + sr * sr / (wsum - cw), -np.inf)
+        pos = np.argmax(gain, axis=0)
+        col_gain = gain[pos, np.arange(cols.size)]
+        j = int(np.argmax(col_gain))
+        if not col_gain[j] > 0.0:
+            return None
+        lo, hi = xv[pos[j], j], xv[pos[j] + 1, j]
+        threshold = 0.5 * (lo + hi)
+        if threshold >= hi:
+            threshold = lo
+        return int(cols[j]), float(threshold)
+
+    def grow(idx, depth):
+        wi = w[idx]
+        wsum = float(wi.sum())
+        yi = y[idx]
+        value = float(yi[0] + np.dot(wi, yi - yi[0]) / wsum)
+        node_id = len(nodes)
+        nodes.append([LEAF, float("nan"), LEAF, LEAF, wsum, value])
+        u = yi - value
+        if depth >= params.max_depth or float(np.dot(wi, u * u)) <= 0.0:
+            return node_id
+        if mtry is not None and mtry < d:
+            cols = np.sort(feature_rng.choice(d, size=mtry, replace=False))
+        else:
+            cols = np.arange(d)
+        found = best_split(u, idx, wsum, cols) if idx.size >= 2 else None
+        if found is None:
+            return node_id
+        feature, threshold = found
+        go_left = X[idx, feature] <= threshold
+        nodes[node_id][:2] = feature, threshold
+        nodes[node_id][2] = grow(idx[go_left], depth + 1)
+        nodes[node_id][3] = grow(idx[~go_left], depth + 1)
+        return node_id
+
+    grow(live, 0)
+    return [tuple(n) for n in nodes]
+
+
+def assert_same_nodes(tree: DecisionTree, want: list[tuple]):
+    assert len(tree.nodes) == len(want)
+    for node, (feature, threshold, left, right, cover, value) in zip(tree.nodes, want):
+        assert (node.feature, node.left, node.right) == (feature, left, right)
+        assert node.cover == cover and node.value == value
+        if node.is_leaf:
+            assert np.isnan(node.threshold) and np.isnan(threshold)
+        else:
+            assert node.threshold == threshold
 
 
 class TestFitTreeExamples:
@@ -229,14 +330,81 @@ class TestSplitOracle:
             assert tree.n_leaves == 1
             return
         root = tree.nodes[tree.root]
-        left = X[:, root.feature] <= root.threshold
-        mu_l = np.average(y[left], weights=w[left])
-        mu_r = np.average(y[~left], weights=w[~left])
-        got_sse = float(np.dot(w[left], (y[left] - mu_l) ** 2)
-                        + np.dot(w[~left], (y[~left] - mu_r) ** 2))
+        got_sse = split_sse(X, y, w, root.feature, root.threshold)
         # same quality as the oracle's optimum (tie-break may pick another
         # equally good candidate only if gains match exactly)
         assert got_sse == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_every_internal_split_matches_exhaustive_enumeration(self, seed):
+        rng = RandomStream(200 + seed)
+        n, d = 60, 3
+        X = np.round(rng.normal_matrix(n, d), 1)
+        y = rng.normal(n) + 2.0 * X[:, seed % d] - X[:, (seed + 1) % d] ** 2
+        w = 0.1 + rng.uniform(n)
+        tree = fit_tree(X, y, w, TreeParams(max_depth=4, min_samples_leaf=2))
+        internal = 0
+        for node, rows in zip(tree.nodes, node_rows(tree, X)):
+            if node.is_leaf:
+                continue
+            internal += 1
+            Xn, yn, wn = X[rows], y[rows], w[rows]
+            want = brute_force_split(Xn, yn, wn, min_leaf_w=2.0)
+            assert want is not None
+            got_sse = split_sse(Xn, yn, wn, node.feature, node.threshold)
+            assert got_sse == pytest.approx(want[0], rel=1e-9, abs=1e-9)
+        assert internal >= 3
+
+
+def reference_case(kind: str, seed: int):
+    """(X, y, w) for one reference-equality case."""
+    rng = RandomStream(300 + seed)
+    n, d = 120, 5
+    X = rng.normal_matrix(n, d)
+    y = rng.normal(n) + X[:, 0] - 0.5 * X[:, 1] * X[:, 2]
+    w = 0.1 + rng.uniform(n)
+    if kind == "ties":
+        X = np.round(X, 1)
+        X[:, 3] = np.round(X[:, 3])
+        X[:, 4] = 1.0  # a constant column: every candidate on it is tied
+    elif kind == "grid":
+        # integer values and unit weights: equal gains at many nodes, so
+        # the pick depends on the sums running in stable-sort order
+        X = np.round(X)
+        w = np.ones(n)
+    elif kind == "zero_weights":
+        w[rng.uniform(n) < 0.3] = 0.0
+    elif kind == "integer_weights":
+        w = rng.integers(0, 4, n).astype(float)
+        w[0] = 1.0
+    elif kind == "kernel_weights":
+        w = np.exp(-np.sum((X - X[0]) ** 2, axis=1) / 5.0 ** 2)
+    return X, y, w
+
+
+# (max_depth, min_samples_leaf, min_weight_fraction_leaf) per case seed
+REFERENCE_PARAMS = [(8, 1, 0.0), (8, 1, 0.0), (5, 3, 0.05), (8, 2, 0.0)]
+
+
+class TestReferenceFit:
+    """The presorted fit reproduces the per-node-sort fit exactly."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["ties", "grid", "zero_weights", "integer_weights",
+                                      "kernel_weights"])
+    def test_equals_reference(self, kind, seed):
+        X, y, w = reference_case(kind, seed)
+        params = TreeParams(*REFERENCE_PARAMS[seed])
+        assert_same_nodes(fit_tree(X, y, w, params), reference_fit(X, y, w, params))
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["ties", "grid", "integer_weights"])
+    def test_equals_reference_with_feature_subsets(self, kind, seed):
+        X, y, w = reference_case(kind, seed)
+        params = TreeParams(max_depth=6, min_samples_leaf=2)
+        got = fit_tree(X, y, w, params, _feature_rng=RandomStream(seed), _mtry=2)
+        want = reference_fit(X, y, w, params, RandomStream(seed), 2)
+        assert_same_nodes(got, want)
 
 
 class TestSerialization:
