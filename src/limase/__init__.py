@@ -42,7 +42,6 @@ from .pipeline import (
     LimaseConfig,
     LimaseResult,
     PerturbationSet,
-    kernel_weight,
     kernel_weights,
     limase_explain,
     limase_explain_batch,
@@ -65,7 +64,7 @@ from .sp import (
     sp_explain,
     submodular_pick,
 )
-from .trees import DecisionTree, TreeNode, TreeParams, fit_tree, predict_batch, predict_tree
+from .trees import DecisionTree, TreeParams, fit_tree, predict_batch
 from .viz import (
     ForcePlotData,
     SummaryPlotData,

@@ -91,7 +91,7 @@ def _add_options(p: argparse.ArgumentParser) -> None:
                    help="tree | forest | mlp | external:<command> | path to model.json")
     p.add_argument("--explainer", default="limase", choices=_EXPLAINERS)
     p.add_argument("--sigma", type=float, default=None,
-                   help="kernel width in standardized units (default: auto = 5)")
+                   help="kernel width in standardized units (default: 5)")
     p.add_argument("--n-samples", dest="n_samples", type=int, default=1000,
                    help="perturbations per explained instance")
     p.add_argument("--seed", type=int, default=0)
@@ -195,8 +195,7 @@ def _tree_params(args) -> TreeParams:
 def _limase_config(args) -> LimaseConfig:
     return LimaseConfig(
         n_samples=args.n_samples,
-        sigma=args.sigma if args.sigma is not None else 5.0,
-        sigma_mode="absolute" if args.sigma is not None else "auto",
+        sigma=args.sigma if args.sigma is not None else LimaseConfig.sigma,
         tree_params=_tree_params(args),
         seed=args.seed,
         class_index=args.class_index,

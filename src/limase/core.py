@@ -182,17 +182,28 @@ class BlackBoxModel(ABC):
         """Predict a batch; X has shape (n, d)."""
 
     def predict_scalar(self, X: np.ndarray, class_index: int | None = None) -> np.ndarray:
-        """Scalar view of the output: regression value or one class probability."""
+        """Scalar view of the output: regression value or one class probability.
+
+        Raises ModelOutputError unless the model returns one finite score
+        per row of X.
+        """
         out = self.predict(X)
         if self.task.is_classification:
             if class_index is None:
                 raise ValueError("class_index required for classification models")
             if not 0 <= class_index < self.task.n_classes:
                 raise ValueError(f"class_index {class_index} out of range")
-            return out.values[:, class_index]
-        if class_index is not None:
-            raise ValueError("class_index given for a regression model")
-        return out.values[:, 0]
+            scores = out.values[:, class_index]
+        else:
+            if class_index is not None:
+                raise ValueError("class_index given for a regression model")
+            scores = out.values[:, 0]
+        n = len(X)
+        if scores.shape != (n,) or not np.all(np.isfinite(scores)):
+            raise ModelOutputError(
+                f"black-box scores must be {n} finite values, one per row; got shape "
+                f"{scores.shape} with {np.count_nonzero(~np.isfinite(scores))} non-finite")
+        return scores
 
 
 def child_seed(seed: int, index: int) -> int:

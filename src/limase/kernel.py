@@ -120,7 +120,8 @@ def kernel_shap(
     integer budget >= 2d+2 uses paired subset sampling.  base_value is
     the mean model output over the background set; classification
     explains the probability of class_index (default: the model's
-    predicted class at x).
+    predicted class at x).  Model scores that are not one finite value
+    per row raise ModelOutputError.
     """
     started = time.perf_counter()
     x = np.asarray(x, dtype=float)

@@ -24,26 +24,21 @@ from .core import (
     ModelOutputError,
     RandomStream,
     child_seed,
-    standardize,
 )
 from .shapley import ShapExplanation, tree_shap
-from .trees import DecisionTree, TreeParams, fit_tree, predict_batch, predict_tree
-
-AUTO_SIGMA = 5.0
+from .trees import DecisionTree, TreeParams, fit_tree, predict_batch
 
 
 @dataclass(frozen=True)
 class LimaseConfig:
     """Knobs of the local surrogate pipeline.
 
-    sigma is measured in standardized-distance units.  sigma_mode "auto"
-    ignores the sigma field and uses AUTO_SIGMA; "absolute" uses sigma as
-    given.  The effective value is recorded in every result.
+    sigma is the kernel width in standardized-distance units; it is
+    recorded in every result.
     """
 
     n_samples: int = 1000
-    sigma: float = AUTO_SIGMA
-    sigma_mode: str = "auto"
+    sigma: float = 5.0
     tree_params: TreeParams = field(default_factory=TreeParams)
     seed: int = 0
     class_index: int | None = None
@@ -51,14 +46,8 @@ class LimaseConfig:
     def __post_init__(self):
         if self.n_samples < 10:
             raise ConfigError(f"n_samples must be >= 10, got {self.n_samples}")
-        if self.sigma_mode not in ("auto", "absolute"):
-            raise ConfigError(f"sigma_mode must be 'auto' or 'absolute', got {self.sigma_mode!r}")
-        if self.sigma_mode == "absolute" and not self.sigma > 0:
+        if not self.sigma > 0:
             raise ConfigError(f"sigma must be positive, got {self.sigma}")
-
-    @property
-    def effective_sigma(self) -> float:
-        return AUTO_SIGMA if self.sigma_mode == "auto" else self.sigma
 
 
 @dataclass
@@ -89,7 +78,7 @@ class LimaseResult:
     def to_json_dict(self, feature_names: list[str] | None = None) -> dict:
         record = self.explanation.to_json_dict(feature_names)
         record["fidelity_r2"] = self.fidelity_r2
-        record["sigma"] = self.config.effective_sigma
+        record["sigma"] = self.config.sigma
         record["n_samples"] = self.config.n_samples
         record["degenerate"] = self.degenerate
         record["surrogate_depth"] = self.surrogate.depth()
@@ -132,11 +121,6 @@ def kernel_weights(
     return np.exp(-_standardized_sq_distances(x, Z, features) / (sigma * sigma))
 
 
-def kernel_weight(x: np.ndarray, z: np.ndarray, sigma: float, features: list[FeatureMeta]) -> float:
-    """Single-row view of kernel_weights."""
-    return float(kernel_weights(x, np.asarray(z, dtype=float)[None, :], sigma, features)[0])
-
-
 def limase_explain(
     model: BlackBoxModel,
     x: np.ndarray,
@@ -150,7 +134,8 @@ def limase_explain(
     identity base + sum(phi) = g(x) holds within 1e-9; the g-vs-f gap is
     reported as fidelity_r2 over the weighted perturbation set.  Scores
     that are not one finite value per perturbation row raise
-    ModelOutputError.
+    ModelOutputError; any other failure of the black box is wrapped in a
+    LimaseError.
     """
     started = time.perf_counter()
     x = np.asarray(x, dtype=float)
@@ -171,18 +156,12 @@ def limase_explain(
         class_index = int(np.argmax(model.predict(x[None, :]).values[0]))
     try:
         targets = model.predict_scalar(rows, class_index)
-    except ValueError:
+    except ModelOutputError:
         raise
     except Exception as e:
         raise LimaseError(f"black-box prediction failed during perturbation scoring: {e}") from e
-    if targets.shape != (rows.shape[0],) or not np.all(np.isfinite(targets)):
-        raise ModelOutputError(
-            f"black-box scores for the perturbation set must be {rows.shape[0]} finite "
-            f"values; got shape {targets.shape} with "
-            f"{np.count_nonzero(~np.isfinite(targets))} non-finite")
 
-    sigma = config.effective_sigma
-    weights = kernel_weights(x, rows, sigma, features)
+    weights = kernel_weights(x, rows, config.sigma, features)
     perturbations = PerturbationSet(Z_x=rows, Z_y=targets, W=weights)
 
     surrogate = fit_tree(rows, targets, weights, config.tree_params)
@@ -260,6 +239,6 @@ def sigma_sweep(
         raise ConfigError("all sigma values must be positive")
     out = []
     for s in sigmas:
-        cfg = replace(config, sigma=float(s), sigma_mode="absolute")
+        cfg = replace(config, sigma=float(s))
         out.append((float(s), limase_explain(model, x, features, cfg)))
     return out

@@ -22,9 +22,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trees import DecisionTree, predict_tree
+from .trees import LEAF, DecisionTree
 
 MAX_ENUMERATION_FEATURES = 24
+
+
+def _node_lists(tree: DecisionTree) -> tuple[list, ...]:
+    """The tree's six node arrays as Python lists, for per-node recursion."""
+    return tuple(a.tolist() for a in (tree.feature, tree.threshold, tree.left,
+                                      tree.right, tree.cover, tree.value))
 
 
 @dataclass
@@ -113,18 +119,18 @@ def tree_conditional_value(tree: DecisionTree, x: np.ndarray, S: int | Iterable[
     if x.shape != (tree.d,):
         raise ValueError(f"expected a row of length {tree.d}, got shape {x.shape}")
     mask = _coalition_mask(S, tree.d)
-    nodes = tree.nodes
+    feature, threshold, left, right, cover, value = _node_lists(tree)
 
     def walk(i: int) -> float:
-        node = nodes[i]
-        if node.is_leaf:
-            return node.value
-        if (mask >> node.feature) & 1:
-            return walk(node.left if x[node.feature] <= node.threshold else node.right)
-        left, right = nodes[node.left], nodes[node.right]
-        return (left.cover * walk(node.left) + right.cover * walk(node.right)) / node.cover
+        f = feature[i]
+        if f == LEAF:
+            return value[i]
+        l, r = left[i], right[i]
+        if (mask >> f) & 1:
+            return walk(l if x[f] <= threshold[i] else r)
+        return (cover[l] * walk(l) + cover[r] * walk(r)) / cover[i]
 
-    return walk(tree.root)
+    return walk(0)
 
 
 def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
@@ -143,21 +149,20 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     masks = np.arange(n_masks, dtype=np.uint64)
     in_coalition = [((masks >> np.uint64(f)) & np.uint64(1)).astype(bool) for f in range(d)]
     total = np.zeros(n_masks)
-    nodes = tree.nodes
+    feature, threshold, left, right, cover, value = _node_lists(tree)
 
     def walk(i: int, factor: np.ndarray) -> None:
-        node = nodes[i]
-        if node.is_leaf:
-            total[:] += factor * node.value
+        f = feature[i]
+        if f == LEAF:
+            total[:] += factor * value[i]
             return
-        goes_left = x[node.feature] <= node.threshold
-        member = in_coalition[node.feature]
-        ratio_l = nodes[node.left].cover / node.cover
-        ratio_r = nodes[node.right].cover / node.cover
-        walk(node.left, factor * np.where(member, 1.0 if goes_left else 0.0, ratio_l))
-        walk(node.right, factor * np.where(member, 0.0 if goes_left else 1.0, ratio_r))
+        goes_left = x[f] <= threshold[i]
+        member = in_coalition[f]
+        l, r = left[i], right[i]
+        walk(l, factor * np.where(member, 1.0 if goes_left else 0.0, cover[l] / cover[i]))
+        walk(r, factor * np.where(member, 0.0 if goes_left else 1.0, cover[r] / cover[i]))
 
-    walk(tree.root, np.ones(n_masks))
+    walk(0, np.ones(n_masks))
     return total
 
 
@@ -249,24 +254,24 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
         raise ValueError(f"expected a row of length {tree.d}, got shape {x.shape}")
     start = time.perf_counter()
     phi = np.zeros(tree.d)
-    nodes = tree.nodes
+    feature, threshold, left, right, cover, value = _node_lists(tree)
 
-    def recurse(i: int, path: _Path, pz: float, po: float, pi: int) -> None:
+    def recurse(i: int, path: _Path, pz: float, po: float, pi: int) -> float:
+        """Add the leaves under node i to phi; return the value of the leaf x reaches."""
         path = path.copy()
         path.extend(pz, po, pi)
-        node = nodes[i]
-        if node.is_leaf:
+        f = feature[i]
+        if f == LEAF:
             for k in range(1, len(path.features)):
                 w = path.unwound_sum(k)
-                phi[path.features[k]] += w * (path.ones[k] - path.zeros[k]) * node.value
-            return
-        f = node.feature
-        if x[f] <= node.threshold:
-            hot, cold = node.left, node.right
+                phi[path.features[k]] += w * (path.ones[k] - path.zeros[k]) * value[i]
+            return value[i]
+        if x[f] <= threshold[i]:
+            hot, cold = left[i], right[i]
         else:
-            hot, cold = node.right, node.left
-        hot_ratio = nodes[hot].cover / node.cover
-        cold_ratio = nodes[cold].cover / node.cover
+            hot, cold = right[i], left[i]
+        hot_ratio = cover[hot] / cover[i]
+        cold_ratio = cover[cold] / cover[i]
         incoming_zero = 1.0
         incoming_one = 1.0
         try:
@@ -277,15 +282,16 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
             incoming_zero = path.zeros[k]
             incoming_one = path.ones[k]
             path.unwind(k)
-        recurse(hot, path, incoming_zero * hot_ratio, incoming_one, f)
+        fx = recurse(hot, path, incoming_zero * hot_ratio, incoming_one, f)
         recurse(cold, path, incoming_zero * cold_ratio, 0.0, f)
+        return fx
 
-    recurse(tree.root, _Path(), 1.0, 1.0, -1)
+    fx = recurse(0, _Path(), 1.0, 1.0, -1)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
-        base_value=float(nodes[tree.root].value),
+        base_value=value[0],
         phi=phi,
-        fx=float(predict_tree(tree, x)),
+        fx=fx,
         instance=x.copy(),
         explainer="treeshap",
         elapsed_ms=elapsed,

@@ -17,11 +17,11 @@ for bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, RandomStream
+from .core import ConfigError, DataError, RandomStream
 
 LEAF = -1
 
@@ -48,64 +48,47 @@ class TreeParams:
             raise ConfigError("min_weight_fraction_leaf must be in [0, 1)")
 
 
-@dataclass
-class TreeNode:
-    """One node; feature == LEAF marks a leaf (threshold/left/right unused)."""
-
-    feature: int
-    threshold: float
-    left: int
-    right: int
-    cover: float  # sum of sample weights routed here
-    value: float  # weight-weighted mean of targets routed here
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature == LEAF
-
-
-@dataclass
+@dataclass(eq=False)
 class DecisionTree:
-    nodes: list[TreeNode]
+    """A fitted tree as six node arrays in preorder; node 0 is the root.
+
+    Node i splits on feature[i] at threshold[i] and routes x to left[i]
+    iff x[feature[i]] <= threshold[i], else to right[i].  A leaf has
+    feature, left and right equal to LEAF and a NaN threshold.  cover[i]
+    is the sum of sample weights routed to node i and value[i] their
+    weight-weighted mean target.
+    """
+
+    feature: np.ndarray  # intp
+    threshold: np.ndarray
+    left: np.ndarray  # intp
+    right: np.ndarray  # intp
+    cover: np.ndarray
+    value: np.ndarray
     d: int
     params: TreeParams
-    root: int = 0
-    _arrays: tuple | None = field(default=None, repr=False, compare=False)
-
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """(feature, threshold, left, right, cover, value) as flat arrays."""
-        if self._arrays is None:
-            ns = self.nodes
-            self._arrays = (
-                np.array([n.feature for n in ns], dtype=np.intp),
-                np.array([n.threshold for n in ns], dtype=float),
-                np.array([n.left for n in ns], dtype=np.intp),
-                np.array([n.right for n in ns], dtype=np.intp),
-                np.array([n.cover for n in ns], dtype=float),
-                np.array([n.value for n in ns], dtype=float),
-            )
-        return self._arrays
 
     @property
     def n_leaves(self) -> int:
-        return sum(1 for n in self.nodes if n.is_leaf)
+        return int(np.count_nonzero(self.feature == LEAF))
 
     def depth(self) -> int:
-        def walk(i: int) -> int:
-            n = self.nodes[i]
-            if n.is_leaf:
-                return 0
-            return 1 + max(walk(n.left), walk(n.right))
-
-        return walk(self.root)
+        level, frontier = 0, np.zeros(1, dtype=np.intp)
+        while True:
+            frontier = frontier[self.feature[frontier] != LEAF]
+            if frontier.size == 0:
+                return level
+            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
+            level += 1
 
     def split_features(self) -> set[int]:
-        return {n.feature for n in self.nodes if not n.is_leaf}
+        return set(self.feature[self.feature != LEAF].tolist())
 
     def to_dict(self) -> dict:
+        columns = (self.feature, self.threshold, self.left, self.right, self.cover, self.value)
         return {
             "d": self.d,
-            "root": self.root,
+            "root": 0,
             "params": {
                 "max_depth": self.params.max_depth,
                 "min_samples_leaf": self.params.min_samples_leaf,
@@ -113,20 +96,28 @@ class DecisionTree:
             },
             "nodes": [
                 # leaf thresholds are NaN in memory; None keeps the JSON valid
-                {"feature": n.feature, "threshold": None if n.is_leaf else n.threshold,
-                 "left": n.left, "right": n.right, "cover": n.cover, "value": n.value}
-                for n in self.nodes
+                {"feature": f, "threshold": None if f == LEAF else t,
+                 "left": l, "right": r, "cover": c, "value": v}
+                for f, t, l, r, c, v in zip(*(a.tolist() for a in columns))
             ],
         }
 
     @staticmethod
     def from_dict(data: dict) -> "DecisionTree":
-        params = TreeParams(**data["params"])
-        nodes = [TreeNode(int(n["feature"]),
-                          float("nan") if n["threshold"] is None else float(n["threshold"]),
-                          int(n["left"]), int(n["right"]), float(n["cover"]), float(n["value"]))
-                 for n in data["nodes"]]
-        return DecisionTree(nodes=nodes, d=int(data["d"]), params=params, root=int(data["root"]))
+        if int(data["root"]) != 0:
+            raise DataError(f"tree root must be node 0, got {data['root']}")
+        rows = [(n["feature"], np.nan if n["threshold"] is None else n["threshold"],
+                 n["left"], n["right"], n["cover"], n["value"]) for n in data["nodes"]]
+        return _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
+
+
+def _from_rows(rows: list, d: int, params: TreeParams) -> DecisionTree:
+    """A tree from preorder (feature, threshold, left, right, cover, value) rows."""
+    feature, threshold, left, right, cover, value = zip(*rows)
+    return DecisionTree(
+        np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
+        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
+        np.array(cover, dtype=float), np.array(value, dtype=float), d, params)
 
 
 def _weighted_mean(y: np.ndarray, w: np.ndarray, wsum: float) -> float:
@@ -169,7 +160,7 @@ def _best_split(rows, vals, w, wu, wsum, total_s, min_leaf_w):
         return None
     p = int(cand[best])
     lo, hi = v[p], v[p + 1]
-    threshold = 0.5 * (lo + hi)
+    threshold = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
     if threshold >= hi:  # adjacent floats: keep right side non-empty
         threshold = lo
     return p // m, float(threshold)
@@ -231,7 +222,7 @@ def fit_tree(
     min_leaf_w = max(float(params.min_samples_leaf),
                      params.min_weight_fraction_leaf * total_w)
     wu = np.zeros_like(w)  # w * (y - node value) of the node being split, by row id
-    nodes: list[TreeNode] = []
+    nodes: list[list] = []  # rows for _from_rows, in preorder
 
     def presort() -> tuple[np.ndarray, np.ndarray]:
         cols = Xt[:, live]
@@ -246,7 +237,7 @@ def fit_tree(
         yi = y[idx]
         value = _weighted_mean(yi, wi, wsum)
         node_id = len(nodes)
-        nodes.append(TreeNode(LEAF, float("nan"), LEAF, LEAF, wsum, value))
+        nodes.append([LEAF, float("nan"), LEAF, LEAF, wsum, value])
         u = yi - value
         sse = float(np.dot(wi, u * u))
         if depth >= params.max_depth or sse <= 0.0:
@@ -267,35 +258,23 @@ def fit_tree(
         feature = j if features is None else int(features[j])
         goes_left = Xt[feature] <= threshold
         left = goes_left[idx]
-        node = nodes[node_id]
-        node.feature = feature
-        node.threshold = threshold
-        node.left = grow(idx[left], depth + 1, (rows, vals, goes_left))
-        node.right = grow(idx[~left], depth + 1, (rows, vals, ~goes_left))
+        nodes[node_id][:2] = feature, threshold
+        nodes[node_id][2] = grow(idx[left], depth + 1, (rows, vals, goes_left))
+        nodes[node_id][3] = grow(idx[~left], depth + 1, (rows, vals, ~goes_left))
         return node_id
 
     grow(live, 0, None)
-    return DecisionTree(nodes=nodes, d=d, params=params)
-
-
-def predict_tree(tree: DecisionTree, x: np.ndarray) -> float:
-    """Value of the unique leaf x reaches (<= goes left)."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tree.d,):
-        raise ValueError(f"expected a row of length {tree.d}, got shape {x.shape}")
-    node = tree.nodes[tree.root]
-    while not node.is_leaf:
-        node = tree.nodes[node.left if x[node.feature] <= node.threshold else node.right]
-    return node.value
+    return _from_rows(nodes, d, params)
 
 
 def predict_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
-    """Vectorized predict_tree over the rows of X."""
+    """Value of the leaf each row of X reaches (<= goes left)."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != tree.d:
         raise ValueError(f"expected (n, {tree.d}) matrix, got shape {X.shape}")
-    feature, threshold, left, right, _, value = tree.arrays()
-    current = np.full(X.shape[0], tree.root, dtype=np.intp)
+    feature, threshold, left, right, value = (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    current = np.zeros(X.shape[0], dtype=np.intp)
     active = feature[current] != LEAF
     while active.any():
         rows = np.nonzero(active)[0]

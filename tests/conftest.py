@@ -1,11 +1,28 @@
 """Shared builders: random trees with consistent covers and synthetic data."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from limase.core import Dataset, RandomStream, Task, compute_feature_meta
-from limase.trees import LEAF, DecisionTree, TreeNode, TreeParams
+from limase.trees import LEAF, DecisionTree, TreeParams
+
+
+def tree_from_nodes(nodes: list, d: int, params: TreeParams) -> DecisionTree:
+    """A tree from preorder (feature, threshold, left, right, cover, value) rows."""
+    feature, threshold, left, right, cover, value = zip(*nodes)
+    return DecisionTree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        cover=np.array(cover, dtype=float),
+        value=np.array(value, dtype=float),
+        d=d,
+        params=params,
+    )
 
 
 def random_tree(rng: RandomStream, d: int, max_depth: int,
@@ -17,7 +34,7 @@ def random_tree(rng: RandomStream, d: int, max_depth: int,
     the explainers rely on that consistency.
     """
     features = list(range(d)) if allowed_features is None else list(allowed_features)
-    nodes: list[TreeNode] = []
+    nodes: list[list] = []
 
     def grow(depth: int) -> int:
         node_id = len(nodes)
@@ -26,22 +43,20 @@ def random_tree(rng: RandomStream, d: int, max_depth: int,
         if not split:
             cover = 0.5 + 9.5 * rng.uniform(1)[0]
             value = 3.0 * rng.normal(1)[0]
-            nodes.append(TreeNode(LEAF, float("nan"), LEAF, LEAF, float(cover), float(value)))
+            nodes.append([LEAF, float("nan"), LEAF, LEAF, float(cover), float(value)])
             return node_id
         feature = features[int(rng.integers(0, len(features), 1)[0])]
         threshold = float(rng.normal(1)[0])
-        nodes.append(TreeNode(feature, threshold, -1, -1, 0.0, 0.0))
+        nodes.append([feature, threshold, -1, -1, 0.0, 0.0])
         left = grow(depth + 1)
         right = grow(depth + 1)
-        node = nodes[node_id]
-        node.left, node.right = left, right
-        cl, cr = nodes[left].cover, nodes[right].cover
-        node.cover = cl + cr
-        node.value = (cl * nodes[left].value + cr * nodes[right].value) / node.cover
+        cl, cr = nodes[left][4], nodes[right][4]
+        value = (cl * nodes[left][5] + cr * nodes[right][5]) / (cl + cr)
+        nodes[node_id][2:] = left, right, cl + cr, value
         return node_id
 
     grow(0)
-    return DecisionTree(nodes=nodes, d=d, params=TreeParams(max_depth=max(1, max_depth)))
+    return tree_from_nodes(nodes, d, TreeParams(max_depth=max(1, max_depth)))
 
 
 def shift_subtree(tree: DecisionTree, root_of_subtree: int, c: float) -> DecisionTree:
@@ -50,29 +65,28 @@ def shift_subtree(tree: DecisionTree, root_of_subtree: int, c: float) -> Decisio
     Internal values are rebuilt bottom-up so the cover/value recurrence
     still holds.
     """
-    nodes = [TreeNode(n.feature, n.threshold, n.left, n.right, n.cover, n.value)
-             for n in tree.nodes]
+    feature, left, right, cover = (a.tolist() for a in (tree.feature, tree.left,
+                                                         tree.right, tree.cover))
+    value = tree.value.tolist()
 
     def shift(i: int) -> None:
-        n = nodes[i]
-        if n.is_leaf:
-            n.value += c
+        if feature[i] == LEAF:
+            value[i] += c
             return
-        shift(n.left)
-        shift(n.right)
+        shift(left[i])
+        shift(right[i])
 
     def rebuild(i: int) -> None:
-        n = nodes[i]
-        if n.is_leaf:
+        if feature[i] == LEAF:
             return
-        rebuild(n.left)
-        rebuild(n.right)
-        cl, cr = nodes[n.left].cover, nodes[n.right].cover
-        n.value = (cl * nodes[n.left].value + cr * nodes[n.right].value) / (cl + cr)
+        l, r = left[i], right[i]
+        rebuild(l)
+        rebuild(r)
+        value[i] = (cover[l] * value[l] + cover[r] * value[r]) / (cover[l] + cover[r])
 
     shift(root_of_subtree)
-    rebuild(tree.root)
-    return DecisionTree(nodes=nodes, d=tree.d, params=tree.params)
+    rebuild(0)
+    return replace(tree, value=np.array(value, dtype=float))
 
 
 def make_regression_dataset(seed: int, n: int, d: int, *, noise: float = 0.1) -> Dataset:

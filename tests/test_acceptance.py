@@ -33,6 +33,7 @@ from limase.shapley import (
     enumerate_tree_values,
     forest_shap,
     shapley_brute_force,
+    tree_conditional_value,
     tree_shap,
 )
 from limase.sp import (
@@ -42,7 +43,7 @@ from limase.sp import (
     sp_explain,
     submodular_pick,
 )
-from limase.trees import TreeParams, predict_tree
+from limase.trees import TreeParams
 
 from conftest import make_regression_dataset, random_tree, shift_subtree
 
@@ -121,7 +122,7 @@ def test_criterion_01_local_accuracy_everywhere():
         tree = random_tree(rng, d, depth)
         x = 3.0 * rng.normal(d)
         res = tree_shap(tree, x)
-        fx = predict_tree(tree, x)
+        fx = tree_conditional_value(tree, x, (1 << d) - 1)
         gap = abs(res.base_value + res.phi.sum() - fx) / max(1.0, abs(fx))
         worst_tree = max(worst_tree, gap)
 
@@ -188,9 +189,8 @@ def test_criterion_04_larger_marginals_never_rank_lower():
         d = _randint(rng, 2, 7)
         t2 = random_tree(rng, d, _randint(rng, 2, 5))
         x = 3.0 * rng.normal(d)
-        root = t2.nodes[t2.root]
-        i = root.feature
-        hot = root.left if x[i] <= root.threshold else root.right
+        i = t2.feature[0]
+        hot = t2.left[0] if x[i] <= t2.threshold[0] else t2.right[0]
         c = 0.5 + 2.0 * float(rng.uniform(1)[0])
         t1 = shift_subtree(t2, hot, c)
 

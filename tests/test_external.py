@@ -7,7 +7,8 @@ import pytest
 
 from limase.core import RandomStream, Task
 from limase.external import ProtocolError, attach_external
-from limase.trees import TreeParams, fit_tree, predict_tree
+from limase.shapley import tree_conditional_value
+from limase.trees import TreeParams, fit_tree
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -62,14 +63,14 @@ class TestAttach:
 
 
 class TestProtocol:
-    def test_stump_wrapper_matches_predict_tree(self):
+    def test_stump_wrapper_matches_fitted_stump(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 4.0, 4.0])
         stump = fit_tree(X, y, np.ones(4), TreeParams(max_depth=1, min_samples_leaf=1))
         probe = 4.0 * RandomStream(17).normal_matrix(100, 1)
         with attach_external(server("server_stump.py"), d=1, task="regression") as model:
             got = model.predict(probe).values[:, 0]
-        want = np.array([predict_tree(stump, row) for row in probe])
+        want = np.array([tree_conditional_value(stump, row, (1 << stump.d) - 1) for row in probe])
         assert np.array_equal(got, want)
 
     def test_malformed_json_names_offending_line(self):

@@ -7,6 +7,7 @@ from limase.core import (
     ConfigError,
     DataError,
     ModelOutput,
+    ModelOutputError,
     RandomStream,
     Task,
 )
@@ -157,6 +158,11 @@ class TestErrors:
         with pytest.raises(ConfigError):
             kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
                         np.zeros((1, 2)), "fast", RandomStream(0))
+
+    def test_nan_scores_raise_typed_error(self):
+        bg = RandomStream(0).normal_matrix(5, 2)
+        with pytest.raises(ModelOutputError, match="non-finite"):
+            kernel_shap(ConstantModel(float("nan"), 2), np.zeros(2), bg, 64, RandomStream(1))
 
     def test_exact_limited_to_16_features(self):
         d = 17

@@ -15,16 +15,15 @@ from limase.core import (
 )
 from limase.models import TreeModel, fit_random_forest
 from limase.pipeline import (
-    AUTO_SIGMA,
     LimaseConfig,
-    kernel_weight,
     kernel_weights,
     limase_explain,
     limase_explain_batch,
     sample_around,
     sigma_sweep,
 )
-from limase.trees import TreeParams, fit_tree, predict_tree
+from limase.shapley import tree_conditional_value
+from limase.trees import TreeParams, fit_tree
 
 from conftest import make_classification_dataset, make_regression_dataset
 
@@ -47,16 +46,17 @@ class QuadraticModel(BlackBoxModel):
 
 
 class FlakyModel(BlackBoxModel):
-    """Raises once the batch contains a row with |feature 0| > threshold."""
+    """Raises `error` once the batch contains a row with |feature 0| > threshold."""
 
-    def __init__(self, d, threshold=50.0):
+    def __init__(self, d, threshold=50.0, error=RuntimeError):
         self.d, self.task = d, Task.regression()
         self.threshold = threshold
+        self.error = error
 
     def predict(self, X):
         X = np.atleast_2d(X)
         if np.abs(X[:, 0]).max() > self.threshold:
-            raise RuntimeError("upstream service rejected the batch")
+            raise self.error("upstream service rejected the batch")
         return ModelOutput(X[:, :1])
 
 
@@ -100,22 +100,13 @@ class TestConfig:
     def test_defaults(self):
         cfg = LimaseConfig()
         assert cfg.n_samples == 1000
-        assert cfg.sigma_mode == "auto"
-        assert cfg.effective_sigma == AUTO_SIGMA
-
-    def test_auto_overrides_sigma_field(self):
-        cfg = LimaseConfig(sigma=2.0, sigma_mode="auto")
-        assert cfg.effective_sigma == AUTO_SIGMA
-        cfg = LimaseConfig(sigma=2.0, sigma_mode="absolute")
-        assert cfg.effective_sigma == 2.0
+        assert cfg.sigma == 5.0
 
     def test_validation(self):
         with pytest.raises(ConfigError):
             LimaseConfig(n_samples=9)
         with pytest.raises(ConfigError):
-            LimaseConfig(sigma_mode="adaptive")
-        with pytest.raises(ConfigError):
-            LimaseConfig(sigma=0.0, sigma_mode="absolute")
+            LimaseConfig(sigma=0.0)
 
 
 class TestSampleAround:
@@ -157,15 +148,15 @@ class TestKernelWeight:
         meta = meta_for(RandomStream(0).normal_matrix(30, 2))
         x = np.array([0.3, -0.7])
         for sigma in (0.01, 1.0, 5.0, 1e6):
-            assert kernel_weight(x, x, sigma, meta) == 1.0
+            assert kernel_weights(x, x[None, :], sigma, meta)[0] == 1.0
 
     def test_distance_sigma_gives_inverse_e(self):
         rows = RandomStream(1).normal_matrix(100, 1)
         meta = meta_for(rows)
         x = np.zeros(1)
         sigma = 2.0
-        z = np.array([sigma * meta[0].std])  # standardized distance = sigma
-        assert kernel_weight(x, z, sigma, meta) == pytest.approx(np.exp(-1.0), rel=1e-12)
+        z = np.array([[sigma * meta[0].std]])  # standardized distance = sigma
+        assert kernel_weights(x, z, sigma, meta)[0] == pytest.approx(np.exp(-1.0), rel=1e-12)
 
     def test_huge_sigma_uniform_weights(self):
         rows = RandomStream(2).normal_matrix(100, 3)
@@ -187,7 +178,7 @@ class TestKernelWeight:
         x = rows[0]
         z = x.copy()
         z[1] = 99.0  # constant feature differs, distance must not see it
-        assert kernel_weight(x, z, 1.0, meta) == 1.0
+        assert kernel_weights(x, z[None, :], 1.0, meta)[0] == 1.0
 
 
 class TestLimaseExplain:
@@ -229,7 +220,7 @@ class TestLimaseExplain:
         model = fit_random_forest(reg_data, 5, TreeParams(max_depth=4), RandomStream(0))
         result = limase_explain(model, reg_data.rows[0], reg_data.features,
                                 LimaseConfig(n_samples=300, seed=2))
-        gx = predict_tree(result.surrogate, reg_data.rows[0])
+        gx = tree_conditional_value(result.surrogate, reg_data.rows[0], (1 << reg_data.d) - 1)
         gap = result.explanation.base_value + result.explanation.phi.sum() - gx
         assert abs(gap) <= 1e-9 * max(1.0, abs(gx))
         assert result.explanation.fx == pytest.approx(gx)
@@ -324,7 +315,7 @@ class TestLimaseExplain:
                     "sigma", "n_samples", "degenerate", "surrogate_depth"):
             assert key in record
         assert record["explainer"] == "limase"
-        assert record["sigma"] == AUTO_SIGMA
+        assert record["sigma"] == 5.0
         assert record["n_samples"] == 100
 
 
@@ -368,6 +359,15 @@ class TestBatch:
         assert isinstance(out[1], LimaseError)
         assert not isinstance(out[2], LimaseError)
 
+    def test_value_error_from_model_fails_only_its_row(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[0], [1000.0, 0.0]])
+        out = limase_explain_batch(FlakyModel(2, error=ValueError), X, meta_for(rows),
+                                   LimaseConfig(n_samples=50, seed=0))
+        assert not isinstance(out[0], LimaseError)
+        assert abs(out[0].explanation.efficiency_gap()) <= 1e-9
+        assert isinstance(out[1], LimaseError)
+
     def test_nan_row_isolated_from_batch(self):
         rows = RandomStream(13).normal_matrix(30, 2)
         meta = meta_for(rows)
@@ -395,8 +395,7 @@ class TestSigmaSweep:
         [(s, swept)] = sigma_sweep(model, reg_data.rows[0], reg_data.features, cfg, [2.0])
         assert s == 2.0
         direct = limase_explain(model, reg_data.rows[0], reg_data.features,
-                                LimaseConfig(n_samples=100, seed=1, sigma=2.0,
-                                             sigma_mode="absolute"))
+                                LimaseConfig(n_samples=100, seed=1, sigma=2.0))
         assert np.array_equal(swept.explanation.phi, direct.explanation.phi)
 
     def test_wide_kernel_approaches_global_mean(self):

@@ -11,19 +11,21 @@ from limase.shapley import (
     tree_conditional_value,
     tree_shap,
 )
-from limase.trees import LEAF, DecisionTree, TreeNode, TreeParams, predict_tree
+from limase.trees import LEAF, DecisionTree, TreeParams, predict_batch
 
-from conftest import make_classification_dataset, random_tree
+from conftest import make_classification_dataset, random_tree, tree_from_nodes
+
+NAN = float("nan")
 
 
 def hand_stump(d: int = 2) -> DecisionTree:
     """Root splits feature 0 at 0; left (cover 3, value 0), right (cover 1, value 4)."""
     nodes = [
-        TreeNode(0, 0.0, 1, 2, 4.0, 1.0),
-        TreeNode(LEAF, float("nan"), LEAF, LEAF, 3.0, 0.0),
-        TreeNode(LEAF, float("nan"), LEAF, LEAF, 1.0, 4.0),
+        (0, 0.0, 1, 2, 4.0, 1.0),
+        (LEAF, NAN, LEAF, LEAF, 3.0, 0.0),
+        (LEAF, NAN, LEAF, LEAF, 1.0, 4.0),
     ]
-    return DecisionTree(nodes=nodes, d=d, params=TreeParams(max_depth=1))
+    return tree_from_nodes(nodes, d, TreeParams(max_depth=1))
 
 
 X_RIGHT = np.array([1.0, 0.0])  # routes right in hand_stump
@@ -34,13 +36,13 @@ class TestConditionalValue:
         tree = random_tree(RandomStream(0), d=4, max_depth=4)
         x = RandomStream(1).normal(4)
         full = tree_conditional_value(tree, x, range(4))
-        assert full == pytest.approx(predict_tree(tree, x), abs=1e-12)
+        assert full == pytest.approx(predict_batch(tree, x[None, :])[0], abs=1e-12)
 
     def test_empty_coalition_is_root_value(self):
         tree = random_tree(RandomStream(2), d=3, max_depth=3)
         x = RandomStream(3).normal(3)
         assert tree_conditional_value(tree, x, []) == pytest.approx(
-            tree.nodes[tree.root].value, abs=1e-12
+            tree.value[0], abs=1e-12
         )
 
     def test_stump_empty_coalition_hand_value(self):
@@ -138,25 +140,21 @@ class TestTreeShap:
     def test_symmetry_on_mirror_tree(self):
         # features 0 and 1 play interchangeable roles with equal covers/values
         nodes = [
-            TreeNode(0, 0.0, 1, 2, 8.0, 0.0),
-            TreeNode(1, 0.0, 3, 4, 4.0, 0.0),
-            TreeNode(1, 0.0, 5, 6, 4.0, 0.0),
-            TreeNode(LEAF, float("nan"), LEAF, LEAF, 2.0, -1.0),
-            TreeNode(LEAF, float("nan"), LEAF, LEAF, 2.0, 1.0),
-            TreeNode(LEAF, float("nan"), LEAF, LEAF, 2.0, 1.0),
-            TreeNode(LEAF, float("nan"), LEAF, LEAF, 2.0, 3.0),
+            (0, 0.0, 1, 2, 8.0, 1.0),
+            (1, 0.0, 3, 4, 4.0, 0.0),
+            (1, 0.0, 5, 6, 4.0, 2.0),
+            (LEAF, NAN, LEAF, LEAF, 2.0, -1.0),
+            (LEAF, NAN, LEAF, LEAF, 2.0, 1.0),
+            (LEAF, NAN, LEAF, LEAF, 2.0, 1.0),
+            (LEAF, NAN, LEAF, LEAF, 2.0, 3.0),
         ]
-        nodes[1].value = 0.0
-        nodes[2].value = 2.0
-        nodes[0].value = 1.0
-        tree = DecisionTree(nodes=nodes, d=2, params=TreeParams(max_depth=2))
+        tree = tree_from_nodes(nodes, 2, TreeParams(max_depth=2))
         x = np.array([1.0, 1.0])  # both route right
         phi = tree_shap(tree, x).phi
         assert abs(phi[0] - phi[1]) <= 1e-12
 
     def test_single_leaf_tree(self):
-        nodes = [TreeNode(LEAF, float("nan"), LEAF, LEAF, 5.0, 2.5)]
-        tree = DecisionTree(nodes=nodes, d=3, params=TreeParams())
+        tree = tree_from_nodes([(LEAF, NAN, LEAF, LEAF, 5.0, 2.5)], 3, TreeParams())
         exp = tree_shap(tree, np.zeros(3))
         assert exp.base_value == 2.5
         assert exp.fx == 2.5
@@ -191,9 +189,8 @@ class TestConsistency:
             d = 2 + int(rng.integers(0, 5, 1)[0])  # d in [2, 6]
             t2 = random_tree(rng, d=d, max_depth=4)
             x = rng.normal(d)
-            root = t2.nodes[t2.root]
-            i = root.feature
-            hot = root.left if x[i] <= root.threshold else root.right
+            i = t2.feature[0]
+            hot = t2.left[0] if x[i] <= t2.threshold[0] else t2.right[0]
             c = 0.5 + float(rng.uniform(1)[0])
             t1 = shift_subtree(t2, hot, c)
             v1 = enumerate_tree_values(t1, x)

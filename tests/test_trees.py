@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
-from limase.core import ConfigError, RandomStream
-from limase.trees import LEAF, DecisionTree, TreeParams, fit_tree, predict_batch, predict_tree
+from limase.core import ConfigError, DataError, RandomStream
+from limase.shapley import tree_conditional_value
+from limase.trees import LEAF, DecisionTree, TreeParams, fit_tree, predict_batch
 
 from conftest import random_tree
 
@@ -12,15 +13,21 @@ def unit_w(n: int) -> np.ndarray:
     return np.ones(n)
 
 
+def walk(tree: DecisionTree, x: np.ndarray) -> float:
+    """The leaf value x reaches, by the per-row walk with every feature known."""
+    return tree_conditional_value(tree, x, (1 << tree.d) - 1)
+
+
 def assert_cover_value_recurrence(tree: DecisionTree):
-    for node in tree.nodes:
-        if node.is_leaf:
-            assert node.cover > 0
+    cover, value = tree.cover, tree.value
+    for i in range(tree.feature.size):
+        if tree.feature[i] == LEAF:
+            assert cover[i] > 0
             continue
-        left, right = tree.nodes[node.left], tree.nodes[node.right]
-        assert node.cover == pytest.approx(left.cover + right.cover, rel=1e-9)
-        mixed = (left.cover * left.value + right.cover * right.value) / node.cover
-        assert node.value == pytest.approx(mixed, rel=1e-9, abs=1e-12)
+        l, r = tree.left[i], tree.right[i]
+        assert cover[i] == pytest.approx(cover[l] + cover[r], rel=1e-9)
+        mixed = (cover[l] * value[l] + cover[r] * value[r]) / cover[i]
+        assert value[i] == pytest.approx(mixed, rel=1e-9, abs=1e-12)
 
 
 def brute_force_split(X, y, w, min_leaf_w):
@@ -66,13 +73,13 @@ def split_sse(X, y, w, feature, threshold):
 
 def node_rows(tree: DecisionTree, X: np.ndarray) -> list[np.ndarray]:
     """Per node, the mask of rows of X routed through it."""
-    masks = [None] * len(tree.nodes)
-    masks[tree.root] = np.ones(X.shape[0], dtype=bool)
-    for i, node in enumerate(tree.nodes):  # preorder: parents come first
-        if not node.is_leaf:
-            left = X[:, node.feature] <= node.threshold
-            masks[node.left] = masks[i] & left
-            masks[node.right] = masks[i] & ~left
+    masks = [None] * tree.feature.size
+    masks[0] = np.ones(X.shape[0], dtype=bool)
+    for i, feature in enumerate(tree.feature):  # preorder: parents come first
+        if feature != LEAF:
+            left = X[:, feature] <= tree.threshold[i]
+            masks[tree.left[i]] = masks[i] & left
+            masks[tree.right[i]] = masks[i] & ~left
     return masks
 
 
@@ -145,14 +152,14 @@ def reference_fit(X, y, w, params, feature_rng=None, mtry=None):
 
 
 def assert_same_nodes(tree: DecisionTree, want: list[tuple]):
-    assert len(tree.nodes) == len(want)
-    for node, (feature, threshold, left, right, cover, value) in zip(tree.nodes, want):
-        assert (node.feature, node.left, node.right) == (feature, left, right)
-        assert node.cover == cover and node.value == value
-        if node.is_leaf:
-            assert np.isnan(node.threshold) and np.isnan(threshold)
+    assert tree.feature.size == len(want)
+    for i, (feature, threshold, left, right, cover, value) in enumerate(want):
+        assert (tree.feature[i], tree.left[i], tree.right[i]) == (feature, left, right)
+        assert tree.cover[i] == cover and tree.value[i] == value
+        if feature == LEAF:
+            assert np.isnan(tree.threshold[i]) and np.isnan(threshold)
         else:
-            assert node.threshold == threshold
+            assert tree.threshold[i] == threshold
 
 
 class TestFitTreeExamples:
@@ -161,19 +168,18 @@ class TestFitTreeExamples:
         w = 0.5 + RandomStream(1).uniform(20)
         tree = fit_tree(X, np.full(20, 3.7), w, TreeParams())
         assert tree.n_leaves == 1
-        assert tree.nodes[tree.root].value == 3.7
-        assert tree.nodes[tree.root].cover == pytest.approx(w.sum())
+        assert tree.value[0] == 3.7
+        assert tree.cover[0] == pytest.approx(w.sum())
 
     def test_step_function_stump(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 4.0, 4.0])
         tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=1, min_samples_leaf=1))
-        root = tree.nodes[tree.root]
-        assert root.feature == 0
-        assert root.threshold == pytest.approx(1.5)
-        left, right = tree.nodes[root.left], tree.nodes[root.right]
-        assert (left.value, left.cover) == (0.0, 2.0)
-        assert (right.value, right.cover) == (4.0, 2.0)
+        assert tree.feature[0] == 0
+        assert tree.threshold[0] == pytest.approx(1.5)
+        l, r = tree.left[0], tree.right[0]
+        assert (tree.value[l], tree.cover[l]) == (0.0, 2.0)
+        assert (tree.value[r], tree.cover[r]) == (4.0, 2.0)
 
     def test_zero_weight_row_has_no_effect(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0], [1.2]])
@@ -183,24 +189,30 @@ class TestFitTreeExamples:
         base = fit_tree(X[:4], y[:4], w[:4], TreeParams(max_depth=1, min_samples_leaf=1))
         assert tree.to_dict() == base.to_dict()
 
+    def test_threshold_between_huge_negative_values(self):
+        # lo + hi overflows to -inf here; the midpoint must not
+        X = np.array([[-1.7e308], [-1.6e308], [0.0], [1.0]])
+        y = np.array([0.0, 1.0, 4.0, 4.0])
+        tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=2, min_samples_leaf=1))
+        assert np.array_equal(predict_batch(tree, X), y)
+
 
 class TestPredict:
     def test_single_leaf_constant(self):
         tree = fit_tree(np.zeros((3, 2)), np.full(3, 3.7), unit_w(3), TreeParams())
-        assert predict_tree(tree, np.array([99.0, -99.0])) == 3.7
+        assert predict_batch(tree, np.array([[99.0, -99.0]]))[0] == 3.7
 
     def test_stump_routing(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 4.0, 4.0])
         tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=1, min_samples_leaf=1))
-        assert predict_tree(tree, np.array([0.5])) == 0.0
-        assert predict_tree(tree, np.array([1.5])) == 0.0  # boundary goes left
-        assert predict_tree(tree, np.array([1.5000001])) == 4.0
+        got = predict_batch(tree, np.array([[0.5], [1.5], [1.5000001]]))
+        assert got.tolist() == [0.0, 0.0, 4.0]  # the boundary 1.5 goes left
 
     def test_dimension_mismatch(self):
         tree = fit_tree(np.zeros((3, 2)), np.arange(3.0), unit_w(3), TreeParams())
         with pytest.raises(ValueError):
-            predict_tree(tree, np.zeros(3))
+            predict_batch(tree, np.zeros(2))  # one row, not a (1, 2) matrix
 
     def test_batch_matches_scalar(self):
         rng = RandomStream(21)
@@ -209,7 +221,7 @@ class TestPredict:
         tree = fit_tree(X, y, 0.1 + rng.uniform(200), TreeParams(min_samples_leaf=1))
         probe = rng.normal_matrix(500, 4)
         got = predict_batch(tree, probe)
-        want = np.array([predict_tree(tree, row) for row in probe])
+        want = np.array([walk(tree, row) for row in probe])
         assert np.array_equal(got, want)
 
     def test_batch_shape_check(self):
@@ -266,20 +278,17 @@ class TestInvariants:
         expanded = fit_tree(X[reps], y[reps], unit_w(len(reps)), params)
         # structure and covers identical; values reassociate the same sum,
         # so they agree only to machine precision
-        assert len(weighted.nodes) == len(expanded.nodes)
-        for a, b in zip(weighted.nodes, expanded.nodes):
-            assert (a.feature, a.left, a.right) == (b.feature, b.left, b.right)
-            assert a.cover == b.cover
-            if not a.is_leaf:
-                assert a.threshold == b.threshold
-            assert a.value == pytest.approx(b.value, abs=1e-12)
+        for name in ("feature", "left", "right", "cover"):
+            assert np.array_equal(getattr(weighted, name), getattr(expanded, name))
+        assert np.array_equal(weighted.threshold, expanded.threshold, equal_nan=True)
+        assert np.allclose(weighted.value, expanded.value, rtol=0.0, atol=1e-12)
 
     def test_purity_reproduces_targets_on_distinct_rows(self):
         rng = RandomStream(8)
         X = rng.normal_matrix(32, 2)
         y = rng.normal(32)
         tree = fit_tree(X, y, unit_w(32), TreeParams(max_depth=32, min_samples_leaf=1))
-        got = np.array([predict_tree(tree, row) for row in X])
+        got = np.array([walk(tree, row) for row in X])
         assert np.allclose(got, y, atol=1e-12)
 
     def test_tie_breaks_lowest_feature(self):
@@ -288,14 +297,14 @@ class TestInvariants:
         X = np.column_stack([x, x])
         y = np.array([0.0, 0.0, 4.0, 4.0])
         tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=1, min_samples_leaf=1))
-        assert tree.nodes[tree.root].feature == 0
+        assert tree.feature[0] == 0
 
     def test_tie_breaks_lowest_threshold(self):
         # symmetric bump: splitting at 0.5 or 2.5 gives equal gain
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 4.0, 4.0, 0.0])
         tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=1, min_samples_leaf=1))
-        assert tree.nodes[tree.root].threshold == pytest.approx(0.5)
+        assert tree.threshold[0] == pytest.approx(0.5)
 
     def test_min_samples_leaf_counts_weight(self):
         # weight 5 on one side lets a split pass that row counts alone would
@@ -329,8 +338,7 @@ class TestSplitOracle:
         if want is None:
             assert tree.n_leaves == 1
             return
-        root = tree.nodes[tree.root]
-        got_sse = split_sse(X, y, w, root.feature, root.threshold)
+        got_sse = split_sse(X, y, w, tree.feature[0], tree.threshold[0])
         # same quality as the oracle's optimum (tie-break may pick another
         # equally good candidate only if gains match exactly)
         assert got_sse == pytest.approx(want[0], rel=1e-9, abs=1e-9)
@@ -344,14 +352,14 @@ class TestSplitOracle:
         w = 0.1 + rng.uniform(n)
         tree = fit_tree(X, y, w, TreeParams(max_depth=4, min_samples_leaf=2))
         internal = 0
-        for node, rows in zip(tree.nodes, node_rows(tree, X)):
-            if node.is_leaf:
+        for i, rows in enumerate(node_rows(tree, X)):
+            if tree.feature[i] == LEAF:
                 continue
             internal += 1
             Xn, yn, wn = X[rows], y[rows], w[rows]
             want = brute_force_split(Xn, yn, wn, min_leaf_w=2.0)
             assert want is not None
-            got_sse = split_sse(Xn, yn, wn, node.feature, node.threshold)
+            got_sse = split_sse(Xn, yn, wn, tree.feature[i], tree.threshold[i])
             assert got_sse == pytest.approx(want[0], rel=1e-9, abs=1e-9)
         assert internal >= 3
 
@@ -416,6 +424,14 @@ class TestSerialization:
         assert back.to_dict() == tree.to_dict()
         probe = rng.normal_matrix(20, 3)
         assert np.array_equal(predict_batch(back, probe), predict_batch(tree, probe))
+
+    def test_nonzero_root_rejected(self):
+        data = fit_tree(np.array([[0.0], [1.0]]), np.array([0.0, 4.0]), unit_w(2),
+                        TreeParams(min_samples_leaf=1)).to_dict()
+        assert data["root"] == 0
+        data["root"] = 1
+        with pytest.raises(DataError, match="root"):
+            DecisionTree.from_dict(data)
 
     def test_random_tree_fixture_is_consistent(self):
         tree = random_tree(RandomStream(1), d=4, max_depth=3)
