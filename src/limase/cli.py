@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -40,7 +39,7 @@ from .models import (
     save_model,
     training_score,
 )
-from .pipeline import LimaseConfig, limase_explain, limase_explain_batch
+from .pipeline import LimaseConfig, LimaseResult, limase_explain_batch
 from .shapley import ShapExplanation, forest_shap, tree_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
@@ -99,7 +98,6 @@ def _add_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--class", dest="class_index", type=int, default=None,
                    help="class whose probability is explained (default: predicted)")
     p.add_argument("--out", default="out", help="output directory")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--config", default=None, help="key=value file; flags override")
     p.add_argument("--instance", type=int, default=0, help="row to explain")
     p.add_argument("--count", type=int, default=100,
@@ -245,16 +243,6 @@ def _resolve_model(args, data: Dataset):
     raise ConfigError(f"unknown model spec {spec!r} (not a kind, external:, or existing file)")
 
 
-def _validate_class_index(args, data: Dataset) -> None:
-    ci = args.class_index
-    if ci is None:
-        return
-    if not data.task.is_classification:
-        raise ConfigError("--class applies to classification tasks only")
-    if not 0 <= ci < data.task.n_classes:
-        raise ConfigError(f"--class {ci} out of range for {data.task.n_classes} classes")
-
-
 def _background_rows(args, data: Dataset) -> np.ndarray:
     rng = RandomStream(child_seed(args.seed, _BACKGROUND_STREAM))
     count = min(args.background, data.n)
@@ -273,24 +261,35 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _explain_one(args, data: Dataset, model, x: np.ndarray) -> tuple[dict, ShapExplanation]:
-    """Dispatch one instance to the configured explainer."""
-    names = data.feature_names
+def _explain_rows(args, data: Dataset, model,
+                  rows: np.ndarray) -> list[LimaseResult | ShapExplanation]:
+    """Explain each row with the configured explainer; row i gets child seed i.
+
+    limase gives LimaseResults, treeshap and kernelshap ShapExplanations.
+    Any failed row fails the call.
+    """
     if args.explainer == "limase":
-        result = limase_explain(model, x, data.features, _limase_config(args))
-        return result.to_json_dict(names), result.explanation
+        results = limase_explain_batch(model, rows, data.features, _limase_config(args))
+        failed = [r for r in results if isinstance(r, Exception)]
+        if failed:
+            raise LimaseError(f"{len(failed)} of {len(results)} explanations failed: {failed[0]}")
+        return results
     if args.explainer == "treeshap":
         if isinstance(model, TreeModel):
-            e = tree_shap(model.tree, x)
-        elif isinstance(model, ForestModel):
-            e = forest_shap(model, x, args.class_index)
-        else:
-            raise ConfigError("--explainer treeshap requires a tree or forest model")
-        return e.to_json_dict(names), e
+            return [tree_shap(model.tree, row) for row in rows]
+        if isinstance(model, ForestModel):
+            return [forest_shap(model, row, args.class_index) for row in rows]
+        raise ConfigError("--explainer treeshap requires a tree or forest model")
     budget = _parse_kernel_budget(args.kernel_budget)
-    rng = RandomStream(child_seed(args.seed, _KERNEL_STREAM))
-    e = kernel_shap(model, x, _background_rows(args, data), budget, rng, args.class_index)
-    return e.to_json_dict(names), e
+    background = _background_rows(args, data)
+    seed = child_seed(args.seed, _KERNEL_STREAM)
+    return [kernel_shap(model, row, background, budget, RandomStream(child_seed(seed, i)),
+                        args.class_index)
+            for i, row in enumerate(rows)]
+
+
+def _shap(result: LimaseResult | ShapExplanation) -> ShapExplanation:
+    return result.explanation if isinstance(result, LimaseResult) else result
 
 
 def cmd_inspect(args) -> int:
@@ -321,24 +320,24 @@ def cmd_train(args) -> int:
 
 def cmd_explain(args) -> int:
     data = _require_data(args)
-    _validate_class_index(args, data)
+    data.task.check_class_index(args.class_index)
     if not 0 <= args.instance < data.n:
         raise ConfigError(f"--instance {args.instance} out of range for {data.n} rows")
     model = _resolve_model(args, data)
     try:
-        x = data.rows[args.instance]
         started = time.perf_counter()
-        record, explanation = _explain_one(args, data, model, x)
+        [result] = _explain_rows(args, data, model, data.rows[[args.instance]])
         elapsed = time.perf_counter() - started
     finally:
         if isinstance(model, ExternalModel):
             model.close()
+    record = result.to_json_dict(data.feature_names)
     record["instance_index"] = args.instance
     record["config"] = _config_echo(args)
     record["elapsed_ms"] = None
     out = _out_dir(args)
     _write_json(out / "explanation.json", record)
-    force = build_force_plot(explanation, data.features)
+    force = build_force_plot(_shap(result), data.features)
     render_svg(force, out / "force.svg")
     print(f"explained instance {args.instance} with {args.explainer} "
           f"in {elapsed * 1000:.1f} ms")
@@ -346,34 +345,9 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _explain_many(args, data: Dataset, model, indices: list[int],
-                  *, threads: int) -> list[ShapExplanation]:
-    rows = data.rows[indices]
-    if args.explainer == "limase":
-        results = limase_explain_batch(model, rows, data.features,
-                                       _limase_config(args), threads=threads)
-        failed = [r for r in results if isinstance(r, Exception)]
-        if failed:
-            raise LimaseError(f"{len(failed)} of {len(results)} explanations failed: {failed[0]}")
-        return [r.explanation for r in results]
-    if args.explainer == "treeshap":
-        if isinstance(model, TreeModel):
-            return [tree_shap(model.tree, row) for row in rows]
-        if isinstance(model, ForestModel):
-            return [forest_shap(model, row, args.class_index) for row in rows]
-        raise ConfigError("--explainer treeshap requires a tree or forest model")
-    budget = _parse_kernel_budget(args.kernel_budget)
-    background = _background_rows(args, data)
-    out = []
-    for i, row in enumerate(rows):
-        rng = RandomStream(child_seed(child_seed(args.seed, _KERNEL_STREAM), i))
-        out.append(kernel_shap(model, row, background, budget, rng, args.class_index))
-    return out
-
-
 def cmd_global(args) -> int:
     data = _require_data(args)
-    _validate_class_index(args, data)
+    data.task.check_class_index(args.class_index)
     if args.count > data.n:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
     if args.count < 1:
@@ -382,7 +356,7 @@ def cmd_global(args) -> int:
     indices = _sample_indices(args, data, args.count)
     started = time.perf_counter()
     try:
-        explanations = _explain_many(args, data, model, indices, threads=args.threads)
+        explanations = [_shap(r) for r in _explain_rows(args, data, model, data.rows[indices])]
     finally:
         if isinstance(model, ExternalModel):
             model.close()
@@ -409,14 +383,13 @@ def cmd_global(args) -> int:
 
 def cmd_sp(args) -> int:
     data = _require_data(args)
-    _validate_class_index(args, data)
+    data.task.check_class_index(args.class_index)
     count = min(args.count, data.n)
     model = _resolve_model(args, data)
     indices = _sample_indices(args, data, count)
     started = time.perf_counter()
     try:
-        pick, matrix, _ = sp_explain(model, data, indices, _limase_config(args),
-                                     args.budget, threads=args.threads)
+        pick, matrix, _ = sp_explain(model, data, indices, _limase_config(args), args.budget)
     finally:
         if isinstance(model, ExternalModel):
             model.close()
@@ -440,42 +413,28 @@ def cmd_sp(args) -> int:
 
 def cmd_bench(args) -> int:
     data = _require_data(args)
-    _validate_class_index(args, data)
+    data.task.check_class_index(args.class_index)
     if data.n < BENCH_BATCH:
         raise DataError(f"bench needs at least {BENCH_BATCH} rows, got {data.n}")
     model = _resolve_model(args, data)
     if isinstance(model, (TreeModel, ForestModel)):
         raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
-    indices = _sample_indices(args, data, BENCH_BATCH)
-    rows = data.rows[indices]
-    config = _limase_config(args)
-    bg_rng = RandomStream(child_seed(args.seed, _BACKGROUND_STREAM))
-    bg_count = min(BENCH_BACKGROUND_ROWS, data.n)
-    background = data.rows[np.sort(bg_rng.choice(data.n, size=bg_count, replace=False))]
+    rows = data.rows[_sample_indices(args, data, BENCH_BATCH)]
+    limase_args = argparse.Namespace(**{**vars(args), "explainer": "limase"})
+    kernel_args = argparse.Namespace(**{**vars(args), "explainer": "kernelshap",
+                                        "kernel_budget": str(BENCH_KERNEL_BUDGET),
+                                        "background": BENCH_BACKGROUND_ROWS})
+
+    def timed(run_args, X: np.ndarray) -> float:
+        started = time.perf_counter()
+        _explain_rows(run_args, data, model, X)
+        return time.perf_counter() - started
 
     try:
-        started = time.perf_counter()
-        limase_explain(model, rows[0], data.features, config)
-        limase_single = time.perf_counter() - started
-
-        started = time.perf_counter()
-        results = limase_explain_batch(model, rows, data.features, config, threads=1)
-        limase_batch = time.perf_counter() - started
-        failed = [r for r in results if isinstance(r, Exception)]
-        if failed:
-            raise LimaseError(f"bench: {len(failed)} explanations failed: {failed[0]}")
-
-        kernel_rng = RandomStream(child_seed(args.seed, _KERNEL_STREAM))
-        started = time.perf_counter()
-        kernel_shap(model, rows[0], background, BENCH_KERNEL_BUDGET, kernel_rng,
-                    args.class_index)
-        kernel_single = time.perf_counter() - started
-
-        started = time.perf_counter()
-        for i, row in enumerate(rows):
-            rng = RandomStream(child_seed(child_seed(args.seed, _KERNEL_STREAM), i))
-            kernel_shap(model, row, background, BENCH_KERNEL_BUDGET, rng, args.class_index)
-        kernel_batch = time.perf_counter() - started
+        limase_single = timed(limase_args, rows[:1])
+        limase_batch = timed(limase_args, rows)
+        kernel_single = timed(kernel_args, rows[:1])
+        kernel_batch = timed(kernel_args, rows)
     finally:
         if isinstance(model, ExternalModel):
             model.close()
@@ -484,9 +443,9 @@ def cmd_bench(args) -> int:
         "n_rows": data.n,
         "d": data.d,
         "batch_size": BENCH_BATCH,
-        "n_samples": config.n_samples,
+        "n_samples": args.n_samples,
         "kernel_budget": BENCH_KERNEL_BUDGET,
-        "kernel_background": background.shape[0],
+        "kernel_background": BENCH_BACKGROUND_ROWS,
         "limase_single_s": limase_single,
         "limase_batch_s": limase_batch,
         "kernel_single_s": kernel_single,
@@ -498,10 +457,10 @@ def cmd_bench(args) -> int:
     out = _out_dir(args)
     _write_json(out / "bench.json", payload)
     print(f"limase:  1 instance {limase_single:.3f} s, "
-          f"{BENCH_BATCH} instances {limase_batch:.3f} s (N={config.n_samples})")
+          f"{BENCH_BATCH} instances {limase_batch:.3f} s (N={args.n_samples})")
     print(f"kernel:  1 instance {kernel_single:.3f} s, "
           f"{BENCH_BATCH} instances {kernel_batch:.3f} s "
-          f"(budget={BENCH_KERNEL_BUDGET}, background={background.shape[0]})")
+          f"(budget={BENCH_KERNEL_BUDGET}, background={BENCH_BACKGROUND_ROWS})")
     print(f"speedup: {payload['speedup_single']:.1f}x single, "
           f"{payload['speedup_batch']:.1f}x batch")
     print(f"wrote {out / 'bench.json'}")

@@ -55,6 +55,15 @@ class Task:
     def is_classification(self) -> bool:
         return self.kind == CLASSIFICATION
 
+    def check_class_index(self, class_index: int | None) -> None:
+        """ConfigError unless class_index is None or a class of this task."""
+        if class_index is None:
+            return
+        if not self.is_classification:
+            raise ConfigError(f"class_index {class_index} given for a regression model")
+        if not 0 <= class_index < self.n_classes:
+            raise ConfigError(f"class_index {class_index} out of range for {self.n_classes} classes")
+
     @property
     def n_outputs(self) -> int:
         return self.n_classes if self.kind == CLASSIFICATION else 1
@@ -184,20 +193,14 @@ class BlackBoxModel(ABC):
     def predict_scalar(self, X: np.ndarray, class_index: int | None = None) -> np.ndarray:
         """Scalar view of the output: regression value or one class probability.
 
-        Raises ModelOutputError unless the model returns one finite score
-        per row of X.
+        A class_index the task cannot score raises ConfigError before the
+        model is called.  Raises ModelOutputError unless the model returns
+        one finite score per row of X.
         """
-        out = self.predict(X)
-        if self.task.is_classification:
-            if class_index is None:
-                raise ValueError("class_index required for classification models")
-            if not 0 <= class_index < self.task.n_classes:
-                raise ValueError(f"class_index {class_index} out of range")
-            scores = out.values[:, class_index]
-        else:
-            if class_index is not None:
-                raise ValueError("class_index given for a regression model")
-            scores = out.values[:, 0]
+        self.task.check_class_index(class_index)
+        if self.task.is_classification and class_index is None:
+            raise ValueError("class_index required for classification models")
+        scores = self.predict(X).values[:, 0 if class_index is None else class_index]
         n = len(X)
         if scores.shape != (n,) or not np.all(np.isfinite(scores)):
             raise ModelOutputError(

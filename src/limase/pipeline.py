@@ -10,6 +10,7 @@ far g is from f locally is reported as a weighted R^2, never hidden.
 """
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -25,6 +26,7 @@ from .core import (
     RandomStream,
     child_seed,
 )
+from .external import ExternalModel
 from .shapley import ShapExplanation, tree_shap
 from .trees import DecisionTree, TreeParams, fit_tree, predict_batch
 
@@ -135,9 +137,11 @@ def limase_explain(
     reported as fidelity_r2 over the weighted perturbation set.  Scores
     that are not one finite value per perturbation row raise
     ModelOutputError; any other failure of the black box is wrapped in a
-    LimaseError.
+    LimaseError.  A class_index the model cannot score raises ConfigError
+    before the black box is called.
     """
     started = time.perf_counter()
+    model.task.check_class_index(config.class_index)
     x = np.asarray(x, dtype=float)
     d = len(features)
     if x.shape != (d,):
@@ -196,16 +200,22 @@ def limase_explain_batch(
     X: np.ndarray,
     features: list[FeatureMeta],
     config: LimaseConfig,
-    *,
-    threads: int = 1,
 ) -> list[LimaseResult | LimaseError]:
     """Explain each row of X; entry i uses a seed derived from (seed, i).
 
     Per-row failures do not abort the batch: the failed position holds
-    the exception instead of a result.  Results are independent of
-    execution order and of the threads setting.
+    the exception instead of a result.  A class_index the model cannot
+    score raises ConfigError once, before the first row.
+
+    The black box decides how rows run.  An ExternalModel's rows share
+    a pool of os.cpu_count() threads: a thread waiting on the child's
+    pipe releases the GIL, so one row's surrogate fit overlaps another
+    row's round trip.  Any other model runs its rows in order in the
+    caller's thread, because in-process work contends for the GIL and a
+    pool only adds switching.  Results do not depend on either order.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    model.task.check_class_index(config.class_index)
 
     def explain_row(i: int) -> LimaseResult | LimaseError:
         row_config = replace(config, seed=child_seed(config.seed, i))
@@ -214,8 +224,8 @@ def limase_explain_batch(
         except LimaseError as e:
             return e
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    if isinstance(model, ExternalModel):
+        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
             return list(pool.map(explain_row, range(X.shape[0])))
     return [explain_row(i) for i in range(X.shape[0])]
 

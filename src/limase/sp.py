@@ -145,8 +145,6 @@ def sp_explain(
     sample_indices: Sequence[int],
     config: LimaseConfig,
     G: int,
-    *,
-    threads: int = 1,
 ) -> tuple[SpResult, ExplanationMatrix, list[LimaseResult]]:
     """Explain the sampled instances, then pick G of them greedily.
 
@@ -160,9 +158,7 @@ def sp_explain(
             raise IndexError(f"instance index {i} out of range for {dataset.n} rows")
     if not indices:
         raise DataError("sample_indices is empty")
-    results = limase_explain_batch(
-        model, dataset.rows[indices], dataset.features, config, threads=threads
-    )
+    results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
     for position, r in enumerate(results):
         if isinstance(r, Exception):
             raise DataError(

@@ -108,7 +108,22 @@ class DecisionTree:
             raise DataError(f"tree root must be node 0, got {data['root']}")
         rows = [(n["feature"], np.nan if n["threshold"] is None else n["threshold"],
                  n["left"], n["right"], n["cover"], n["value"]) for n in data["nodes"]]
-        return _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
+        if not rows:
+            raise DataError("tree has no nodes")
+        tree = _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
+        # Preorder puts both children after their parent, so every walk ends.
+        n, index = len(rows), np.arange(len(rows))
+        internal = tree.feature != LEAF
+        bad = np.flatnonzero(
+            internal & ((tree.feature < 0) | (tree.feature >= tree.d)
+                        | (tree.left <= index) | (tree.left >= n)
+                        | (tree.right <= index) | (tree.right >= n))
+            | ~internal & ((tree.left != LEAF) | (tree.right != LEAF)))
+        if bad.size:
+            i = int(bad[0])
+            raise DataError(f"tree node {i} of {n} is malformed: feature {tree.feature[i]} "
+                            f"(d={tree.d}), children {tree.left[i]} and {tree.right[i]}")
+        return tree
 
 
 def _from_rows(rows: list, d: int, params: TreeParams) -> DecisionTree:

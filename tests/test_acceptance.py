@@ -260,7 +260,7 @@ def test_criterion_06_surrogate_is_at_least_ten_times_faster():
 
     t0 = time.perf_counter()
     results = limase_explain_batch(model, X, data.features,
-                                   LimaseConfig(n_samples=1000, seed=0), threads=1)
+                                   LimaseConfig(n_samples=1000, seed=0))
     t_limase = time.perf_counter() - t0
     assert all(not isinstance(r, Exception) for r in results)
 

@@ -256,6 +256,29 @@ class TestBenchValidation:
         assert "non-tree" in capsys.readouterr().err
 
 
+class TestBench:
+    TIMINGS = ("limase_single_s", "limase_batch_s", "kernel_single_s", "kernel_batch_s",
+               "speedup_single", "speedup_batch")
+
+    def test_report_and_rerun(self, reg_csv, tmp_path):
+        args = ("bench", "--data", reg_csv, "--target", "y", "--model", "mlp",
+                "--hidden", 4, "--epochs", 2, "--n-samples", 20, "--out", tmp_path)
+        assert run(*args) == 0
+        first = json.loads((tmp_path / "bench.json").read_text())
+        assert set(first) == {"n_rows", "d", "batch_size", "n_samples", "kernel_budget",
+                              "kernel_background", "config", *self.TIMINGS}
+        assert (first["n_rows"], first["d"], first["batch_size"]) == (150, 4, 100)
+        assert (first["n_samples"], first["kernel_budget"], first["kernel_background"]) \
+            == (20, 2048, 100)
+        assert all(first[k] > 0 for k in self.TIMINGS)
+        assert run(*args) == 0
+        second = json.loads((tmp_path / "bench.json").read_text())
+        for report in (first, second):
+            for k in self.TIMINGS:
+                del report[k]
+        assert second == first
+
+
 class TestConfigFile:
     def test_file_values_applied_and_flags_override(self, reg_csv, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -1,7 +1,13 @@
 """Local surrogate pipeline: sampling, weighting, fitting, explaining."""
+import sys
+import threading
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import limase.pipeline
 from limase.core import (
     BlackBoxModel,
     ConfigError,
@@ -13,6 +19,7 @@ from limase.core import (
     child_seed,
     compute_feature_meta,
 )
+from limase.external import attach_external
 from limase.models import TreeModel, fit_random_forest
 from limase.pipeline import (
     LimaseConfig,
@@ -26,6 +33,8 @@ from limase.shapley import tree_conditional_value
 from limase.trees import TreeParams, fit_tree
 
 from conftest import make_classification_dataset, make_regression_dataset
+
+STUMP_SERVER = [sys.executable, str(Path(__file__).parent / "fixtures" / "server_stump.py")]
 
 
 class ConstantModel(BlackBoxModel):
@@ -83,6 +92,18 @@ class ShortModel(BlackBoxModel):
 
     def predict(self, X):
         return ModelOutput(np.atleast_2d(X)[:-1, :1])
+
+
+class CountingModel(BlackBoxModel):
+    """Wraps a model and counts its predict calls."""
+
+    def __init__(self, inner):
+        self.inner, self.d, self.task = inner, inner.d, inner.task
+        self.calls = 0
+
+    def predict(self, X):
+        self.calls += 1
+        return self.inner.predict(X)
 
 
 def meta_for(rows):
@@ -281,6 +302,19 @@ class TestLimaseExplain:
                                  LimaseConfig(n_samples=200, seed=7))
         assert default.explanation.class_index == model.predicted_class(x)
 
+    def test_bad_class_index_rejected_before_scoring(self, cls_data, reg_data):
+        forest = fit_random_forest(cls_data, 3, TreeParams(max_depth=3), RandomStream(1))
+        regressor = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(1))
+        for inner, data, class_index in ((forest, cls_data, 7), (forest, cls_data, -1),
+                                         (regressor, reg_data, 0)):
+            model = CountingModel(inner)
+            cfg = LimaseConfig(n_samples=50, seed=0, class_index=class_index)
+            with pytest.raises(ConfigError, match="class_index"):
+                limase_explain(model, data.rows[0], data.features, cfg)
+            with pytest.raises(ConfigError, match="class_index"):
+                limase_explain_batch(model, data.rows[:3], data.features, cfg)
+            assert model.calls == 0
+
     def test_prediction_failure_wrapped_with_context(self):
         rows = RandomStream(12).normal_matrix(40, 2)
         meta = meta_for(rows)
@@ -325,7 +359,6 @@ class TestBatch:
         cfg = LimaseConfig(n_samples=100, seed=11)
         batch = limase_explain_batch(model, reg_data.rows[:1], reg_data.features, cfg)
         assert len(batch) == 1
-        from dataclasses import replace
         single = limase_explain(model, reg_data.rows[0], reg_data.features,
                                 replace(cfg, seed=child_seed(cfg.seed, 0)))
         assert np.array_equal(batch[0].explanation.phi, single.explanation.phi)
@@ -339,14 +372,42 @@ class TestBatch:
         for ra, rb in zip(a, b):
             assert np.array_equal(ra.explanation.phi, rb.explanation.phi)
 
-    def test_threading_does_not_change_results(self, reg_data):
+    @staticmethod
+    def _row_threads(monkeypatch) -> list:
+        """Patch limase_explain to record the thread each row runs on."""
+        inner, seen = limase.pipeline.limase_explain, []
+
+        def recording(*a, **kw):
+            seen.append(threading.current_thread())
+            return inner(*a, **kw)
+
+        monkeypatch.setattr(limase.pipeline, "limase_explain", recording)
+        return seen
+
+    def test_external_rows_run_on_pool_and_match_single_rows(self, monkeypatch):
+        X = 1.5 + RandomStream(15).normal_matrix(40, 1)
+        meta = meta_for(X)
+        cfg = LimaseConfig(n_samples=100, seed=21)
+        with attach_external(STUMP_SERVER, d=1, task="regression") as model:
+            seen = self._row_threads(monkeypatch)
+            batch = limase_explain_batch(model, X[:6], meta, cfg)
+            assert len(seen) == 6
+            assert threading.main_thread() not in seen
+            monkeypatch.undo()
+            for i, result in enumerate(batch):
+                single = limase_explain(model, X[i], meta,
+                                        replace(cfg, seed=child_seed(cfg.seed, i)))
+                assert np.array_equal(result.explanation.phi, single.explanation.phi)
+                assert result.explanation.base_value == single.explanation.base_value
+                assert result.explanation.fx == single.explanation.fx
+                assert result.fidelity_r2 == single.fidelity_r2
+
+    def test_in_process_rows_run_in_caller_thread(self, reg_data, monkeypatch):
         model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
-        cfg = LimaseConfig(n_samples=100, seed=11)
-        seq = limase_explain_batch(model, reg_data.rows[:6], reg_data.features, cfg)
-        par = limase_explain_batch(model, reg_data.rows[:6], reg_data.features, cfg,
-                                   threads=4)
-        for ra, rb in zip(seq, par):
-            assert np.array_equal(ra.explanation.phi, rb.explanation.phi)
+        seen = self._row_threads(monkeypatch)
+        limase_explain_batch(model, reg_data.rows[:3], reg_data.features,
+                             LimaseConfig(n_samples=50, seed=1))
+        assert seen == [threading.current_thread()] * 3
 
     def test_row_failure_collected_not_raised(self):
         rows = RandomStream(13).normal_matrix(30, 2)

@@ -1,7 +1,14 @@
 """Weighted CART fitting, routing, the split-search oracle and the reference fit."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import limase
 from limase.core import ConfigError, DataError, RandomStream
 from limase.shapley import tree_conditional_value
 from limase.trees import LEAF, DecisionTree, TreeParams, fit_tree, predict_batch
@@ -431,6 +438,55 @@ class TestSerialization:
         assert data["root"] == 0
         data["root"] = 1
         with pytest.raises(DataError, match="root"):
+            DecisionTree.from_dict(data)
+
+    @staticmethod
+    def _one_node(**fields) -> dict:
+        node = {"feature": LEAF, "threshold": None, "left": LEAF, "right": LEAF,
+                "cover": 1.0, "value": 2.0}
+        node.update(fields)
+        return {"d": 1, "root": 0, "params": {"max_depth": 1, "min_samples_leaf": 1.0,
+                                              "min_weight_fraction_leaf": 0.0},
+                "nodes": [node]}
+
+    def test_child_cycle_rejected(self):
+        # Loading this used to succeed, then predict_batch looped forever;
+        # a child process under a timeout keeps a regression from hanging the suite.
+        data = self._one_node(feature=0, threshold=0.5, left=0, right=0)
+        script = ("import json, sys\n"
+                  "from limase.core import DataError\n"
+                  "from limase.trees import DecisionTree, predict_batch\n"
+                  "try:\n"
+                  "    predict_batch(DecisionTree.from_dict(json.loads(sys.argv[1])), [[0.0]])\n"
+                  "except DataError as e:\n"
+                  "    print(e)\n"
+                  "    sys.exit(3)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(limase.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(data)],
+                              capture_output=True, text=True, timeout=30, env=env)
+        assert done.returncode == 3, done.stderr
+        assert "node 0" in done.stdout
+
+    def test_out_of_range_child_rejected(self):
+        data = self._one_node(feature=0, threshold=0.5, left=5, right=5)
+        with pytest.raises(DataError, match="node 0"):
+            predict_batch(DecisionTree.from_dict(data), np.zeros((1, 1)))
+
+    def test_leaf_with_children_rejected(self):
+        with pytest.raises(DataError, match="node 0"):
+            DecisionTree.from_dict(self._one_node(left=0))
+
+    def test_empty_node_list_rejected(self):
+        data = self._one_node()
+        data["nodes"] = []
+        with pytest.raises(DataError, match="no nodes"):
+            DecisionTree.from_dict(data)
+
+    def test_feature_out_of_range_rejected(self):
+        data = fit_tree(np.array([[0.0], [1.0]]), np.array([0.0, 4.0]), unit_w(2),
+                        TreeParams(min_samples_leaf=1)).to_dict()
+        data["nodes"][0]["feature"] = 1
+        with pytest.raises(DataError, match="feature 1"):
             DecisionTree.from_dict(data)
 
     def test_random_tree_fixture_is_consistent(self):
