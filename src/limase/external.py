@@ -9,7 +9,8 @@ Wire format (one JSON object per line on the child's stdin/stdout):
 
 Responses may arrive out of order; ids correlate requests with answers.
 A reader thread owns the child's stdout; predict() blocks on a condition
-variable until its id shows up or the timeout passes.
+variable until its id shows up or the timeout passes.  A reply that
+arrives after its request timed out is dropped.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ class ExternalModel(BlackBoxModel):
         self.timeout = timeout
         self._next_id = 0
         self._results: dict[int, object] = {}
+        self._abandoned: set[int] = set()  # ids whose predict() timed out
         self._fatal: str | None = None
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
@@ -92,8 +94,12 @@ class ExternalModel(BlackBoxModel):
                     self._fail(f"{kind} message without id: {line!r}")
                     return
                 with self._cond:
-                    self._results[int(msg["id"])] = msg
-                    self._cond.notify_all()
+                    request_id = int(msg["id"])
+                    if request_id in self._abandoned:
+                        self._abandoned.remove(request_id)
+                    else:
+                        self._results[request_id] = msg
+                        self._cond.notify_all()
             else:
                 self._fail(f"unknown message type {kind!r} from external model")
                 return
@@ -138,8 +144,11 @@ class ExternalModel(BlackBoxModel):
         with self._cond:
             while request_id not in self._results and self._fatal is None:
                 remaining = deadline - time.monotonic()
-                if remaining <= 0 or not self._cond.wait(remaining):
+                if remaining <= 0:
+                    # nobody will pop the late reply, so the reader drops it
+                    self._abandoned.add(request_id)
                     raise ProtocolError(f"timed out waiting for prediction {request_id}")
+                self._cond.wait(remaining)
             if request_id not in self._results:
                 raise ProtocolError(self._fatal)
             msg = self._results.pop(request_id)

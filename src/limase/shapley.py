@@ -8,16 +8,20 @@ Three routes to the same numbers, used to cross-check each other:
 * :func:`tree_conditional_value` defines the cover-weighted conditional
   value function of a tree, and :func:`enumerate_tree_values` tabulates it
   over all coalitions at once.
-* :func:`tree_shap` computes the identical attribution in polynomial time
-  by carrying the weighted distribution of coalition sizes down each
-  root-to-leaf path (extend/unwind bookkeeping).
+* :func:`tree_shap` and :func:`forest_shap` compute the identical
+  attribution in polynomial time.  Each leaf's share of the value
+  function is a product game over the distinct features on its path
+  (Linear TreeShap, Yu et al., arXiv:2209.08192), so one polynomial per
+  leaf gives every feature's Shapley value, for all leaves of all
+  explained trees in one vectorized pass.  The oracles above share no
+  code with this kernel.
 """
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 from typing import Callable, Iterable
 
 import numpy as np
@@ -166,80 +170,106 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return total
 
 
-class _Path:
-    """Decision-path bookkeeping for the polynomial tree explainer.
+def _leaf_boxes(trees: list[DecisionTree], d: int) -> tuple[np.ndarray, ...]:
+    """Every leaf of the trees as a box: one slot per distinct feature on its path.
 
-    Tracks, for each distinct feature on the current path, the fraction of
-    coalitions that keep the path alive when the feature is absent (zero
-    fraction, a cover ratio) or present (one fraction, 0/1 by routing),
-    plus the permutation-weight mass per coalition size (pweight).
+    The trees' node arrays are stacked, child indices offset per tree, and
+    all leaves walk up to their roots together, one vectorized step per
+    level.  Returns (feature, lo, hi, z, value): the splits on the path of
+    leaf l that test feature[l, j] send x there iff lo[l, j] < x <= hi[l, j],
+    and their cover ratios multiply to z[l, j].  A leaf with fewer distinct
+    features than the widest is padded with null players: feature d, an
+    unbounded interval and z = 1.
     """
+    sizes = [t.feature.size for t in trees]
+    feature, threshold, left, right, cover, value = (
+        np.concatenate([getattr(t, name) for t in trees])
+        for name in ("feature", "threshold", "left", "right", "cover", "value"))
+    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+    left, right = left + offset, right + offset  # a leaf's entries go unread
+    internal = np.flatnonzero(feature != LEAF)
+    parent = np.full(feature.size, -1)
+    parent[left[internal]] = internal
+    parent[right[internal]] = internal
 
-    __slots__ = ("features", "zeros", "ones", "pweights")
+    # one (leaf, node) record per split on a leaf's path: node is the child taken
+    leaves = np.flatnonzero(feature == LEAF)
+    owners, nodes = [], []
+    owner, node = np.arange(leaves.size), leaves
+    while node.size:
+        up = parent[node]
+        keep = up >= 0
+        owner, node = owner[keep], node[keep]
+        owners.append(owner)
+        nodes.append(node)
+        node = up[keep]
+    node = np.concatenate(nodes)
+    split = parent[node]
 
-    def __init__(self):
-        self.features: list[int] = []
-        self.zeros: list[float] = []
-        self.ones: list[float] = []
-        self.pweights: list[float] = []
+    # the records of one (leaf, feature) pair merge into one slot
+    key = np.concatenate(owners) * d + feature[split]
+    order = np.argsort(key, kind="stable")
+    node, split, key = node[order], split[order], key[order]
+    starts = np.flatnonzero(np.diff(key, prepend=-1))
+    leaf, f = np.divmod(key[starts], d)
+    t = threshold[split]
+    went_left = left[split] == node
+    hi = np.minimum.reduceat(np.where(went_left, t, np.inf), starts)
+    lo = np.maximum.reduceat(np.where(went_left, -np.inf, t), starts)
+    z = np.multiply.reduceat(cover[node] / cover[split], starts)
+    width = np.bincount(leaf, minlength=leaves.size)
+    slot = np.arange(starts.size) - (np.cumsum(width) - width)[leaf]
 
-    def copy(self) -> "_Path":
-        p = _Path.__new__(_Path)
-        p.features = self.features.copy()
-        p.zeros = self.zeros.copy()
-        p.ones = self.ones.copy()
-        p.pweights = self.pweights.copy()
-        return p
+    shape = (leaves.size, max(1, int(width.max())))
+    boxes = (np.full(shape, d), np.full(shape, -np.inf), np.full(shape, np.inf), np.ones(shape))
+    for box, slots in zip(boxes, (f, lo, hi, z)):
+        box[leaf, slot] = slots
+    return boxes + (value[leaves],)
 
-    def extend(self, pz: float, po: float, pi: int) -> None:
-        l = len(self.features)
-        self.features.append(pi)
-        self.zeros.append(pz)
-        self.ones.append(po)
-        self.pweights.append(1.0 if l == 0 else 0.0)
-        pw = self.pweights
-        for i in range(l - 1, -1, -1):
-            pw[i + 1] += po * pw[i] * (i + 1) / (l + 1)
-            pw[i] = pz * pw[i] * (l - i) / (l + 1)
 
-    def unwind(self, index: int) -> None:
-        l = len(self.features) - 1
-        po = self.ones[index]
-        pz = self.zeros[index]
-        pw = self.pweights
-        n = pw[l]
-        for j in range(l - 1, -1, -1):
-            if po != 0.0:
-                t = pw[j]
-                pw[j] = n * (l + 1) / ((j + 1) * po)
-                n = t - pw[j] * pz * (l - j) / (l + 1)
-            else:
-                pw[j] = pw[j] * (l + 1) / (pz * (l - j))
-        for j in range(index, l):
-            self.features[j] = self.features[j + 1]
-            self.zeros[j] = self.zeros[j + 1]
-            self.ones[j] = self.ones[j + 1]
-        self.features.pop()
-        self.zeros.pop()
-        self.ones.pop()
-        self.pweights.pop()
+def _box_shap(boxes: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray, float]:
+    """phi and the model value at x of the sum of the leaf games in boxes.
 
-    def unwound_sum(self, index: int) -> float:
-        """Total permutation weight if entry `index` were unwound."""
-        l = len(self.features) - 1
-        po = self.ones[index]
-        pz = self.zeros[index]
-        pw = self.pweights
-        n = pw[l]
-        total = 0.0
-        for j in range(l - 1, -1, -1):
-            if po != 0.0:
-                t = n * (l + 1) / ((j + 1) * po)
-                total += t
-                n = pw[j] - t * pz * (l - j) / (l + 1)
-            else:
-                total += pw[j] * (l + 1) / (pz * (l - j))
-        return total
+    With o_j = 1 when x lies in slot j's interval, leaf l is the product
+    game v(S) = value[l] * prod_{j in S} o_j * prod_{j not in S} z_j over
+    its D slots (Linear TreeShap, Yu et al. 2022).  Slot i's Shapley value
+    is value[l] * (o_i - z_i) * sum_k w_k [t^k] prod_{j != i} (z_j + o_j t)
+    with w_k = k! (D-1-k)! / D!.  The product over all slots is built once;
+    slot i's factor comes out by synthetic division when o_i = 1 (no
+    division, and stable as z_i <= 1) and by dividing by z_i when o_i = 0.
+    """
+    feature, lo, hi, z, value = boxes
+    d = x.size
+    xs = np.append(x, 0.0)[feature]  # padded slots test 0 against (-inf, inf]
+    inside = (xs > lo) & (xs <= hi)
+    o = inside.astype(float)
+    n_leaves, width = z.shape
+    poly = np.zeros((n_leaves, width + 1))  # coefficient of t^k in column k
+    poly[:, 0] = 1.0
+    for j in range(width):
+        grown = poly * z[:, j, None]
+        grown[:, 1:] += poly[:, :-1] * o[:, j, None]
+        poly = grown
+    w = np.array([1.0 / (width * comb(width - 1, k)) for k in range(width)])
+    q = np.broadcast_to(poly[:, width, None], z.shape)
+    by_one = w[width - 1] * q
+    for k in range(width - 1, 0, -1):
+        q = poly[:, k, None] - z * q
+        by_one += w[k - 1] * q
+    by_zero = (poly[:, :width] @ w)[:, None] / z
+    contrib = value[:, None] * (o - z) * np.where(inside, by_one, by_zero)
+    phi = np.bincount(feature.ravel(), contrib.ravel(), minlength=d + 1)[:d]
+    fx = float(value[inside.all(axis=1)].sum())
+    return phi, fx
+
+
+def _check_row(x: np.ndarray, d: int) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"expected a row of length {d}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("row must be finite")
+    return x
 
 
 def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
@@ -249,47 +279,12 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     time polynomial in leaves x depth^2 rather than exponential in d.
     Features never split on receive an exact zero.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (tree.d,):
-        raise ValueError(f"expected a row of length {tree.d}, got shape {x.shape}")
+    x = _check_row(x, tree.d)
     start = time.perf_counter()
-    phi = np.zeros(tree.d)
-    feature, threshold, left, right, cover, value = _node_lists(tree)
-
-    def recurse(i: int, path: _Path, pz: float, po: float, pi: int) -> float:
-        """Add the leaves under node i to phi; return the value of the leaf x reaches."""
-        path = path.copy()
-        path.extend(pz, po, pi)
-        f = feature[i]
-        if f == LEAF:
-            for k in range(1, len(path.features)):
-                w = path.unwound_sum(k)
-                phi[path.features[k]] += w * (path.ones[k] - path.zeros[k]) * value[i]
-            return value[i]
-        if x[f] <= threshold[i]:
-            hot, cold = left[i], right[i]
-        else:
-            hot, cold = right[i], left[i]
-        hot_ratio = cover[hot] / cover[i]
-        cold_ratio = cover[cold] / cover[i]
-        incoming_zero = 1.0
-        incoming_one = 1.0
-        try:
-            k = path.features.index(f, 1)  # slot 0 is the root placeholder
-        except ValueError:
-            k = -1
-        if k >= 0:
-            incoming_zero = path.zeros[k]
-            incoming_one = path.ones[k]
-            path.unwind(k)
-        fx = recurse(hot, path, incoming_zero * hot_ratio, incoming_one, f)
-        recurse(cold, path, incoming_zero * cold_ratio, 0.0, f)
-        return fx
-
-    fx = recurse(0, _Path(), 1.0, 1.0, -1)
+    phi, fx = _box_shap(_leaf_boxes([tree], tree.d), x)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
-        base_value=value[0],
+        base_value=float(tree.value[0]),
         phi=phi,
         fx=fx,
         instance=x.copy(),
@@ -299,30 +294,24 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
 
 
 def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapExplanation:
-    """Per-tree tree_shap averaged over the forest (Shapley linearity).
+    """Shapley values of the forest's mean tree game (Shapley linearity).
 
-    For classification the explained scalar is the selected class's
-    pre-normalization score (mean of that class's trees); default is the
-    model's predicted class at x.
+    All explained trees go through one leaf-box pass, each leaf's value
+    divided by the number of trees.  For classification the explained
+    scalar is the selected class's pre-normalization score (mean of that
+    class's trees); default is the model's predicted class at x.
     """
     if not forest.trees:
         raise ValueError("empty forest")
-    x = np.asarray(x, dtype=float)
+    x = _check_row(x, forest.d)
     start = time.perf_counter()
-    if forest.task.is_classification:
-        if class_index is None:
-            class_index = forest.predicted_class(x)
-        if not 0 <= class_index < forest.task.n_classes:
-            raise ValueError(f"class_index {class_index} out of range")
-        trees = forest.class_trees(class_index)
-    else:
-        if class_index is not None:
-            raise ValueError("class_index given for a regression forest")
-        trees = forest.trees
-    parts = [tree_shap(t, x) for t in trees]
-    phi = np.mean([p.phi for p in parts], axis=0)
-    base = float(np.mean([p.base_value for p in parts]))
-    fx = float(np.mean([p.fx for p in parts]))
+    forest.task.check_class_index(class_index)
+    if forest.task.is_classification and class_index is None:
+        class_index = forest.predicted_class(x)
+    trees = forest.class_trees(class_index) if forest.task.is_classification else forest.trees
+    feature, lo, hi, z, value = _leaf_boxes(trees, forest.d)
+    phi, fx = _box_shap((feature, lo, hi, z, value / len(trees)), x)
+    base = float(np.mean([t.value[0] for t in trees]))
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
         base_value=base, phi=phi, fx=fx, instance=x.copy(),

@@ -111,18 +111,23 @@ class DecisionTree:
         if not rows:
             raise DataError("tree has no nodes")
         tree = _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
-        # Preorder puts both children after their parent, so every walk ends.
+        # Preorder puts both children after their parent, so every walk ends;
+        # the explainers divide by covers and sum values.
         n, index = len(rows), np.arange(len(rows))
         internal = tree.feature != LEAF
         bad = np.flatnonzero(
             internal & ((tree.feature < 0) | (tree.feature >= tree.d)
                         | (tree.left <= index) | (tree.left >= n)
-                        | (tree.right <= index) | (tree.right >= n))
-            | ~internal & ((tree.left != LEAF) | (tree.right != LEAF)))
+                        | (tree.right <= index) | (tree.right >= n)
+                        | ~np.isfinite(tree.threshold))
+            | ~internal & ((tree.left != LEAF) | (tree.right != LEAF))
+            | ~(np.isfinite(tree.cover) & (tree.cover > 0)) | ~np.isfinite(tree.value))
         if bad.size:
             i = int(bad[0])
             raise DataError(f"tree node {i} of {n} is malformed: feature {tree.feature[i]} "
-                            f"(d={tree.d}), children {tree.left[i]} and {tree.right[i]}")
+                            f"(d={tree.d}), threshold {tree.threshold[i]}, children "
+                            f"{tree.left[i]} and {tree.right[i]}, cover {tree.cover[i]}, "
+                            f"value {tree.value[i]}")
         return tree
 
 

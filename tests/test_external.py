@@ -98,6 +98,17 @@ class TestProtocol:
                 t.join()
         assert sorted(results.values()) == [2.0, 3.0]  # each answer names its id
 
+    def test_late_reply_to_timed_out_request_is_dropped(self):
+        with attach_external(server("server_slow.py"), d=2, task="regression") as model:
+            model.timeout = 0.2
+            with pytest.raises(ProtocolError, match="timed out"):
+                model.predict(np.array([[2000.0, 0.0]]))
+            model.timeout = 30.0
+            # the child answers in order, so the late reply is read first
+            assert model.predict(np.array([[1.0, 2.0]])).values[0, 0] == 3.0
+            assert model._results == {}
+            assert model._abandoned == set()
+
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):
             attach_external(server("server_errors.py"), d=2, task="regression")

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from limase.core import RandomStream, Task
+from limase.core import ConfigError, RandomStream, Task
 from limase.models import ForestModel, fit_random_forest
 from limase.shapley import (
     enumerate_tree_values,
@@ -164,6 +164,12 @@ class TestTreeShap:
         with pytest.raises(ValueError):
             tree_shap(hand_stump(), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [NAN, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        # such a row lies in no leaf's interval box, so fx would read 0
+        with pytest.raises(ValueError, match="finite"):
+            tree_shap(hand_stump(), np.array([bad, 0.0]))
+
     def test_deep_tree_stays_polynomial(self):
         # d=24 would need 16M coalition evaluations by enumeration; the
         # path algorithm handles it instantly and still satisfies
@@ -173,6 +179,56 @@ class TestTreeShap:
         x = rng.normal(24)
         exp = tree_shap(tree, x)
         assert abs(exp.efficiency_gap()) <= 1e-9 * max(1.0, abs(exp.fx))
+
+
+def chain_tree(rng: RandomStream, x0: np.ndarray, depth: int) -> DecisionTree:
+    """A chain of depth splits on random features of x0 with one leaf at each level.
+
+    The chain continues on x0's side of every split, so x0 reaches the
+    deepest leaf and lies inside every merged interval on its path.
+    Covers and values follow the leaf recurrence.
+    """
+    d = x0.size
+    nodes: list[list] = []
+
+    def grow(level: int) -> int:
+        node_id = len(nodes)
+        if level == depth:
+            nodes.append([LEAF, NAN, LEAF, LEAF, 0.5 + 9.5 * rng.uniform(1)[0],
+                          3.0 * rng.normal(1)[0]])
+            return node_id
+        f = int(rng.integers(0, d, 1)[0])
+        threshold = float(x0[f] + rng.normal(1)[0])
+        nodes.append([f, threshold, -1, -1, 0.0, 0.0])
+        if x0[f] <= threshold:
+            left = grow(level + 1)
+            right = grow(depth)
+        else:
+            left = grow(depth)
+            right = grow(level + 1)
+        cl, cr = nodes[left][4], nodes[right][4]
+        value = (cl * nodes[left][5] + cr * nodes[right][5]) / (cl + cr)
+        nodes[node_id][2:] = left, right, cl + cr, value
+        return node_id
+
+    grow(0)
+    return tree_from_nodes(nodes, d, TreeParams(max_depth=depth))
+
+
+class TestDeepPaths:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_thirty_deep_chain_matches_brute_force(self, seed):
+        # each feature is split on about ten times along the chain
+        rng = RandomStream(4000 + seed)
+        x0 = rng.normal(3)
+        tree = chain_tree(rng, x0, 30)
+        assert tree.depth() == 30
+        for x in [x0] + [x0 + 0.5 * rng.normal(3) for _ in range(4)]:
+            table = enumerate_tree_values(tree, x)
+            want = shapley_brute_force(lambda m: table[m], 3)
+            exp = tree_shap(tree, x)
+            assert np.max(np.abs(exp.phi - want)) <= 1e-12
+            assert exp.fx == predict_batch(tree, x[None, :])[0]
 
 
 class TestConsistency:
@@ -246,6 +302,18 @@ class TestForestShap:
         member_mean = np.mean([tree_shap(t, x).phi for t in trees], axis=0)
         assert np.max(np.abs(forest_shap(forest, x).phi - member_mean)) <= 1e-12
 
+    def test_single_leaf_and_deep_trees_mixed(self):
+        rng = RandomStream(19)
+        x = rng.normal(4)
+        stump = tree_from_nodes([(LEAF, NAN, LEAF, LEAF, 5.0, 2.5)], 4, TreeParams())
+        trees = [random_tree(rng.child(0), d=4, max_depth=2), stump,
+                 random_tree(rng.child(1), d=4, max_depth=6), chain_tree(rng, x, 12)]
+        forest = ForestModel(trees=trees, task=Task.regression(), d=4)
+        exp = forest_shap(forest, x)
+        member_mean = np.mean([tree_shap(t, x).phi for t in trees], axis=0)
+        assert np.max(np.abs(exp.phi - member_mean)) <= 1e-12
+        assert exp.fx == pytest.approx(forest.raw_scores(x[None, :])[0, 0], abs=1e-12)
+
     def test_classification_explains_selected_class_score(self):
         data = make_classification_dataset(15, 200, 4, 3)
         forest = fit_random_forest(data, 6, TreeParams(max_depth=4), RandomStream(0))
@@ -267,11 +335,11 @@ class TestForestShap:
     def test_class_index_errors(self):
         data = make_classification_dataset(17, 100, 3, 3)
         forest = fit_random_forest(data, 2, TreeParams(max_depth=3), RandomStream(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             forest_shap(forest, data.rows[0], class_index=3)
         reg_tree = random_tree(RandomStream(18), d=3, max_depth=2)
         reg_forest = ForestModel(trees=[reg_tree], task=Task.regression(), d=3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             forest_shap(reg_forest, np.zeros(3), class_index=0)
 
     def test_empty_forest_rejected(self):

@@ -489,6 +489,25 @@ class TestSerialization:
         with pytest.raises(DataError, match="feature 1"):
             DecisionTree.from_dict(data)
 
+    @pytest.mark.parametrize("cover", [0.0, -1.0, float("nan"), float("inf")])
+    def test_cover_not_finite_and_positive_rejected(self, cover):
+        # a zero cover made tree_shap divide by zero; a NaN one gave NaN phi
+        with pytest.raises(DataError, match="cover"):
+            DecisionTree.from_dict(self._one_node(cover=cover))
+
+    @pytest.mark.parametrize("value", [float("nan"), float("-inf")])
+    def test_value_not_finite_rejected(self, value):
+        with pytest.raises(DataError, match="value"):
+            DecisionTree.from_dict(self._one_node(value=value))
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_internal_threshold_not_finite_rejected(self, threshold):
+        data = fit_tree(np.array([[0.0], [1.0]]), np.array([0.0, 4.0]), unit_w(2),
+                        TreeParams(min_samples_leaf=1)).to_dict()
+        data["nodes"][0]["threshold"] = threshold
+        with pytest.raises(DataError, match="node 0"):
+            DecisionTree.from_dict(data)
+
     def test_random_tree_fixture_is_consistent(self):
         tree = random_tree(RandomStream(1), d=4, max_depth=3)
         assert_cover_value_recurrence(tree)
