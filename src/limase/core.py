@@ -197,16 +197,29 @@ class BlackBoxModel(ABC):
         model is called.  Raises ModelOutputError unless the model returns
         one finite score per row of X.
         """
-        self.task.check_class_index(class_index)
         if self.task.is_classification and class_index is None:
             raise ValueError("class_index required for classification models")
-        scores = self.predict(X).values[:, 0 if class_index is None else class_index]
+        return self.predict_scalar_and_class(X, class_index)[0]
+
+    def predict_scalar_and_class(
+        self, X: np.ndarray, class_index: int | None = None
+    ) -> tuple[np.ndarray, int | None]:
+        """predict_scalar's scores and the class they score, from one call.
+
+        A classification model with no class_index scores the class it
+        predicts for X[0].  Raises as predict_scalar does.
+        """
+        self.task.check_class_index(class_index)
+        values = self.predict(X).values
+        if self.task.is_classification and class_index is None:
+            class_index = int(np.argmax(values[0]))
+        scores = values[:, 0 if class_index is None else class_index]
         n = len(X)
         if scores.shape != (n,) or not np.all(np.isfinite(scores)):
             raise ModelOutputError(
                 f"black-box scores must be {n} finite values, one per row; got shape "
                 f"{scores.shape} with {np.count_nonzero(~np.isfinite(scores))} non-finite")
-        return scores
+        return scores, class_index
 
 
 def child_seed(seed: int, index: int) -> int:

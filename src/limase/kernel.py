@@ -131,11 +131,9 @@ def kernel_shap(
     d = x.shape[0]
     if background.shape[1] != d:
         raise DataError(f"background has {background.shape[1]} columns, expected {d}")
-    if model.task.is_classification and class_index is None:
-        class_index = int(np.argmax(model.predict(x[None, :]).values[0]))
-
+    scores, class_index = model.predict_scalar_and_class(x[None, :], class_index)
+    fx = float(scores[0])
     base = float(np.mean(model.predict_scalar(background, class_index)))
-    fx = float(model.predict_scalar(x[None, :], class_index)[0])
 
     if budget == "exact":
         if d > EXACT_MAX_FEATURES:

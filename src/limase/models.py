@@ -24,7 +24,15 @@ from .core import (
     RandomStream,
     Task,
 )
-from .trees import DecisionTree, TreeParams, fit_tree, predict_batch
+from .trees import (
+    DecisionTree,
+    TreeParams,
+    TreeStack,
+    fit_tree,
+    predict_batch,
+    predict_stack,
+    stack_trees,
+)
 
 
 class TreeModel(BlackBoxModel):
@@ -47,11 +55,27 @@ class ForestModel(BlackBoxModel):
     class indicator), so trees[r * k + c] scores class c.  Prediction
     averages per-class scores over rounds and renormalizes rows into a
     probability vector.
+
+    The trees are stacked once, when the forest is built, class-major
+    (see class_span), so one walk scores every output.  leaf_boxes holds
+    each output's leaf boxes for forest_shap, built on first use.
     """
 
     trees: list[DecisionTree]
     task: Task
     d: int
+    stack: TreeStack = field(init=False, repr=False, compare=False)
+    leaf_boxes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+
+    def __post_init__(self):
+        for i, tree in enumerate(self.trees):
+            if tree.d != self.d:
+                raise DataError(f"forest tree {i} has d={tree.d}, the forest d={self.d}")
+        if len(self.trees) % self.n_outputs:
+            raise DataError(f"a forest of {self.n_outputs} outputs needs a multiple of "
+                            f"{self.n_outputs} trees, got {len(self.trees)}")
+        self.stack = stack_trees(
+            [t for c in range(self.n_outputs) for t in self.class_trees(c)], self.d)
 
     @property
     def n_outputs(self) -> int:
@@ -64,14 +88,13 @@ class ForestModel(BlackBoxModel):
     def class_trees(self, class_index: int) -> list[DecisionTree]:
         return self.trees[class_index :: self.n_outputs]
 
+    def class_span(self, class_index: int) -> tuple[int, int]:
+        """Stack trees first to stop - 1 are class_index's trees in round order."""
+        return class_index * self.n_rounds, (class_index + 1) * self.n_rounds
+
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         """Per-output mean of tree predictions, before any normalization."""
-        X = np.asarray(X, dtype=float)
-        k = self.n_outputs
-        scores = np.empty((X.shape[0], k))
-        for c in range(k):
-            scores[:, c] = np.mean([predict_batch(t, X) for t in self.class_trees(c)], axis=0)
-        return scores
+        return predict_stack(self.stack, X, self.n_outputs)
 
     def predict(self, X: np.ndarray) -> ModelOutput:
         scores = self.raw_scores(X)

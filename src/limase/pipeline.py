@@ -155,11 +155,9 @@ def limase_explain(
     sampled = sample_around(x, features, config.n_samples, rng)
     rows = np.vstack([x[None, :], sampled])
 
-    class_index = config.class_index
-    if model.task.is_classification and class_index is None:
-        class_index = int(np.argmax(model.predict(x[None, :]).values[0]))
     try:
-        targets = model.predict_scalar(rows, class_index)
+        # row 0 is x, so the one scoring call also picks the default class
+        targets, class_index = model.predict_scalar_and_class(rows, config.class_index)
     except ModelOutputError:
         raise
     except Exception as e:

@@ -31,10 +31,13 @@ from .trees import LEAF, DecisionTree
 MAX_ENUMERATION_FEATURES = 24
 
 
+def _node_arrays(tree: DecisionTree) -> tuple[np.ndarray, ...]:
+    return (tree.feature, tree.threshold, tree.left, tree.right, tree.cover, tree.value)
+
+
 def _node_lists(tree: DecisionTree) -> tuple[list, ...]:
     """The tree's six node arrays as Python lists, for per-node recursion."""
-    return tuple(a.tolist() for a in (tree.feature, tree.threshold, tree.left,
-                                      tree.right, tree.cover, tree.value))
+    return tuple(a.tolist() for a in _node_arrays(tree))
 
 
 @dataclass
@@ -170,23 +173,21 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _leaf_boxes(trees: list[DecisionTree], d: int) -> tuple[np.ndarray, ...]:
-    """Every leaf of the trees as a box: one slot per distinct feature on its path.
+def _leaf_boxes(nodes: tuple[np.ndarray, ...], d: int) -> tuple[np.ndarray, ...]:
+    """Every leaf of one tree, or of several end to end, as a box.
 
-    The trees' node arrays are stacked, child indices offset per tree, and
-    all leaves walk up to their roots together, one vectorized step per
-    level.  Returns (feature, lo, hi, z, value): the splits on the path of
-    leaf l that test feature[l, j] send x there iff lo[l, j] < x <= hi[l, j],
-    and their cover ratios multiply to z[l, j].  A leaf with fewer distinct
+    nodes holds (feature, threshold, left, right, cover, value) arrays as
+    in DecisionTree, with child indices into these arrays; a run of
+    stacked trees (TreeStack.nodes) has one root per tree.  A box has one
+    slot per distinct feature on the leaf's path.  All leaves walk up to
+    their roots together, one vectorized step per level.  Returns
+    (feature, lo, hi, z, value): the splits on the path of leaf l that
+    test feature[l, j] send x there iff lo[l, j] < x <= hi[l, j], and
+    their cover ratios multiply to z[l, j].  A leaf with fewer distinct
     features than the widest is padded with null players: feature d, an
     unbounded interval and z = 1.
     """
-    sizes = [t.feature.size for t in trees]
-    feature, threshold, left, right, cover, value = (
-        np.concatenate([getattr(t, name) for t in trees])
-        for name in ("feature", "threshold", "left", "right", "cover", "value"))
-    offset = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
-    left, right = left + offset, right + offset  # a leaf's entries go unread
+    feature, threshold, left, right, cover, value = nodes  # a leaf's children go unread
     internal = np.flatnonzero(feature != LEAF)
     parent = np.full(feature.size, -1)
     parent[left[internal]] = internal
@@ -281,7 +282,7 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     """
     x = _check_row(x, tree.d)
     start = time.perf_counter()
-    phi, fx = _box_shap(_leaf_boxes([tree], tree.d), x)
+    phi, fx = _box_shap(_leaf_boxes(_node_arrays(tree), tree.d), x)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
         base_value=float(tree.value[0]),
@@ -297,9 +298,11 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
     """Shapley values of the forest's mean tree game (Shapley linearity).
 
     All explained trees go through one leaf-box pass, each leaf's value
-    divided by the number of trees.  For classification the explained
-    scalar is the selected class's pre-normalization score (mean of that
-    class's trees); default is the model's predicted class at x.
+    divided by the number of trees; the boxes do not depend on x, so each
+    output's are built once per forest and kept in forest.leaf_boxes.
+    For classification the explained scalar is the selected class's
+    pre-normalization score (mean of that class's trees); default is the
+    model's predicted class at x.
     """
     if not forest.trees:
         raise ValueError("empty forest")
@@ -308,10 +311,14 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
     forest.task.check_class_index(class_index)
     if forest.task.is_classification and class_index is None:
         class_index = forest.predicted_class(x)
-    trees = forest.class_trees(class_index) if forest.task.is_classification else forest.trees
-    feature, lo, hi, z, value = _leaf_boxes(trees, forest.d)
-    phi, fx = _box_shap((feature, lo, hi, z, value / len(trees)), x)
-    base = float(np.mean([t.value[0] for t in trees]))
+    output = 0 if class_index is None else class_index
+    first, stop = forest.class_span(output)
+    boxes = forest.leaf_boxes.get(output)
+    if boxes is None:
+        feature, lo, hi, z, value = _leaf_boxes(forest.stack.nodes(first, stop), forest.d)
+        boxes = forest.leaf_boxes[output] = (feature, lo, hi, z, value / (stop - first))
+    phi, fx = _box_shap(boxes, x)
+    base = float(np.mean(forest.stack.value[forest.stack.start[first:stop]]))
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
         base_value=base, phi=phi, fx=fx, instance=x.copy(),

@@ -18,6 +18,7 @@ for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -73,13 +74,7 @@ class DecisionTree:
         return int(np.count_nonzero(self.feature == LEAF))
 
     def depth(self) -> int:
-        level, frontier = 0, np.zeros(1, dtype=np.intp)
-        while True:
-            frontier = frontier[self.feature[frontier] != LEAF]
-            if frontier.size == 0:
-                return level
-            frontier = np.concatenate([self.left[frontier], self.right[frontier]])
-            level += 1
+        return stack_trees([self], self.d).depth
 
     def split_features(self) -> set[int]:
         return set(self.feature[self.feature != LEAF].tolist())
@@ -287,19 +282,118 @@ def fit_tree(
     return _from_rows(nodes, d, params)
 
 
+# (tree, row) pairs per block of a stacked walk; bounds its peak memory.
+_BLOCK_PAIRS = 1 << 16
+
+
+@dataclass(eq=False)
+class TreeStack:
+    """Several trees' node arrays end to end, walked as one.
+
+    Tree t owns nodes start[t] to start[t + 1] - 1 in its own preorder,
+    so its root is node start[t].  child[i, 1] is where x goes when
+    x[feature[i]] <= threshold[i] and child[i, 0] where it goes otherwise,
+    both as stacked indices; a leaf's two children are the leaf itself,
+    so depth levels of the walk bring every row of every tree to its
+    leaf.  feature, threshold, cover and value are the trees' arrays,
+    with LEAF and NaN at leaves.
+    """
+
+    feature: np.ndarray  # intp
+    threshold: np.ndarray
+    child: np.ndarray  # (n_nodes, 2) intp
+    cover: np.ndarray
+    value: np.ndarray
+    start: np.ndarray  # (n_trees + 1,) intp
+    d: int
+
+    @property
+    def n_trees(self) -> int:
+        return self.start.size - 1
+
+    def nodes(self, first: int, stop: int) -> tuple[np.ndarray, ...]:
+        """Trees first to stop - 1 as DecisionTree-style node arrays, end to end.
+
+        Returns (feature, threshold, left, right, cover, value), with child
+        indices into these arrays; a leaf's left and right are itself.
+        """
+        span = slice(self.start[first], self.start[stop])
+        right, left = (self.child[span] - span.start).T
+        return (self.feature[span], self.threshold[span], left, right,
+                self.cover[span], self.value[span])
+
+    @cached_property
+    def depth(self) -> int:
+        """The deepest tree's depth, found level by level on first use."""
+        level, frontier = 0, self.start[:-1]
+        while True:
+            frontier = frontier[self.feature[frontier] != LEAF]
+            if frontier.size == 0:
+                return level
+            frontier = self.child[frontier].ravel()
+            level += 1
+
+
+def stack_trees(trees: list[DecisionTree], d: int) -> TreeStack:
+    """The trees' node arrays stacked in the given order (see TreeStack)."""
+    sizes = [t.feature.size for t in trees]
+    start = np.cumsum([0] + sizes).astype(np.intp)
+
+    def joined(name: str, dtype) -> np.ndarray:
+        # the empty head keeps the dtype, and concatenate working, with no trees
+        return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in trees])
+
+    feature, left, right = (joined(name, np.intp) for name in ("feature", "left", "right"))
+    threshold, cover, value = (joined(name, float) for name in ("threshold", "cover", "value"))
+    offset = np.repeat(start[:-1], sizes)
+    leaf = feature == LEAF
+    own = np.arange(feature.size)
+    child = np.stack([np.where(leaf, own, right + offset),
+                      np.where(leaf, own, left + offset)], axis=1)
+    return TreeStack(feature, threshold, child, cover, value, start, d)
+
+
+def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndarray:
+    """(n, n_groups) mean leaf value of each group's trees at each row of X.
+
+    The trees form n_groups equal groups in stack order.  Rows run in
+    blocks of about _BLOCK_PAIRS (tree, row) pairs.  Each of depth levels
+    is a few flat takes: the split feature and threshold of every pair's
+    node, then child[node, x <= threshold].  A leaf tests its NaN
+    threshold against some in-bounds cell (its LEAF feature index, -1,
+    reads the cell before, or wraps to the last), so every row goes right,
+    to the leaf itself.
+
+    Each group's mean adds its trees in stack order with numpy's
+    reduction, as np.mean over a (trees, rows) stack of per-tree
+    predictions would: tree after tree for several rows, pairwise for one
+    row.  So no block after the first holds a single row, and scores equal
+    that per-tree mean bit for bit.
+    """
+    X = np.ascontiguousarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != stack.d:
+        raise ValueError(f"expected (n, {stack.d}) matrix, got shape {X.shape}")
+    n, d, n_trees = X.shape[0], stack.d, stack.n_trees
+    flat, feature, threshold = X.ravel(), stack.feature, stack.threshold
+    child, value = stack.child.ravel(), stack.value
+    out = np.empty((n, n_groups))
+    step = max(2, _BLOCK_PAIRS // max(1, n_trees))
+    stops = list(range(step, n, step)) + [n] if n else []
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    begin = 0
+    for stop in stops:
+        base = np.tile(np.arange(begin * d, stop * d, d), n_trees)
+        node = np.repeat(stack.start[:-1], stop - begin)
+        for _ in range(stack.depth):
+            goes_left = flat.take(base + feature.take(node)) <= threshold.take(node)
+            node = child.take(2 * node + goes_left)
+        leaves = value.take(node).reshape(n_groups, n_trees // n_groups, stop - begin)
+        out[begin:stop] = leaves.mean(axis=1).T
+        begin = stop
+    return out
+
+
 def predict_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     """Value of the leaf each row of X reaches (<= goes left)."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != tree.d:
-        raise ValueError(f"expected (n, {tree.d}) matrix, got shape {X.shape}")
-    feature, threshold, left, right, value = (
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value)
-    current = np.zeros(X.shape[0], dtype=np.intp)
-    active = feature[current] != LEAF
-    while active.any():
-        rows = np.nonzero(active)[0]
-        nodes = current[rows]
-        goes_left = X[rows, feature[nodes]] <= threshold[nodes]
-        current[rows] = np.where(goes_left, left[nodes], right[nodes])
-        active[rows] = feature[current[rows]] != LEAF
-    return value[current]
+    return predict_stack(stack_trees([tree], tree.d), X)[:, 0]

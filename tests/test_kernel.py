@@ -39,6 +39,16 @@ class ConstantModel(BlackBoxModel):
         return ModelOutput(np.full((np.atleast_2d(X).shape[0], 1), self.c))
 
 
+class CountingModel(BlackBoxModel):
+    def __init__(self, inner):
+        self.inner, self.d, self.task = inner, inner.d, inner.task
+        self.calls = 0
+
+    def predict(self, X):
+        self.calls += 1
+        return self.inner.predict(X)
+
+
 def interventional_oracle(model, x, background, d, class_index=None):
     """Brute-force Shapley values of v(S) = mean_b f(x on S, b off S)."""
 
@@ -125,10 +135,14 @@ class TestOracle:
 class TestClassification:
     def test_default_class_is_argmax(self):
         data = make_classification_dataset(20, 150, 4, 3)
-        model = fit_random_forest(data, 4, TreeParams(max_depth=3), RandomStream(0))
+        forest = fit_random_forest(data, 4, TreeParams(max_depth=3), RandomStream(0))
+        model = CountingModel(forest)
         x = data.rows[5]
         exp = kernel_shap(model, x, data.rows[20:40], "exact", RandomStream(1))
-        assert exp.class_index == int(np.argmax(model.predict(x[None, :]).values[0]))
+        probs = forest.predict(x[None, :]).values[0]
+        assert exp.class_index == int(np.argmax(probs))
+        assert exp.fx == probs[exp.class_index]
+        assert model.calls == 3  # x for class and fx, the background, one coalition chunk
 
     def test_explains_requested_class_probability(self):
         data = make_classification_dataset(21, 150, 4, 3)

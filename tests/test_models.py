@@ -1,4 +1,7 @@
 """Trainable models: forest layout, MLP gradients, serialization."""
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,9 +24,11 @@ from limase.models import (
     save_model,
     training_score,
 )
-from limase.trees import TreeParams, fit_tree, predict_batch
+from limase.trees import _BLOCK_PAIRS, LEAF, TreeParams, fit_tree, predict_batch
 
-from conftest import make_classification_dataset
+from conftest import make_classification_dataset, random_tree, tree_from_nodes
+
+NAN = float("nan")
 
 
 def tiny_dataset(task: Task, n=40, d=2, seed=3) -> Dataset:
@@ -120,6 +125,114 @@ class TestForest:
         x = cls_data.rows[0]
         probs = forest.predict(x[None, :]).values[0]
         assert forest.predicted_class(x) == int(np.argmax(probs))
+
+
+def reference_walk(tree, X):
+    """predict_batch before the stacked walk: each row stops at its leaf."""
+    X = np.asarray(X, dtype=float)
+    feature, threshold, left, right, value = (
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+    current = np.zeros(X.shape[0], dtype=np.intp)
+    active = feature[current] != LEAF
+    while active.any():
+        rows = np.nonzero(active)[0]
+        nodes = current[rows]
+        goes_left = X[rows, feature[nodes]] <= threshold[nodes]
+        current[rows] = np.where(goes_left, left[nodes], right[nodes])
+        active[rows] = feature[current[rows]] != LEAF
+    return value[current]
+
+
+def reference_scores(forest, X):
+    """raw_scores before the stacked walk: a per-class mean of per-tree walks."""
+    scores = np.empty((X.shape[0], forest.n_outputs))
+    for c in range(forest.n_outputs):
+        scores[:, c] = np.mean([reference_walk(t, X) for t in forest.class_trees(c)], axis=0)
+    return scores
+
+
+def chain(d: int, depth: int, rng: RandomStream):
+    """A depth-deep chain: node i splits feature i % d near -0.5, its left child a leaf."""
+    nodes = []
+    for i in range(depth):
+        nodes.append((i % d, -0.5 + 0.1 * rng.normal(1)[0], 2 * i + 1, 2 * i + 2, 1.0, 0.0))
+        nodes.append((LEAF, NAN, LEAF, LEAF, 1.0, float(i)))
+    nodes.append((LEAF, NAN, LEAF, LEAF, 1.0, float(depth)))
+    # preorder: the left leaf of node i sits right after it, then node i + 1
+    return tree_from_nodes(nodes, d, TreeParams(max_depth=depth))
+
+
+def block_sizes(n_trees: int) -> list[int]:
+    """Row counts on both sides of the walk's first and second block boundaries."""
+    step = max(2, _BLOCK_PAIRS // n_trees)
+    return [0, 1, 2, 3, step - 1, step, step + 1, step + 2, 2 * step + 1]
+
+
+class TestReferenceWalk:
+    """The stacked walk reproduces the per-tree walks and their mean bit for bit."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_forest_scores_equal_reference(self, k):
+        data = (make_classification_dataset(21, 300, 4, k) if k
+                else tiny_dataset(Task.regression(), n=300, d=4))
+        forest = fit_random_forest(data, 40, TreeParams(max_depth=5), RandomStream(4))
+        for n in block_sizes(len(forest.trees)):
+            X = RandomStream(n).normal_matrix(n, 4)
+            assert np.array_equal(forest.raw_scores(X), reference_scores(forest, X)), n
+            for tree in forest.trees[:3]:
+                assert np.array_equal(predict_batch(tree, X), reference_walk(tree, X)), n
+
+    def test_single_leaf_tree_with_deep_chain(self):
+        rng = RandomStream(22)
+        leaf = tree_from_nodes([(LEAF, NAN, LEAF, LEAF, 5.0, 2.5)], 3, TreeParams())
+        trees = [leaf, chain(3, 30, rng), random_tree(rng, d=3, max_depth=4)]
+        forest = ForestModel(trees=trees, task=Task.regression(), d=3)
+        assert forest.stack.depth == 30
+        for n in block_sizes(len(trees)):
+            X = 0.3 * RandomStream(n).normal_matrix(n, 3)
+            assert np.array_equal(forest.raw_scores(X), reference_scores(forest, X)), n
+            for tree in trees:
+                assert np.array_equal(predict_batch(tree, X), reference_walk(tree, X)), n
+
+    def test_predict_memory_is_bounded_by_blocks(self):
+        # 150 trees over 40k rows: an unblocked walk holds 48 MB per (tree, row) array
+        data = make_classification_dataset(23, 300, 10, 3)
+        forest = fit_random_forest(data, 50, TreeParams(max_depth=6), RandomStream(5))
+        X = RandomStream(24).normal_matrix(40_000, 10)
+        tracemalloc.start()
+        try:
+            forest.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
+
+
+class TestForestChecks:
+    def _saved(self, tmp_path):
+        data = make_classification_dataset(25, 60, 3, 3)
+        forest = fit_random_forest(data, 2, TreeParams(max_depth=2), RandomStream(0))
+        path = tmp_path / "model.json"
+        save_model(forest, path)
+        return path, json.loads(path.read_text())
+
+    def test_tree_dimension_mismatch_rejected(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        payload["trees"][4]["d"] = 4
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="tree 4 has d=4"):
+            load_model(path)
+
+    def test_tree_count_must_fill_every_class(self, tmp_path):
+        path, payload = self._saved(tmp_path)
+        del payload["trees"][-1]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match="multiple of 3"):
+            load_model(path)
+
+    def test_empty_forest_builds(self):
+        forest = ForestModel(trees=[], task=Task.classification(3), d=2)
+        assert forest.stack.n_trees == 0
 
 
 class TestMlp:

@@ -302,6 +302,17 @@ class TestLimaseExplain:
                                  LimaseConfig(n_samples=200, seed=7))
         assert default.explanation.class_index == model.predicted_class(x)
 
+    def test_classification_row_calls_the_model_once(self, cls_data):
+        forest = fit_random_forest(cls_data, 4, TreeParams(max_depth=3), RandomStream(1))
+        model = CountingModel(forest)
+        cfg = LimaseConfig(n_samples=50, seed=0)
+        x = cls_data.rows[0]
+        result = limase_explain(model, x, cls_data.features, cfg)
+        assert model.calls == 1
+        assert result.explanation.class_index == forest.predicted_class(x)
+        limase_explain_batch(model, cls_data.rows[:3], cls_data.features, cfg)
+        assert model.calls == 4
+
     def test_bad_class_index_rejected_before_scoring(self, cls_data, reg_data):
         forest = fit_random_forest(cls_data, 3, TreeParams(max_depth=3), RandomStream(1))
         regressor = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(1))

@@ -332,6 +332,30 @@ class TestForestShap:
         exp = forest_shap(forest, x)
         assert exp.class_index == forest.predicted_class(x)
 
+    @pytest.mark.parametrize("class_index", [None, 0, 2])
+    def test_prebuilt_boxes_match_brute_force(self, class_index):
+        data = make_classification_dataset(20, 200, 5, 3)
+        forest = fit_random_forest(data, 5, TreeParams(max_depth=4), RandomStream(0))
+        for x in data.rows[:4]:  # the first row builds its class's boxes, the rest reuse them
+            exp = forest_shap(forest, x, class_index)
+            trees = forest.class_trees(exp.class_index)
+            table = np.mean([enumerate_tree_values(t, x) for t in trees], axis=0)
+            want = shapley_brute_force(lambda m: table[m], 5)
+            assert np.max(np.abs(exp.phi - want)) <= 1e-12
+            assert exp.fx == pytest.approx(table[-1], abs=1e-12)
+        assert class_index is None or set(forest.leaf_boxes) == {class_index}
+
+    def test_regression_boxes_reused_across_rows(self):
+        rng = RandomStream(21)
+        trees = [random_tree(rng.child(t), d=4, max_depth=4) for t in range(6)]
+        forest = ForestModel(trees=trees, task=Task.regression(), d=4)
+        for i in range(3):
+            x = rng.child(10 + i).normal(4)
+            table = np.mean([enumerate_tree_values(t, x) for t in trees], axis=0)
+            want = shapley_brute_force(lambda m: table[m], 4)
+            assert np.max(np.abs(forest_shap(forest, x).phi - want)) <= 1e-12
+        assert list(forest.leaf_boxes) == [0]
+
     def test_class_index_errors(self):
         data = make_classification_dataset(17, 100, 3, 3)
         forest = fit_random_forest(data, 2, TreeParams(max_depth=3), RandomStream(0))
