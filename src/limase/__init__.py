@@ -23,7 +23,6 @@ from .core import (
     compute_feature_meta,
     dataset_summary,
     load_csv,
-    standardize,
     write_csv,
 )
 from .external import ExternalModel, ProtocolError, attach_external

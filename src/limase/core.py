@@ -162,18 +162,13 @@ class ModelOutput:
     def __post_init__(self):
         object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
 
-    def scalar(self) -> np.ndarray:
-        """Regression convenience: the single output column as a vector."""
-        if self.values.shape[1] != 1:
-            raise ValueError("scalar() requires a single-output model")
-        return self.values[:, 0]
-
     def check_probabilities(self, atol: float = 1e-6) -> None:
+        """ModelOutputError unless every row is a probability vector."""
         v = self.values
-        if v.min() < -atol or v.max() > 1 + atol:
-            raise ValueError("probabilities outside [0, 1]")
+        if not np.all((v >= -atol) & (v <= 1 + atol)):
+            raise ModelOutputError("probabilities must be finite and in [0, 1]")
         if not np.allclose(v.sum(axis=1), 1.0, atol=atol):
-            raise ValueError("probability rows must sum to 1")
+            raise ModelOutputError("probability rows must sum to 1")
 
 
 class BlackBoxModel(ABC):
@@ -195,7 +190,8 @@ class BlackBoxModel(ABC):
 
         A class_index the task cannot score raises ConfigError before the
         model is called.  Raises ModelOutputError unless the model returns
-        one finite score per row of X.
+        one finite score per row of X and, for a classification task, a
+        probability vector per row.
         """
         if self.task.is_classification and class_index is None:
             raise ValueError("class_index required for classification models")
@@ -210,7 +206,8 @@ class BlackBoxModel(ABC):
         predicts for X[0].  Raises as predict_scalar does.
         """
         self.task.check_class_index(class_index)
-        values = self.predict(X).values
+        out = self.predict(X)
+        values = out.values
         if self.task.is_classification and class_index is None:
             class_index = int(np.argmax(values[0]))
         scores = values[:, 0 if class_index is None else class_index]
@@ -219,6 +216,8 @@ class BlackBoxModel(ABC):
             raise ModelOutputError(
                 f"black-box scores must be {n} finite values, one per row; got shape "
                 f"{scores.shape} with {np.count_nonzero(~np.isfinite(scores))} non-finite")
+        if self.task.is_classification:
+            out.check_probabilities()
         return scores, class_index
 
 
@@ -265,19 +264,6 @@ class RandomStream:
 
     def shuffle(self, x: np.ndarray) -> None:
         self._gen.shuffle(x)
-
-
-def standardize(x: np.ndarray, features: list[FeatureMeta]) -> np.ndarray:
-    """Center/scale a row by the dataset statistics; std=0 coordinates map to 0."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (len(features),):
-        raise ValueError(f"expected a row of length {len(features)}, got shape {x.shape}")
-    mean = np.array([f.mean for f in features])
-    std = np.array([f.std for f in features])
-    out = np.zeros_like(x)
-    nz = std > 0
-    out[nz] = (x[nz] - mean[nz]) / std[nz]
-    return out
 
 
 def _parse_cell(raw: str, row: int, col: str) -> float:

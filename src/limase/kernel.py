@@ -12,6 +12,7 @@ which is exactly the expense the surrogate approach avoids.
 """
 from __future__ import annotations
 
+import bisect
 import math
 import time
 
@@ -22,8 +23,10 @@ from .shapley import ShapExplanation
 
 EXACT_MAX_FEATURES = 16
 
-# Composite rows per model call; bounds peak memory on full enumeration.
-_CHUNK_ROWS = 1 << 17
+# Composite rows per model call; bounds the working set (4 MB of
+# composites at d=30).  Each mask's background rows stay in one call, so a
+# coalition's value is always one call's mean.
+_CHUNK_ROWS = 1 << 14
 
 
 def _masks_matrix(masks: np.ndarray, d: int) -> np.ndarray:
@@ -66,25 +69,23 @@ def _sample_masks(d: int, budget: int, rng: RandomStream) -> tuple[np.ndarray, n
     sizes = np.arange(1, d)
     p = 1.0 / (sizes * (d - sizes))
     p /= p.sum()
-    cumulative = np.cumsum(p)
+    cumulative = np.cumsum(p).tolist()
+    full = (1 << d) - 1
     counts: dict[int, int] = {}
     drawn = 0
     while drawn < budget:
-        u = rng.uniform(1)[0]
-        s = int(sizes[min(int(np.searchsorted(cumulative, u, side="right")), d - 2)])
-        chosen = rng.choice(d, size=s, replace=False)
+        u = float(rng.uniform(1)[0])
+        s = min(bisect.bisect_right(cumulative, u), d - 2) + 1
         mask = 0
-        for i in chosen:
-            mask |= 1 << int(i)
-        full = (1 << d) - 1
+        for i in rng.choice(d, size=s, replace=False).tolist():
+            mask |= 1 << i
         counts[mask] = counts.get(mask, 0) + 1
         drawn += 1
         if drawn < budget:
             counts[full ^ mask] = counts.get(full ^ mask, 0) + 1
             drawn += 1
-    masks = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[int(m)] for m in masks], dtype=float)
-    return masks, weights
+    keys = sorted(counts)
+    return np.array(keys, dtype=np.int64), np.array([counts[m] for m in keys], dtype=float)
 
 
 def _solve_constrained(

@@ -172,20 +172,26 @@ class MlpModel(BlackBoxModel):
                 raise ValueError("bias length must match layer width")
         self.d = self.weights[0].shape[0]
 
-    def _forward(self, X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-        """Returns per-layer activations (inputs first) and the raw output."""
-        activations = [np.asarray(X, dtype=float)]
-        h = activations[0]
+    def _forward(self, X: np.ndarray, inputs: list[np.ndarray] | None = None) -> np.ndarray:
+        """The raw output, keeping one activation at a time.
+
+        inputs, when given, receives each layer's input (X first), which
+        the backward pass needs; otherwise each layer's activation is
+        dropped as the next one is computed.
+        """
+        h = X
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w + b
+            if inputs is not None:
+                inputs.append(h)
+            h = h @ w
+            h += b
             if i < last:
-                h = np.maximum(h, 0.0)
-            activations.append(h)
-        return activations, h
+                np.maximum(h, 0.0, out=h)
+        return h
 
     def predict(self, X: np.ndarray) -> ModelOutput:
-        _, raw = self._forward(np.atleast_2d(np.asarray(X, dtype=float)))
+        raw = self._forward(np.atleast_2d(np.asarray(X, dtype=float)))
         if self.task.is_classification:
             return ModelOutput(_softmax(raw))
         return ModelOutput(raw)
@@ -208,7 +214,8 @@ def mlp_loss_and_gradients(
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     n = X.shape[0]
-    activations, raw = model._forward(X)
+    activations: list[np.ndarray] = []
+    raw = model._forward(X, activations)
     if model.task.is_classification:
         probs = _softmax(raw)
         onehot = np.zeros_like(probs)

@@ -209,12 +209,13 @@ def fit_tree(
     hooks restrict each split search to a random feature subset (used by
     the random forest); without them the search is exhaustive.
 
-    A stable argsort of the live rows, once at the root, lists each
-    feature's row ids in value order; a split stable-partitions these
-    lists into its children, so equal values stay ordered by row index
-    as a fresh stable sort of each node would order them.  A child
-    builds its lists only when it searches for a split.  Node sums
-    (cover, mean, SSE) run over the node's rows in ascending index order.
+    A sort of the live rows, once at the root, lists each feature's row
+    ids in value order, equal values by row index; a split
+    stable-partitions these lists into its children, so equal values stay
+    ordered by row index as a fresh stable sort of each node would order
+    them.  A child builds its lists only when it searches for a split.
+    Node sums (cover, mean, SSE) run over the node's rows in ascending
+    index order.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -240,9 +241,17 @@ def fit_tree(
     nodes: list[list] = []  # rows for _from_rows, in preorder
 
     def presort() -> tuple[np.ndarray, np.ndarray]:
+        # Distinct values have one sorted order, so the fast sort is exact
+        # except on columns with ties (-0.0 == 0.0 counts as a tie), which
+        # are sorted again stably.
         cols = Xt[:, live]
-        order = np.argsort(cols, axis=1, kind="stable")
-        return live.take(order), np.take_along_axis(cols, order, axis=1)
+        order = np.argsort(cols, axis=1)
+        vals = np.take_along_axis(cols, order, axis=1)
+        tied = np.nonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1))[0]
+        if tied.size:
+            order[tied] = np.argsort(cols[tied], axis=1, kind="stable")
+            vals[tied] = np.take_along_axis(cols[tied], order[tied], axis=1)
+        return live.take(order), vals
 
     def grow(idx: np.ndarray, depth: int, parent: tuple | None) -> int:
         # parent: the parent's sorted lists and the mask of this child's

@@ -8,13 +8,13 @@ from limase.core import (
     Dataset,
     FeatureMeta,
     ModelOutput,
+    ModelOutputError,
     RandomStream,
     Task,
     child_seed,
     compute_feature_meta,
     dataset_summary,
     load_csv,
-    standardize,
     write_csv,
 )
 
@@ -151,32 +151,15 @@ class TestModelOutput:
         assert out.values.shape == (3, 1)
         assert out.values.dtype == float
 
-    def test_scalar_requires_single_output(self):
-        with pytest.raises(ValueError):
-            ModelOutput(np.zeros((3, 2))).scalar()
-        assert ModelOutput(np.ones((3, 1))).scalar().shape == (3,)
-
     def test_probability_check(self):
         ModelOutput(np.array([[0.25, 0.75]])).check_probabilities()
-        with pytest.raises(ValueError):
+        ModelOutput(np.zeros((0, 2))).check_probabilities()
+        with pytest.raises(ModelOutputError, match="sum to 1"):
             ModelOutput(np.array([[0.5, 0.9]])).check_probabilities()
-        with pytest.raises(ValueError):
+        with pytest.raises(ModelOutputError, match=r"\[0, 1\]"):
             ModelOutput(np.array([[-0.2, 1.2]])).check_probabilities()
-
-
-class TestStandardize:
-    def test_centers_and_scales(self):
-        meta = [FeatureMeta("a", 0, 2.0, 4.0, 0.0, 10.0)]
-        assert standardize(np.array([10.0]), meta)[0] == pytest.approx(2.0)
-
-    def test_zero_std_maps_to_zero(self):
-        meta = [FeatureMeta("a", 0, 5.0, 0.0, 5.0, 5.0)]
-        assert standardize(np.array([9.0]), meta)[0] == 0.0
-
-    def test_length_mismatch(self):
-        meta = [FeatureMeta("a", 0, 0.0, 1.0, 0.0, 0.0)]
-        with pytest.raises(ValueError):
-            standardize(np.zeros(2), meta)
+        with pytest.raises(ModelOutputError, match=r"\[0, 1\]"):
+            ModelOutput(np.array([[np.nan, 1.0]])).check_probabilities()
 
 
 class TestCsv:

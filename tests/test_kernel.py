@@ -1,7 +1,10 @@
 """Kernel estimator vs the brute-force interventional oracle."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import limase.kernel
 from limase.core import (
     BlackBoxModel,
     ConfigError,
@@ -11,8 +14,8 @@ from limase.core import (
     RandomStream,
     Task,
 )
-from limase.kernel import kernel_shap
-from limase.models import fit_mlp, fit_random_forest
+from limase.kernel import _sample_masks, kernel_shap
+from limase.models import MlpModel, fit_mlp, fit_random_forest
 from limase.shapley import shapley_brute_force
 from limase.trees import TreeParams
 
@@ -47,6 +50,57 @@ class CountingModel(BlackBoxModel):
     def predict(self, X):
         self.calls += 1
         return self.inner.predict(X)
+
+
+class LoudModel(BlackBoxModel):
+    """Two-class scores whose rows sum to 1.4 once a row has feature 0 > threshold."""
+
+    def __init__(self, d, threshold=50.0):
+        self.d, self.task = d, Task.classification(2)
+        self.threshold = threshold
+
+    def predict(self, X):
+        X = np.atleast_2d(X)
+        p = 1.0 / (1.0 + np.exp(-X[:, 0]))
+        out = np.column_stack([p, 1.0 - p])
+        if X[:, 0].max() > self.threshold:
+            out[:] = 0.7
+        return ModelOutput(out)
+
+
+def random_mlp(seed, d, hidden):
+    """An untrained regression MLP with He-scaled weights and small biases."""
+    rng = RandomStream(seed)
+    sizes = [d] + hidden + [1]
+    weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
+    biases = [0.1 * rng.normal(b) for b in sizes[1:]]
+    return MlpModel(weights=weights, biases=biases, task=Task.regression())
+
+
+def reference_sample_masks(d, budget, rng):
+    """The coalition sampler as first written: searchsorted and a per-bit loop."""
+    sizes = np.arange(1, d)
+    p = 1.0 / (sizes * (d - sizes))
+    p /= p.sum()
+    cumulative = np.cumsum(p)
+    counts = {}
+    drawn = 0
+    while drawn < budget:
+        u = rng.uniform(1)[0]
+        s = int(sizes[min(int(np.searchsorted(cumulative, u, side="right")), d - 2)])
+        chosen = rng.choice(d, size=s, replace=False)
+        mask = 0
+        for i in chosen:
+            mask |= 1 << int(i)
+        full = (1 << d) - 1
+        counts[mask] = counts.get(mask, 0) + 1
+        drawn += 1
+        if drawn < budget:
+            counts[full ^ mask] = counts.get(full ^ mask, 0) + 1
+            drawn += 1
+    masks = np.array(sorted(counts), dtype=np.int64)
+    weights = np.array([counts[int(m)] for m in masks], dtype=float)
+    return masks, weights
 
 
 def interventional_oracle(model, x, background, d, class_index=None):
@@ -173,6 +227,11 @@ class TestErrors:
             kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
                         np.zeros((1, 2)), "fast", RandomStream(0))
 
+    def test_probability_rows_not_summing_to_one_raise_typed_error(self):
+        bg = RandomStream(0).normal_matrix(5, 2)
+        with pytest.raises(ModelOutputError, match="sum to 1"):
+            kernel_shap(LoudModel(2, threshold=-100.0), np.zeros(2), bg, 64, RandomStream(1))
+
     def test_nan_scores_raise_typed_error(self):
         bg = RandomStream(0).normal_matrix(5, 2)
         with pytest.raises(ModelOutputError, match="non-finite"):
@@ -193,3 +252,63 @@ class TestDeterminism:
         a = kernel_shap(model, x, bg, 60, RandomStream(42)).phi
         b = kernel_shap(model, x, bg, 60, RandomStream(42)).phi
         assert np.array_equal(a, b)
+
+
+class TestSampleMasks:
+    @pytest.mark.parametrize("d", [2, 3, 7, 30, 40])
+    def test_equals_reference_sampler(self, d):
+        for seed in range(5):
+            budget = 2 * d + 2 + 97 * seed
+            got = _sample_masks(d, budget, RandomStream(seed))
+            want = reference_sample_masks(d, budget, RandomStream(seed))
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
+class TestChunks:
+    """Coalition scoring in model calls of about _CHUNK_ROWS composite rows.
+
+    The models here score each row on its own, so a row's score does not
+    depend on the call it is in.  A BLAS matrix product does not promise
+    that (an MLP row at the tail of a call may round differently), so for
+    an MLP the chunk size can move phi in its last bits.
+    """
+
+    @pytest.mark.parametrize("budget", ["exact", 300])
+    def test_chunk_size_never_changes_phi(self, monkeypatch, budget):
+        data = make_classification_dataset(40, 150, 6, 3)
+        model = fit_random_forest(data, 6, TreeParams(max_depth=4), RandomStream(1))
+        x, bg = data.rows[0], data.rows[1:14]
+        n_bg = bg.shape[0]
+        want = kernel_shap(model, x, bg, budget, RandomStream(7))
+        for chunk in (3 * n_bg + 1, 1):  # masks split unevenly; one mask per call
+            monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", chunk)
+            got = kernel_shap(model, x, bg, budget, RandomStream(7))
+            assert got.phi.tobytes() == want.phi.tobytes()
+            assert (got.base_value, got.fx, got.class_index) == (
+                want.base_value, want.fx, want.class_index)
+
+    def test_chunks_split_masks_not_backgrounds(self, monkeypatch):
+        sizes = []
+
+        class RecordingModel(LinearModel):
+            def predict(self, X):
+                sizes.append(len(X))
+                return super().predict(X)
+
+        bg = RandomStream(5).normal_matrix(10, 3)
+        monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 25)  # 2 masks of 10 rows
+        kernel_shap(RecordingModel([1.0, 2.0, 3.0]), np.ones(3), bg, "exact", RandomStream(0))
+        assert sizes == [1, 10, 20, 20, 20]  # x, the background, 6 masks in 3 calls
+
+    def test_peak_memory_is_bounded(self):
+        # the mlp-global shape: d=30, [64, 64], 100 background rows, budget 2048
+        model = random_mlp(8, 30, [64, 64])
+        data = RandomStream(9).normal_matrix(101, 30)
+        tracemalloc.start()
+        try:
+            kernel_shap(model, data[0], data[1:], 2048, RandomStream(10))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6

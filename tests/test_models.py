@@ -17,6 +17,7 @@ from limase.models import (
     ForestModel,
     MlpModel,
     TreeModel,
+    _softmax,
     fit_mlp,
     fit_random_forest,
     load_model,
@@ -242,6 +243,25 @@ class TestMlp:
         assert out.values.shape == (7, 3)
         out.check_probabilities()
         assert np.all(np.isfinite(np.concatenate([w.ravel() for w in model.weights])))
+
+    @pytest.mark.parametrize("kind", ["regression", "classification"])
+    def test_predict_equals_training_forward(self, kind, reg_data, cls_data):
+        data = cls_data if kind == "classification" else reg_data
+        model = fit_mlp(data, [16, 8], epochs=2, learning_rate=0.02, rng=RandomStream(3))
+        X = data.rows
+        # the forward pass as first written: every layer kept, out of place
+        want_inputs, h = [], X
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            want_inputs.append(h)
+            h = h @ w + b
+            if i < len(model.weights) - 1:
+                h = np.maximum(h, 0.0)
+        inputs = []
+        raw = model._forward(X, inputs)
+        assert raw.tobytes() == h.tobytes()
+        assert [a.tobytes() for a in inputs] == [a.tobytes() for a in want_inputs]
+        want = _softmax(h) if kind == "classification" else h
+        assert model.predict(X).values.tobytes() == want.tobytes()
 
     def test_layer_dimension_checks(self):
         with pytest.raises(ValueError):

@@ -84,6 +84,22 @@ class NanModel(BlackBoxModel):
         return ModelOutput(out)
 
 
+class LoudModel(BlackBoxModel):
+    """Two-class scores whose rows sum to 1.4 once a row has feature 0 > threshold."""
+
+    def __init__(self, d, threshold=50.0):
+        self.d, self.task = d, Task.classification(2)
+        self.threshold = threshold
+
+    def predict(self, X):
+        X = np.atleast_2d(X)
+        p = 1.0 / (1.0 + np.exp(-X[:, 0]))
+        out = np.column_stack([p, 1.0 - p])
+        if X[:, 0].max() > self.threshold:
+            out[:] = 0.7
+        return ModelOutput(out)
+
+
 class ShortModel(BlackBoxModel):
     """Drops the last row of every batch."""
 
@@ -447,6 +463,17 @@ class TestBatch:
         out = limase_explain_batch(NanModel(2), X, meta, LimaseConfig(n_samples=50, seed=0))
         assert len(out) == 3
         assert isinstance(out[1], ModelOutputError)
+        for result in (out[0], out[2]):
+            assert not isinstance(result, LimaseError)
+            assert abs(result.explanation.efficiency_gap()) <= 1e-9
+
+    def test_probability_rows_checked_per_row(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[0], [1000.0, 0.0], rows[1]])
+        out = limase_explain_batch(LoudModel(2), X, meta_for(rows),
+                                   LimaseConfig(n_samples=50, seed=0))
+        assert isinstance(out[1], ModelOutputError)
+        assert "sum to 1" in str(out[1])
         for result in (out[0], out[2]):
             assert not isinstance(result, LimaseError)
             assert abs(result.explanation.efficiency_gap()) <= 1e-9

@@ -394,6 +394,20 @@ def reference_case(kind: str, seed: int):
         w[0] = 1.0
     elif kind == "kernel_weights":
         w = np.exp(-np.sum((X - X[0]) ** 2, axis=1) / 5.0 ** 2)
+    elif kind == "signed_zeros":
+        # Column 2's only tie is 0.0 at row a and -0.0 at row b > a, so its
+        # list must hold a before b.  Column 3 is its twin with b at the
+        # next float above 0.0: it lists the rows in that order, so every
+        # gain it shares with column 2 ties, and column 2 wins the tie.  An
+        # unstable order of a and b rounds column 2's sums differently and
+        # can hand a split to column 3.  Low targets at a and b keep the
+        # split between them, which only column 3 has, from winning.
+        a, b = np.sort(np.argsort(np.abs(X[:, 2]))[:2])
+        X[[a, b], 2] = 0.0, -0.0
+        X[:, 3] = X[:, 2]
+        X[b, 3] = 5e-324
+        y = y + 3.0 * X[:, 2]
+        y[[a, b]] = y.min() - 1.0, y.min() - 2.0
     return X, y, w
 
 
@@ -406,7 +420,7 @@ class TestReferenceFit:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["ties", "grid", "zero_weights", "integer_weights",
-                                      "kernel_weights"])
+                                      "kernel_weights", "signed_zeros"])
     def test_equals_reference(self, kind, seed):
         X, y, w = reference_case(kind, seed)
         params = TreeParams(*REFERENCE_PARAMS[seed])
