@@ -276,13 +276,42 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
     return value
 
 
+def _float_table(reader, width: int) -> np.ndarray | None:
+    """The records as an (n, width) float table, or None if any cell is bad.
+
+    A record of the wrong length, a cell float() rejects or a non-finite
+    cell gives None; only the parsed floats are kept.
+    """
+    rows: list[list[float]] = []
+    try:
+        for record in reader:
+            if len(record) != width:
+                return None
+            rows.append(list(map(float, record)))
+    except ValueError:
+        return None
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
+    return table if np.isfinite(table).all() else None
+
+
+def _parse_record(record: list[str], row: int, header: list[str], t_idx: int) -> list[float]:
+    """One record's cells as floats, raising on the first bad one, target first."""
+    if len(record) != len(header):
+        raise DataError(f"row {row} has {len(record)} cells, expected {len(header)}")
+    _parse_cell(record[t_idx], row, header[t_idx])
+    return [_parse_cell(c, row, name) for c, name in zip(record, header)]
+
+
 def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     """Load a UTF-8 comma-separated file with a header row into a Dataset.
 
-    All non-target columns must parse as finite numbers; row order is
-    preserved.  `task` may be a Task or the strings "classification" /
-    "regression"; for the former string the class count is inferred from
-    the labels.
+    All cells must parse as finite numbers; row order is preserved.
+    `task` may be a Task or the strings "classification" / "regression";
+    for the former string the class count is inferred from the labels.
+
+    Records are parsed a whole record at a time.  If any record is bad,
+    the file is read again cell by cell, in row order and with each row's
+    target cell first, so the error names the first bad cell.
     """
     infer_classes = False
     if isinstance(task, str):
@@ -303,18 +332,18 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
             raise DataError(f"missing target column {target_column!r} in {path}")
         t_idx = header.index(target_column)
         names = [h for i, h in enumerate(header) if i != t_idx]
-        rows: list[list[float]] = []
-        target: list[float] = []
-        for r, record in enumerate(reader, start=1):
-            if len(record) != len(header):
-                raise DataError(f"row {r} has {len(record)} cells, expected {len(header)}")
-            target.append(_parse_cell(record[t_idx], r, target_column))
-            rows.append([_parse_cell(c, r, header[i if i < t_idx else i + 1])
-                         for i, c in enumerate(record[:t_idx] + record[t_idx + 1:])])
-    if not rows:
+        table = _float_table(reader, len(header))
+    if table is None:
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            next(reader)
+            table = np.array([_parse_record(record, r, header, t_idx)
+                              for r, record in enumerate(reader, start=1)],
+                             dtype=float).reshape(-1, len(header))
+    if table.shape[0] == 0:
         raise DataError(f"no data rows in {path}")
-    X = np.array(rows, dtype=float)
-    y = np.array(target, dtype=float)
+    X = np.delete(table, t_idx, axis=1)
+    y = table[:, t_idx].copy()
     if infer_classes or (isinstance(task, Task) and task.is_classification):
         if not np.all(y == np.round(y)):
             raise DataError("classification target has non-integral labels")

@@ -179,6 +179,9 @@ class ExternalModel(BlackBoxModel):
             proc.kill()
             proc.wait()
         self._reader.join(timeout=2.0)
+        # a reader still in its loop would read a closed file
+        if not self._reader.is_alive() and not proc.stdout.closed:
+            proc.stdout.close()
 
     def __enter__(self) -> "ExternalModel":
         return self

@@ -141,55 +141,80 @@ def _weighted_mean(y: np.ndarray, w: np.ndarray, wsum: float) -> float:
     return float(y0 + np.dot(w, y - y0) / wsum)
 
 
-def _best_split(rows, vals, w, wu, wsum, total_s, min_leaf_w):
+def _presort(Xt: np.ndarray, live: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's live row ids in value order, and which columns have ties.
+
+    Returns (rows, tied): rows is (d, live.size), equal values ordered by
+    row id, and tied[f] says whether column f has two equal live values
+    (-0.0 == 0.0 counts).  Distinct values have one sorted order, so the
+    fast sort is exact except on tied columns, which are sorted again
+    stably.
+    """
+    cols = Xt[:, live]
+    order = np.argsort(cols, axis=1)
+    vals = np.take_along_axis(cols, order, axis=1)
+    tied = (vals[:, 1:] == vals[:, :-1]).any(axis=1)
+    if tied.any():
+        order[tied] = np.argsort(cols[tied], axis=1, kind="stable")
+    return live.take(order), tied
+
+
+def _best_split(Xt, rows, features, tied, wc, wsum, total_s, min_leaf_w):
     """Best (list, threshold) by weighted-SSE gain over presorted lists.
 
-    rows is (k, m): each row lists the node's row ids sorted by one
-    candidate feature, and vals holds the matching feature values.  w is
-    the sample weight and wu the weight times the node-centered target,
-    both indexed by row id.  Returns (list index, threshold) or None.
+    rows is (k, m): row j lists the node's row ids sorted by column
+    features[j] of Xt, and tied[j] says whether that column has ties.  wc
+    holds, by row id, the sample weight in .real and the weight times the
+    node-centered target in .imag, so one cumulative sum along the lists
+    runs both sums: numpy adds the two parts of a complex number as two
+    independent float additions.  Returns (list index, threshold) or None.
 
     Gain is the decrease in weighted SSE, computed in node-centered form
-    so it is non-negative by construction.  The cumulative sums run along
-    each list, and all lists are scanned as one flat array in which the
-    last position of each list is no candidate.  The first maximum in
-    flat order is the lowest list, then the lowest threshold.
+    so it is non-negative by construction.  Position p of list j splits
+    after its p-th entry; it is a candidate when both sides weigh at least
+    min_leaf_w and, on a tied column, the next value is larger (an untied
+    column's lists are strictly increasing).  The first maximum over the
+    (k, m - 1) block in row-major order is the lowest list, then the
+    lowest threshold.
     """
-    m = rows.shape[1]
-    cw = np.cumsum(w.take(rows), axis=1).ravel()[:-1]
-    cs = np.cumsum(wu.take(rows), axis=1).ravel()[:-1]
-    v = vals.ravel()
-    rest = wsum - cw
-    ok = v[1:] > v[:-1]
-    ok &= cw >= min_leaf_w
-    ok &= rest >= min_leaf_w
-    ok[m - 1::m] = False  # a list's end: the next value belongs to another list
-    cand = np.flatnonzero(ok)
-    if cand.size == 0:
+    k, m = rows.shape
+    if m < 2:
         return None
-    sl = cs.take(cand)
-    sr = total_s - sl
-    gain = sl * sl / cw.take(cand) + sr * sr / rest.take(cand)
+    c = np.cumsum(wc.take(rows), axis=1)[:, :-1]
+    cw, cs = c.real, c.imag
+    with np.errstate(all="ignore"):  # non-candidates may divide by zero
+        rest = wsum - cw
+        sr = total_s - cs
+        sr *= sr
+        sr /= rest
+        gain = cs * cs
+        gain /= cw
+        gain += sr
+    bad = cw < min_leaf_w
+    bad |= rest < min_leaf_w
+    for j in np.flatnonzero(tied):
+        v = Xt[features[j]].take(rows[j])
+        bad[j] |= v[1:] <= v[:-1]
+    np.copyto(gain, -np.inf, where=bad)
     best = int(np.argmax(gain))
-    if not gain[best] > 0.0:
+    if not gain.flat[best] > 0.0:
         return None
-    p = int(cand[best])
-    lo, hi = v[p], v[p + 1]
+    j, p = divmod(best, m - 1)
+    x = Xt[features[j]]
+    lo, hi = x[rows[j, p]], x[rows[j, p + 1]]
     threshold = 0.5 * lo + 0.5 * hi  # halves first: lo + hi may overflow
     if threshold >= hi:  # adjacent floats: keep right side non-empty
         threshold = lo
-    return p // m, float(threshold)
+    return j, float(threshold)
 
 
-def _partition(rows, vals, keep):
-    """The sorted lists restricted to the row ids where keep is true.
+def _partition(rows, side):
+    """The sorted lists restricted to the entries where side (rows' shape) is true.
 
     One flat selection keeps each list's order (a stable partition), and
     every list keeps the same number of entries.
     """
-    pos = np.flatnonzero(keep.take(rows))
-    k = rows.shape[0]
-    return rows.take(pos).reshape(k, -1), vals.take(pos).reshape(k, -1)
+    return rows.take(np.flatnonzero(side)).reshape(rows.shape[0], -1)
 
 
 def fit_tree(
@@ -216,6 +241,11 @@ def fit_tree(
     them.  A child builds its lists only when it searches for a split.
     Node sums (cover, mean, SSE) run over the node's rows in ascending
     index order.
+
+    A node lighter than 2 * min_leaf_w is a leaf without a search, after
+    its feature draw: a candidate's left weight cw is at least min_leaf_w,
+    so more than half the node's weight wsum, and wsum - cw is then exact
+    (Sterbenz) and below min_leaf_w, so the search would find nothing.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -237,57 +267,63 @@ def fit_tree(
     total_w = float(w[live].sum())
     min_leaf_w = max(float(params.min_samples_leaf),
                      params.min_weight_fraction_leaf * total_w)
-    wu = np.zeros_like(w)  # w * (y - node value) of the node being split, by row id
+    # by row id: .real is w, .imag is w * (y - node value) of the node being split
+    wc = w.astype(complex)
+    tied = np.zeros(d, dtype=bool)  # which columns have ties; set by the root presort
     nodes: list[list] = []  # rows for _from_rows, in preorder
 
-    def presort() -> tuple[np.ndarray, np.ndarray]:
-        # Distinct values have one sorted order, so the fast sort is exact
-        # except on columns with ties (-0.0 == 0.0 counts as a tie), which
-        # are sorted again stably.
-        cols = Xt[:, live]
-        order = np.argsort(cols, axis=1)
-        vals = np.take_along_axis(cols, order, axis=1)
-        tied = np.nonzero((vals[:, 1:] == vals[:, :-1]).any(axis=1))[0]
-        if tied.size:
-            order[tied] = np.argsort(cols[tied], axis=1, kind="stable")
-            vals[tied] = np.take_along_axis(cols[tied], order[tied], axis=1)
-        return live.take(order), vals
+    def root_lists() -> np.ndarray:
+        nonlocal tied
+        rows, tied = _presort(Xt, live)
+        return rows
 
-    def grow(idx: np.ndarray, depth: int, parent: tuple | None) -> int:
-        # parent: the parent's sorted lists and the mask of this child's
-        # row ids, partitioned on demand; None at the root
+    def grow(idx: np.ndarray, depth: int, lists) -> int:
+        # lists() returns the node's sorted lists; called only to search
         wi = w[idx]
         wsum = float(wi.sum())
         yi = y[idx]
         value = _weighted_mean(yi, wi, wsum)
         node_id = len(nodes)
         nodes.append([LEAF, float("nan"), LEAF, LEAF, wsum, value])
-        u = yi - value
-        sse = float(np.dot(wi, u * u))
-        if depth >= params.max_depth or sse <= 0.0:
+        if depth >= params.max_depth:
             return node_id
-        rows, vals = presort() if parent is None else _partition(*parent)
+        u = yi - value
+        if float(np.dot(wi, u * u)) <= 0.0:
+            return node_id
         if _mtry is not None and _mtry < d:
             features = np.sort(_feature_rng.choice(d, size=_mtry, replace=False))
-            scan_rows, scan_vals = rows[features], vals[features]
         else:
             features = None
-            scan_rows, scan_vals = rows, vals
+        if wsum < 2.0 * min_leaf_w:
+            return node_id
+        rows = lists()
+        if features is None:
+            features, scan = np.arange(d), rows
+        else:
+            scan = rows[features]
         un = wi * u
-        wu[idx] = un
-        found = _best_split(scan_rows, scan_vals, w, wu, wsum, float(un.sum()), min_leaf_w)
+        wc.imag[idx] = un
+        found = _best_split(Xt, scan, features, tied[features], wc, wsum,
+                            float(un.sum()), min_leaf_w)
         if found is None:
             return node_id
         j, threshold = found
-        feature = j if features is None else int(features[j])
+        feature = int(features[j])
         goes_left = Xt[feature] <= threshold
         left = goes_left[idx]
+        side = []  # goes_left gathered onto rows, once, by the first child to search
+
+        def child_lists(is_left: bool) -> np.ndarray:
+            if not side:
+                side.append(goes_left.take(rows))
+            return _partition(rows, side[0] if is_left else ~side[0])
+
         nodes[node_id][:2] = feature, threshold
-        nodes[node_id][2] = grow(idx[left], depth + 1, (rows, vals, goes_left))
-        nodes[node_id][3] = grow(idx[~left], depth + 1, (rows, vals, ~goes_left))
+        nodes[node_id][2] = grow(idx[left], depth + 1, lambda: child_lists(True))
+        nodes[node_id][3] = grow(idx[~left], depth + 1, lambda: child_lists(False))
         return node_id
 
-    grow(live, 0, None)
+    grow(live, 0, root_lists)
     return _from_rows(nodes, d, params)
 
 

@@ -209,3 +209,29 @@ class TestCsv:
         path.write_text("a,b,y\n1,2,3\n1,2\n")
         with pytest.raises(DataError):
             load_csv(path, "y", "regression")
+
+    # The first bad cell, in row order and with each row's target first,
+    # names the error, as a cell-by-cell read finds it.
+    @pytest.mark.parametrize("text,message", [
+        ("a,b,y\n1,2,3\n1,inf,3\n4,5,6\n7,8,9\n1,oops,3\n",
+         "non-finite cell at row 2, column 'b': 'inf'"),
+        ("a,b,y\n1,2,3\n1,2,-inf\n", "non-finite cell at row 2, column 'y': '-inf'"),
+        ("a,b,y\n1,2,3\n1,2\n1,oops,3\n", "row 2 has 2 cells, expected 3"),
+        ("a,y,b\n1,2,3\noops,nan,4\n", "non-finite cell at row 2, column 'y': 'nan'"),
+        ("a,y,b\n1,2,3\n1,x,oops\n", "non-numeric cell at row 2, column 'y': 'x'"),
+    ])
+    def test_first_bad_cell_reported(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as err:
+            load_csv(path, "y", "regression")
+        assert str(err.value) == message
+
+    def test_target_column_anywhere(self, tmp_path):
+        path = tmp_path / "mid.csv"
+        path.write_text("a,y,b\n1,-0.0,3\n4.5,1e300,-6\n")
+        data = load_csv(path, "y", "regression")
+        assert data.feature_names == ["a", "b"]
+        assert data.rows.tolist() == [[1.0, 3.0], [4.5, -6.0]]
+        assert data.rows.flags.c_contiguous and data.target.flags.c_contiguous
+        assert data.target.tobytes() == np.array([-0.0, 1e300]).tobytes()

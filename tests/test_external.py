@@ -124,3 +124,10 @@ class TestProtocol:
         model.close()
         with pytest.raises(ProtocolError):
             model.predict(np.zeros((1, 3)))
+
+    def test_close_closes_child_pipes(self):
+        model = attach_external(server("server_constant.py"), d=3, task="regression")
+        model.close()
+        assert model._proc.stdin.closed and model._proc.stdout.closed
+        model.close()
+        assert model._proc.stdout.closed

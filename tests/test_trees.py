@@ -11,7 +11,7 @@ import pytest
 import limase
 from limase.core import ConfigError, DataError, RandomStream
 from limase.shapley import tree_conditional_value
-from limase.trees import LEAF, DecisionTree, TreeParams, fit_tree, predict_batch
+from limase.trees import LEAF, DecisionTree, TreeParams, _best_split, fit_tree, predict_batch
 
 from conftest import random_tree
 
@@ -408,6 +408,14 @@ def reference_case(kind: str, seed: int):
         X[b, 3] = 5e-324
         y = y + 3.0 * X[:, 2]
         y[[a, b]] = y.min() - 1.0, y.min() - 2.0
+    elif kind == "mixed_ties":
+        # tied columns beside untied ones: column 1 is coarse, and column
+        # 3's rounding leaves 0.0 and -0.0 among its ties; columns 0, 2 and
+        # 4 keep distinct values, so their lists need no value check
+        X[:, 1] = np.round(X[:, 1], 1)
+        X[:, 3] = np.round(X[:, 3])
+        assert np.signbit(X[X[:, 3] == 0.0, 3]).any() and (X[:, 3] == 0.0).sum() > 1
+        y = y + X[:, 3]
     return X, y, w
 
 
@@ -420,20 +428,76 @@ class TestReferenceFit:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("kind", ["ties", "grid", "zero_weights", "integer_weights",
-                                      "kernel_weights", "signed_zeros"])
+                                      "kernel_weights", "signed_zeros", "mixed_ties"])
     def test_equals_reference(self, kind, seed):
         X, y, w = reference_case(kind, seed)
         params = TreeParams(*REFERENCE_PARAMS[seed])
         assert_same_nodes(fit_tree(X, y, w, params), reference_fit(X, y, w, params))
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("kind", ["ties", "grid", "integer_weights"])
+    @pytest.mark.parametrize("kind", ["ties", "grid", "integer_weights", "mixed_ties"])
     def test_equals_reference_with_feature_subsets(self, kind, seed):
         X, y, w = reference_case(kind, seed)
         params = TreeParams(max_depth=6, min_samples_leaf=2)
         got = fit_tree(X, y, w, params, _feature_rng=RandomStream(seed), _mtry=2)
         want = reference_fit(X, y, w, params, RandomStream(seed), 2)
         assert_same_nodes(got, want)
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("kind", ["zero_weights", "integer_weights"])
+    def test_light_nodes_draw_features(self, kind, seed):
+        # With a large leaf minimum many nodes weigh less than twice it:
+        # they become leaves without a search, but each still draws its
+        # features first, so every later node draws what the reference
+        # draws.
+        X, y, w = reference_case(kind, seed)
+        params = TreeParams(max_depth=8, min_samples_leaf=8)
+        tree = fit_tree(X, y, w, params, _feature_rng=RandomStream(seed), _mtry=2)
+        assert_same_nodes(tree, reference_fit(X, y, w, params, RandomStream(seed), 2))
+        light = np.flatnonzero((tree.feature == LEAF) & (tree.cover < 16.0))
+        assert light.size >= 3
+        assert (tree.feature[light[0]:] != LEAF).any()  # a split after a light leaf
+
+
+class TestComplexRunningSums:
+    """The split search runs its weight and target sums as one complex cumsum."""
+
+    @pytest.mark.parametrize("case", ["random", "signed_zeros", "subnormal", "huge",
+                                      "zero_weights"])
+    def test_parts_equal_real_cumsums(self, case):
+        rng = np.random.default_rng(11)
+        n, k = 200, 6
+        w = 0.1 + rng.random(n)
+        wu = rng.normal(size=n)
+        if case == "signed_zeros":
+            wu[::3], wu[1::3] = -0.0, 0.0
+            wu[2::7] = -1e-300
+        elif case == "subnormal":
+            w *= 1e-310
+            wu *= 5e-324 * 64
+        elif case == "huge":  # sums overflow to +-inf part way along
+            w *= 1e308
+            wu = np.sign(wu) * 1.7e308
+        elif case == "zero_weights":
+            dead = rng.random(n) < 0.4
+            w[dead] = 0.0
+            wu[dead] = np.where(rng.random(dead.sum()) < 0.5, 0.0, -0.0)
+        rows = np.stack([rng.permutation(n) for _ in range(k)])
+        wc = w.astype(complex)  # as fit_tree builds it: the parts, not 1j * wu
+        wc.imag = wu
+        with np.errstate(over="ignore", invalid="ignore"):
+            c = np.cumsum(wc.take(rows), axis=1)
+            want_w = np.cumsum(w.take(rows), axis=1)
+            want_u = np.cumsum(wu.take(rows), axis=1)
+        assert np.ascontiguousarray(c.real).tobytes() == want_w.tobytes()
+        assert np.ascontiguousarray(c.imag).tobytes() == want_u.tobytes()
+
+    def test_one_entry_lists_have_no_split(self):
+        rows = np.zeros((2, 1), dtype=np.intp)
+        wc = np.array([2.0 + 1.0j])
+        found = _best_split(np.zeros((2, 1)), rows, np.arange(2), np.zeros(2, dtype=bool),
+                            wc, 2.0, 1.0, 1.0)
+        assert found is None
 
 
 class TestSerialization:
