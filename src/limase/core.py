@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -276,26 +277,12 @@ def _parse_cell(raw: str, row: int, col: str) -> float:
     return value
 
 
-def _float_table(reader, width: int) -> np.ndarray | None:
-    """The records as an (n, width) float table, or None if any cell is bad.
-
-    A record of the wrong length, a cell float() rejects or a non-finite
-    cell gives None; only the parsed floats are kept.
-    """
-    rows: list[list[float]] = []
-    try:
-        for record in reader:
-            if len(record) != width:
-                return None
-            rows.append(list(map(float, record)))
-    except ValueError:
-        return None
-    table = np.array(rows, dtype=float).reshape(len(rows), width)
-    return table if np.isfinite(table).all() else None
-
-
 def _parse_record(record: list[str], row: int, header: list[str], t_idx: int) -> list[float]:
-    """One record's cells as floats, raising on the first bad one, target first."""
+    """One record's cells as floats, raising on the first bad one, target first.
+
+    The slow path of load_csv: it is called only on a record the fast parse
+    rejected, and returns the record when that was only an overflowing sum.
+    """
     if len(record) != len(header):
         raise DataError(f"row {row} has {len(record)} cells, expected {len(header)}")
     _parse_cell(record[t_idx], row, header[t_idx])
@@ -309,9 +296,10 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     `task` may be a Task or the strings "classification" / "regression";
     for the former string the class count is inferred from the labels.
 
-    Records are parsed a whole record at a time.  If any record is bad,
-    the file is read again cell by cell, in row order and with each row's
-    target cell first, so the error names the first bad cell.
+    The file is read once, a whole record at a time.  A record that fails
+    (wrong length, a cell float() rejects, a non-finite sum) is parsed
+    again cell by cell with its target cell first, so the error names the
+    first bad cell in row order.
     """
     infer_classes = False
     if isinstance(task, str):
@@ -332,14 +320,18 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
             raise DataError(f"missing target column {target_column!r} in {path}")
         t_idx = header.index(target_column)
         names = [h for i, h in enumerate(header) if i != t_idx]
-        table = _float_table(reader, len(header))
-    if table is None:
-        with path.open(newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            next(reader)
-            table = np.array([_parse_record(record, r, header, t_idx)
-                              for r, record in enumerate(reader, start=1)],
-                             dtype=float).reshape(-1, len(header))
+        width = len(header)
+        rows: list[list[float]] = []
+        for r, record in enumerate(reader, start=1):
+            try:
+                vals = list(map(float, record))
+            except ValueError:
+                vals = None
+            # a non-finite cell makes the sum non-finite; so may an overflow
+            if vals is None or len(vals) != width or not math.isfinite(sum(vals)):
+                vals = _parse_record(record, r, header, t_idx)
+            rows.append(vals)
+    table = np.array(rows, dtype=float).reshape(len(rows), width)
     if table.shape[0] == 0:
         raise DataError(f"no data rows in {path}")
     X = np.delete(table, t_idx, axis=1)

@@ -208,15 +208,6 @@ def _best_split(Xt, rows, features, tied, wc, wsum, total_s, min_leaf_w):
     return j, float(threshold)
 
 
-def _partition(rows, side):
-    """The sorted lists restricted to the entries where side (rows' shape) is true.
-
-    One flat selection keeps each list's order (a stable partition), and
-    every list keeps the same number of entries.
-    """
-    return rows.take(np.flatnonzero(side)).reshape(rows.shape[0], -1)
-
-
 def fit_tree(
     X: np.ndarray,
     y: np.ndarray,
@@ -269,13 +260,8 @@ def fit_tree(
                      params.min_weight_fraction_leaf * total_w)
     # by row id: .real is w, .imag is w * (y - node value) of the node being split
     wc = w.astype(complex)
-    tied = np.zeros(d, dtype=bool)  # which columns have ties; set by the root presort
+    root_rows, tied = _presort(Xt, live)
     nodes: list[list] = []  # rows for _from_rows, in preorder
-
-    def root_lists() -> np.ndarray:
-        nonlocal tied
-        rows, tied = _presort(Xt, live)
-        return rows
 
     def grow(idx: np.ndarray, depth: int, lists) -> int:
         # lists() returns the node's sorted lists; called only to search
@@ -311,19 +297,23 @@ def fit_tree(
         feature = int(features[j])
         goes_left = Xt[feature] <= threshold
         left = goes_left[idx]
-        side = []  # goes_left gathered onto rows, once, by the first child to search
+        side = None  # goes_left gathered onto rows, once, by the first child to search
 
         def child_lists(is_left: bool) -> np.ndarray:
-            if not side:
-                side.append(goes_left.take(rows))
-            return _partition(rows, side[0] if is_left else ~side[0])
+            # one flat selection keeps each list's order (a stable partition),
+            # and every list keeps the same number of entries
+            nonlocal side
+            if side is None:
+                side = goes_left.take(rows)
+            keep = np.flatnonzero(side if is_left else ~side)
+            return rows.take(keep).reshape(rows.shape[0], -1)
 
         nodes[node_id][:2] = feature, threshold
         nodes[node_id][2] = grow(idx[left], depth + 1, lambda: child_lists(True))
         nodes[node_id][3] = grow(idx[~left], depth + 1, lambda: child_lists(False))
         return node_id
 
-    grow(live, 0, root_lists)
+    grow(live, 0, lambda: root_rows)
     return _from_rows(nodes, d, params)
 
 

@@ -1,4 +1,6 @@
 """Core types: tasks, datasets, CSV IO, random streams."""
+import os
+
 import numpy as np
 import pytest
 
@@ -235,3 +237,24 @@ class TestCsv:
         assert data.rows.tolist() == [[1.0, 3.0], [4.5, -6.0]]
         assert data.rows.flags.c_contiguous and data.target.flags.c_contiguous
         assert data.target.tobytes() == np.array([-0.0, 1e300]).tobytes()
+
+    def test_finite_cells_whose_sum_overflows_are_kept(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("a,b,y\n6e307,6e307,6e307\n6e307,6e307,6e307\n")
+        data = load_csv(path, "y", "regression")
+        assert data.rows.tolist() == [[6e307, 6e307]] * 2
+        assert data.target.tolist() == [6e307] * 2
+
+    # The file is read once: a pipe, which cannot be read twice, still
+    # gives the first bad cell's message.
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_bad_cell_reported_from_a_pipe(self):
+        r, w = os.pipe()
+        os.write(w, b"a,b,y\n1,2,3\n1,inf,3\n1,oops,3\n")
+        os.close(w)
+        try:
+            with pytest.raises(DataError) as err:
+                load_csv(f"/dev/fd/{r}", "y", "regression")
+        finally:
+            os.close(r)
+        assert str(err.value) == "non-finite cell at row 2, column 'b': 'inf'"
