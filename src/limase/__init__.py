@@ -40,7 +40,6 @@ from .models import (
 from .pipeline import (
     LimaseConfig,
     LimaseResult,
-    PerturbationSet,
     kernel_weights,
     limase_explain,
     limase_explain_batch,

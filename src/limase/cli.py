@@ -382,6 +382,8 @@ def cmd_global(args) -> int:
 
 
 def cmd_sp(args) -> int:
+    if args.explainer != "limase":
+        raise ConfigError(f"sp explains with limase only, got --explainer {args.explainer}")
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     count = min(args.count, data.n)

@@ -53,15 +53,6 @@ class LimaseConfig:
 
 
 @dataclass
-class PerturbationSet:
-    """Rows the surrogate is trained on, their scalar targets and weights."""
-
-    Z_x: np.ndarray
-    Z_y: np.ndarray
-    W: np.ndarray
-
-
-@dataclass
 class LimaseResult:
     """Surrogate explanation of one instance plus the fit diagnostics.
 
@@ -74,7 +65,6 @@ class LimaseResult:
     surrogate: DecisionTree
     fidelity_r2: float | None
     degenerate: bool
-    perturbations: PerturbationSet
     config: LimaseConfig
 
     def to_json_dict(self, feature_names: list[str] | None = None) -> dict:
@@ -123,24 +113,14 @@ def kernel_weights(
     return np.exp(-_standardized_sq_distances(x, Z, features) / (sigma * sigma))
 
 
-def limase_explain(
-    model: BlackBoxModel,
-    x: np.ndarray,
-    features: list[FeatureMeta],
-    config: LimaseConfig,
-) -> LimaseResult:
-    """Explain one instance through a locally fitted surrogate tree.
+def _score(
+    model: BlackBoxModel, x: np.ndarray, features: list[FeatureMeta], config: LimaseConfig
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Validate x, sample around it and score the rows in one black-box call.
 
-    Classification explains the probability of config.class_index,
-    defaulting to the model's predicted class at x.  The efficiency
-    identity base + sum(phi) = g(x) holds within 1e-9; the g-vs-f gap is
-    reported as fidelity_r2 over the weighted perturbation set.  Scores
-    that are not one finite value per perturbation row raise
-    ModelOutputError; any other failure of the black box is wrapped in a
-    LimaseError.  A class_index the model cannot score raises ConfigError
-    before the black box is called.
+    Returns the rows (row 0 is x), their scalar targets and the class
+    whose probability the targets are (None for regression).
     """
-    started = time.perf_counter()
     model.task.check_class_index(config.class_index)
     x = np.asarray(x, dtype=float)
     d = len(features)
@@ -162,10 +142,15 @@ def limase_explain(
         raise
     except Exception as e:
         raise LimaseError(f"black-box prediction failed during perturbation scoring: {e}") from e
+    return rows, targets, class_index
 
+
+def _fit(
+    x: np.ndarray, rows: np.ndarray, targets: np.ndarray, class_index: int | None,
+    features: list[FeatureMeta], config: LimaseConfig,
+) -> LimaseResult:
+    """Weight the scored rows at config.sigma, fit the surrogate and explain x."""
     weights = kernel_weights(x, rows, config.sigma, features)
-    perturbations = PerturbationSet(Z_x=rows, Z_y=targets, W=weights)
-
     surrogate = fit_tree(rows, targets, weights, config.tree_params)
     explanation = tree_shap(surrogate, x)
     explanation.class_index = class_index
@@ -182,15 +167,32 @@ def limase_explain(
     else:
         residual = predict_batch(surrogate, rows) - targets
         fidelity = 1.0 - float(np.dot(weights, residual * residual)) / denom
-    explanation.elapsed_ms = (time.perf_counter() - started) * 1000.0
-    return LimaseResult(
-        explanation=explanation,
-        surrogate=surrogate,
-        fidelity_r2=fidelity,
-        degenerate=degenerate,
-        perturbations=perturbations,
-        config=config,
-    )
+    return LimaseResult(explanation=explanation, surrogate=surrogate,
+                        fidelity_r2=fidelity, degenerate=degenerate, config=config)
+
+
+def limase_explain(
+    model: BlackBoxModel,
+    x: np.ndarray,
+    features: list[FeatureMeta],
+    config: LimaseConfig,
+) -> LimaseResult:
+    """Explain one instance through a locally fitted surrogate tree.
+
+    Classification explains the probability of config.class_index,
+    defaulting to the model's predicted class at x.  The efficiency
+    identity base + sum(phi) = g(x) holds within 1e-9; the g-vs-f gap is
+    reported as fidelity_r2 over the weighted perturbation set.  Scores
+    that are not one finite value per perturbation row raise
+    ModelOutputError; any other failure of the black box is wrapped in a
+    LimaseError.  A class_index the model cannot score raises ConfigError
+    before the black box is called.
+    """
+    started = time.perf_counter()
+    rows, targets, class_index = _score(model, x, features, config)
+    result = _fit(rows[0], rows, targets, class_index, features, config)
+    result.explanation.elapsed_ms = (time.perf_counter() - started) * 1000.0
+    return result
 
 
 def limase_explain_batch(
@@ -235,18 +237,24 @@ def sigma_sweep(
     config: LimaseConfig,
     sigmas: list[float],
 ) -> list[tuple[float, LimaseResult]]:
-    """Re-run the pipeline at several kernel widths with one fixed seed.
+    """Explain one instance at several kernel widths from one scoring call.
 
-    The perturbation geometry is identical across entries; only the
-    weights (and hence the surrogate and its base value) change.  Wide
-    kernels approach a global fit, narrow ones a hyper-local one.
+    The rows are sampled and scored once; each sigma only reweights them,
+    fits its own surrogate and explains it, so entry i equals
+    limase_explain at sigmas[i] bit for bit (its elapsed_ms covers only
+    its own fit).  Wide kernels approach a global fit, narrow ones a
+    hyper-local one.
     """
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
     if any(not s > 0 for s in sigmas):
         raise ConfigError("all sigma values must be positive")
+    rows, targets, class_index = _score(model, x, features, config)
     out = []
     for s in sigmas:
+        started = time.perf_counter()
         cfg = replace(config, sigma=float(s))
-        out.append((float(s), limase_explain(model, x, features, cfg)))
+        result = _fit(rows[0], rows, targets, class_index, features, cfg)
+        result.explanation.elapsed_ms = (time.perf_counter() - started) * 1000.0
+        out.append((float(s), result))
     return out

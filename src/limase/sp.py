@@ -7,11 +7,9 @@ so the classic greedy loop is within (1 - 1/e) of the best budgeted
 pick.
 
 Both the importance sum and the coverage indicator apply |.| to the
-Shapley values by default: attributions are signed, and a root of a
-negative sum or an indicator that ignores negative contributions would
-discard exactly the instances where the model pushes a prediction down.
-The literal signed forms remain available via absolute=False for
-comparison.
+Shapley values: attributions are signed, and a root of a negative sum
+or an indicator that ignores negative contributions would discard
+exactly the instances where the model pushes a prediction down.
 """
 from __future__ import annotations
 
@@ -20,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, ConfigError, DataError, Dataset
+from .core import BlackBoxModel, ConfigError, DataError, Dataset, LimaseError
 from .pipeline import LimaseConfig, LimaseResult, limase_explain_batch
 
 
@@ -67,31 +65,19 @@ class SpResult:
         }
 
 
-def feature_importance(matrix: ExplanationMatrix, *, absolute: bool = True) -> np.ndarray:
-    """Per-feature mass: sqrt of the column sum of |S_ij|.
-
-    absolute=False uses the raw signed sum, which is undefined (NaN)
-    whenever a column sums negative; it exists only for comparison.
-    """
+def feature_importance(matrix: ExplanationMatrix) -> np.ndarray:
+    """Per-feature mass: sqrt of the column sum of |S_ij|."""
     if matrix.n == 0:
         raise DataError("empty explanation matrix")
-    column = np.abs(matrix.S) if absolute else matrix.S
-    with np.errstate(invalid="ignore"):
-        return np.sqrt(column.sum(axis=0))
+    return np.sqrt(np.abs(matrix.S).sum(axis=0))
 
 
-def _touch_matrix(matrix: ExplanationMatrix, absolute: bool) -> np.ndarray:
+def _touch_matrix(matrix: ExplanationMatrix) -> np.ndarray:
     """Boolean n x d: instance i touches feature j."""
-    return np.abs(matrix.S) > 0 if absolute else matrix.S > 0
+    return np.abs(matrix.S) > 0
 
 
-def coverage(
-    picked: Sequence[int],
-    matrix: ExplanationMatrix,
-    importance: np.ndarray,
-    *,
-    absolute: bool = True,
-) -> float:
+def coverage(picked: Sequence[int], matrix: ExplanationMatrix, importance: np.ndarray) -> float:
     """Importance mass of the features touched by any picked instance."""
     picked = list(picked)
     for i in picked:
@@ -99,11 +85,11 @@ def coverage(
             raise IndexError(f"instance index {i} out of range for {matrix.n} rows")
     if not picked:
         return 0.0
-    touched = _touch_matrix(matrix, absolute)[picked].any(axis=0)
+    touched = _touch_matrix(matrix)[picked].any(axis=0)
     return float(importance[touched].sum())
 
 
-def submodular_pick(matrix: ExplanationMatrix, G: int, *, absolute: bool = True) -> SpResult:
+def submodular_pick(matrix: ExplanationMatrix, G: int) -> SpResult:
     """Greedy argmax of marginal coverage gain, lowest index on ties.
 
     Always returns exactly min(G, n) picks: once every remaining gain is
@@ -114,8 +100,8 @@ def submodular_pick(matrix: ExplanationMatrix, G: int, *, absolute: bool = True)
         raise ConfigError(f"budget must be >= 1, got {G}")
     if matrix.n == 0:
         raise DataError("empty explanation matrix")
-    importance = feature_importance(matrix, absolute=absolute)
-    touch = _touch_matrix(matrix, absolute)
+    importance = feature_importance(matrix)
+    touch = _touch_matrix(matrix)
     n = matrix.n
     covered = np.zeros(matrix.d, dtype=bool)
     remaining = list(range(n))
@@ -148,7 +134,8 @@ def sp_explain(
 ) -> tuple[SpResult, ExplanationMatrix, list[LimaseResult]]:
     """Explain the sampled instances, then pick G of them greedily.
 
-    Any per-row explanation failure is raised here; the matrix and the
+    A row whose explanation failed raises a LimaseError that names its
+    dataset row, with the row's error as its cause; the matrix and the
     full result list are returned alongside the pick for reuse by the
     summary plot.
     """
@@ -161,7 +148,7 @@ def sp_explain(
     results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
     for position, r in enumerate(results):
         if isinstance(r, Exception):
-            raise DataError(
+            raise LimaseError(
                 f"explanation failed for dataset row {indices[position]}: {r}"
             ) from r
     matrix = ExplanationMatrix(

@@ -238,6 +238,31 @@ class TestSp:
         assert run(*args) == 0
         assert (tmp_path / "sp.json").read_bytes() == first
 
+    @pytest.mark.parametrize("explainer", ["kernelshap", "treeshap"])
+    def test_other_explainers_rejected(self, reg_csv, tmp_path, capsys, explainer):
+        # rejected before the model is resolved, so the bad model spec is never read
+        code = run("sp", "--data", reg_csv, "--target", "y", "--explainer", explainer,
+                   "--model", tmp_path / "missing.json", "--out", tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--explainer {explainer}" in err
+        assert "model spec" not in err
+        assert not (tmp_path / "sp.json").exists()
+
+    def test_model_failure_is_runtime_failure(self, tmp_path, capsys):
+        # the server passes the 4-row purity probe, then refuses every limase batch
+        X = RandomStream(66).normal_matrix(30, 2)
+        data = Dataset(compute_feature_meta(X, ["a", "b"]), X, X[:, 0], Task.regression())
+        csv = tmp_path / "d2.csv"
+        write_csv(data, csv, target_column="y")
+        command = f"{sys.executable} {FIXTURES / 'server_small_batches.py'}"
+        for name in ("global", "sp"):
+            code = run(name, "--data", csv, "--target", "y", "--model", f"external:{command}",
+                       "--count", 3, "--n-samples", 50, "--out", tmp_path / name)
+            assert code == 1, name
+            assert "at most 4 rows" in capsys.readouterr().err
+        assert not (tmp_path / "sp" / "sp.json").exists()
+
 
 class TestBenchValidation:
     def test_needs_enough_rows(self, tmp_path, capsys):

@@ -20,7 +20,7 @@ from limase.core import (
     compute_feature_meta,
 )
 from limase.external import attach_external
-from limase.models import TreeModel, fit_random_forest
+from limase.models import TreeModel, fit_mlp, fit_random_forest
 from limase.pipeline import (
     LimaseConfig,
     kernel_weights,
@@ -30,7 +30,7 @@ from limase.pipeline import (
     sigma_sweep,
 )
 from limase.shapley import tree_conditional_value
-from limase.trees import TreeParams, fit_tree
+from limase.trees import TreeParams, fit_tree, predict_batch
 
 from conftest import make_classification_dataset, make_regression_dataset
 
@@ -111,14 +111,18 @@ class ShortModel(BlackBoxModel):
 
 
 class CountingModel(BlackBoxModel):
-    """Wraps a model and counts its predict calls."""
+    """Wraps a model and records the batch of each predict call."""
 
     def __init__(self, inner):
         self.inner, self.d, self.task = inner, inner.d, inner.task
-        self.calls = 0
+        self.batches = []
+
+    @property
+    def calls(self):
+        return len(self.batches)
 
     def predict(self, X):
-        self.calls += 1
+        self.batches.append(np.array(X, dtype=float))
         return self.inner.predict(X)
 
 
@@ -297,16 +301,29 @@ class TestLimaseExplain:
         assert a.fidelity_r2 == b.fidelity_r2
 
     def test_perturbation_set_invariants(self, reg_data):
-        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
-        result = limase_explain(model, reg_data.rows[0], reg_data.features,
-                                LimaseConfig(n_samples=150, seed=6))
-        p = result.perturbations
-        assert p.Z_x.shape == (151, reg_data.d)  # anchor + N
-        assert p.Z_y.shape == (151,)
-        assert p.W.shape == (151,)
-        assert p.W[0] == 1.0  # the anchor
-        assert np.all((p.W > 0) & (p.W <= 1))
-        assert np.all(np.isfinite(p.Z_x))
+        forest = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        model = CountingModel(forest)
+        x, cfg = reg_data.rows[0], LimaseConfig(n_samples=150, seed=6)
+        result = limase_explain(model, x, reg_data.features, cfg)
+        [rows] = model.batches
+        assert rows.shape == (151, reg_data.d)  # anchor + N, in one call
+        assert np.array_equal(rows[0], x)
+        assert np.array_equal(rows[1:], sample_around(x, reg_data.features, 150,
+                                                      RandomStream(6)))
+        assert np.all(np.isfinite(rows))
+        targets = forest.predict_scalar(rows)
+        assert targets.shape == (151,)
+        W = kernel_weights(x, rows, cfg.sigma, reg_data.features)
+        assert W.shape == (151,)
+        assert W[0] == 1.0  # the anchor
+        assert np.all((W > 0) & (W <= 1))
+        # the surrogate is fit to exactly these rows, targets and weights
+        refit = fit_tree(rows, targets, W, cfg.tree_params)
+        assert np.array_equal(refit.value, result.surrogate.value)
+        residual = predict_batch(refit, rows) - targets
+        centered = targets - np.dot(W, targets) / W.sum()
+        fidelity = 1.0 - np.dot(W, residual**2) / np.dot(W, centered**2)
+        assert result.fidelity_r2 == pytest.approx(fidelity, rel=1e-12)
 
     def test_classification_explains_class_probability(self, cls_data):
         model = fit_random_forest(cls_data, 8, TreeParams(max_depth=4), RandomStream(1))
@@ -480,22 +497,48 @@ class TestBatch:
 
     def test_rows_use_distinct_seeds(self, reg_data):
         # identical instances in one batch still get different perturbations
-        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        model = CountingModel(
+            fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0)))
         X = np.vstack([reg_data.rows[0], reg_data.rows[0]])
-        out = limase_explain_batch(model, X, reg_data.features,
-                                   LimaseConfig(n_samples=100, seed=3))
-        assert not np.array_equal(out[0].perturbations.Z_x, out[1].perturbations.Z_x)
+        limase_explain_batch(model, X, reg_data.features, LimaseConfig(n_samples=100, seed=3))
+        first, second = model.batches
+        assert first.shape == second.shape == (101, reg_data.d)
+        assert np.array_equal(first[0], X[0]) and np.array_equal(second[0], X[0])
+        assert not np.array_equal(first[1:], second[1:])
 
 
 class TestSigmaSweep:
-    def test_single_sigma_equals_direct_call(self, reg_data):
-        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
-        cfg = LimaseConfig(n_samples=100, seed=1)
-        [(s, swept)] = sigma_sweep(model, reg_data.rows[0], reg_data.features, cfg, [2.0])
-        assert s == 2.0
-        direct = limase_explain(model, reg_data.rows[0], reg_data.features,
-                                LimaseConfig(n_samples=100, seed=1, sigma=2.0))
-        assert np.array_equal(swept.explanation.phi, direct.explanation.phi)
+    def test_scores_once(self, reg_data):
+        model = CountingModel(
+            fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0)))
+        x = reg_data.rows[0]
+        swept = sigma_sweep(model, x, reg_data.features, LimaseConfig(n_samples=100, seed=1),
+                            [0.5, 2.0, 8.0])
+        assert [s for s, _ in swept] == [0.5, 2.0, 8.0]
+        assert model.calls == 1
+        assert model.batches[0].shape == (101, reg_data.d)
+        assert np.array_equal(model.batches[0][0], x)
+
+    def test_single_sigma_equals_direct_call(self, reg_data, cls_data):
+        # every entry has the bits of its own limase_explain call, for a
+        # model that scores rows one by one and for a BLAS-backed MLP
+        forest = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        mlp = fit_mlp(cls_data, [8], 3, 0.05, RandomStream(2))
+        for model, data in ((forest, reg_data), (mlp, cls_data)):
+            cfg = LimaseConfig(n_samples=100, seed=1)
+            swept = sigma_sweep(model, data.rows[0], data.features, cfg, [0.5, 2.0, 8.0])
+            for s, entry in swept:
+                direct = limase_explain(model, data.rows[0], data.features,
+                                        replace(cfg, sigma=s))
+                assert entry.config == direct.config
+                for name in ("phi", "base_value", "fx", "class_index"):
+                    assert np.array_equal(getattr(entry.explanation, name),
+                                          getattr(direct.explanation, name))
+                assert entry.fidelity_r2 == direct.fidelity_r2
+                assert entry.degenerate == direct.degenerate
+                for name in ("feature", "threshold", "left", "right", "cover", "value"):
+                    assert np.array_equal(getattr(entry.surrogate, name),
+                                          getattr(direct.surrogate, name), equal_nan=True)
 
     def test_wide_kernel_approaches_global_mean(self):
         # quadratic bowl, x at the center: narrow kernels see f(x) = 0,
@@ -504,21 +547,22 @@ class TestSigmaSweep:
         rng = RandomStream(14)
         rows = rng.normal_matrix(400, 3)
         meta = meta_for(rows)
-        model = QuadraticModel(3)
+        model = CountingModel(QuadraticModel(3))
         x = np.zeros(3)
         cfg = LimaseConfig(n_samples=2000, seed=5)
         swept = sigma_sweep(model, x, meta, cfg, [0.5, 2.0, 8.0])
-        cloud_mean = float(np.mean(model.predict_scalar(
-            swept[0][1].perturbations.Z_x)))
+        [cloud] = model.batches
+        cloud_mean = float(np.mean(model.inner.predict_scalar(cloud)))
         gaps = [abs(r.explanation.base_value - cloud_mean) for _, r in swept]
         assert gaps[-1] < gaps[0]
 
     def test_tiny_sigma_concentrates_weight(self, reg_data):
-        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
-        cfg = LimaseConfig(n_samples=500, seed=2)
-        [(_, result)] = sigma_sweep(model, reg_data.rows[0], reg_data.features,
-                                    cfg, [0.01])
-        w = result.perturbations.W
+        model = CountingModel(
+            fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0)))
+        x = reg_data.rows[0]
+        [(_, result)] = sigma_sweep(model, x, reg_data.features,
+                                    LimaseConfig(n_samples=500, seed=2), [0.01])
+        w = kernel_weights(x, model.batches[0], result.config.sigma, reg_data.features)
         effective = w.sum() / w.max()
         assert effective < 2.0  # essentially only the anchor survives
 

@@ -4,7 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from limase.core import ConfigError, DataError, RandomStream
+from limase.core import ConfigError, DataError, LimaseError, RandomStream
 from limase.models import fit_random_forest
 from limase.pipeline import LimaseConfig
 from limase.sp import (
@@ -43,7 +43,6 @@ class TestImportance:
     def test_negative_values_need_absolute(self):
         matrix = mat([[-3.0]])
         assert feature_importance(matrix)[0] == pytest.approx(np.sqrt(3.0))
-        assert np.isnan(feature_importance(matrix, absolute=False)[0])
 
     def test_empty_matrix(self):
         with pytest.raises(DataError):
@@ -73,8 +72,6 @@ class TestCoverage:
         matrix = mat([[-1.0, 0.0]])
         importance = feature_importance(matrix)
         assert coverage([0], matrix, importance) == pytest.approx(1.0)
-        # literal signed indicator ignores the negative contribution
-        assert coverage([0], matrix, importance, absolute=False) == 0.0
 
     def test_index_out_of_range(self):
         matrix = mat([[1.0]])
@@ -241,5 +238,12 @@ class TestSpExplain:
             compute_feature_meta(rows, data.feature_names), rows, data.target, data.task
         )
         cfg = LimaseConfig(n_samples=50, seed=0)
-        with pytest.raises(DataError, match="row 7"):
+        with pytest.raises(LimaseError, match="row 7") as caught:
             sp_explain(FlakyModel(4, threshold=500.0), poisoned, range(10), cfg, G=2)
+        # a failing model is a runtime failure, not a data error
+        assert type(caught.value) is LimaseError
+        assert not isinstance(caught.value, DataError)
+        cause = caught.value.__cause__
+        assert isinstance(cause, LimaseError)
+        assert "perturbation scoring" in str(cause)
+        assert isinstance(cause.__cause__, RuntimeError)
