@@ -126,10 +126,7 @@ def _explicit_dests(parser: argparse.ArgumentParser, argv: list[str]) -> set[str
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into typed values using the option table."""
-    types = {}
-    for action in parser._actions:
-        if action.option_strings:
-            types[action.dest] = action.type
+    actions = {action.dest: action for action in parser._actions if action.option_strings}
     values = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.strip()
@@ -142,13 +139,16 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
         value = value.strip()
         if len(value) >= 2 and value[0] == value[-1] and value[0] in "\"'":
             value = value[1:-1]
-        if key not in types:
+        if key not in actions:
             raise ConfigError(f"{path}:{lineno}: unknown option {key!r}")
-        caster = types[key]
+        action = actions[key]
         try:
-            values[key] = caster(value) if caster is not None else value
+            values[key] = action.type(value) if action.type is not None else value
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r}") from None
+        if action.choices is not None and values[key] not in action.choices:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: {value!r} "
+                              f"(choose from {', '.join(action.choices)})")
     return values
 
 
@@ -161,6 +161,9 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
         for key, value in _load_config_file(args.config, command_parser).items():
             if key not in explicit:
                 setattr(args, key, value)
+    for name in ("count", "background", "budget"):
+        if getattr(args, name) < 1:
+            raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
     return args
 
 
@@ -220,7 +223,11 @@ def _train_model(kind: str, data: Dataset, args):
         rng = RandomStream(child_seed(args.seed, _TRAIN_STREAM))
         return fit_random_forest(data, args.n_trees, params, rng)
     if kind == "mlp":
-        hidden = [int(h) for h in str(args.hidden).split(",") if h.strip()]
+        try:
+            hidden = [int(h) for h in str(args.hidden).split(",") if h.strip()]
+        except ValueError:
+            raise ConfigError(f"--hidden must be comma-separated integers, "
+                              f"got {args.hidden!r}") from None
         rng = RandomStream(child_seed(args.seed, _MLP_STREAM))
         return fit_mlp(data, hidden, args.epochs, args.learning_rate, rng)
     raise ConfigError(f"unknown model kind {kind!r}")
@@ -350,8 +357,6 @@ def cmd_global(args) -> int:
     data.task.check_class_index(args.class_index)
     if args.count > data.n:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
-    if args.count < 1:
-        raise ConfigError("--count must be >= 1")
     model = _resolve_model(args, data)
     indices = _sample_indices(args, data, args.count)
     started = time.perf_counter()

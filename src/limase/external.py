@@ -154,7 +154,11 @@ class ExternalModel(BlackBoxModel):
             msg = self._results.pop(request_id)
         if msg["type"] == "error":
             raise ProtocolError(f"external model error: {msg.get('message', '')}")
-        outputs = np.asarray(msg.get("outputs"), dtype=float)
+        try:
+            outputs = np.asarray(msg.get("outputs"), dtype=float)
+        except (TypeError, ValueError) as e:
+            raise ProtocolError(f"outputs of prediction {request_id} are not a "
+                                f"matrix of numbers: {e}") from e
         if outputs.ndim != 2 or outputs.shape != (X.shape[0], self.task.n_outputs):
             raise ProtocolError(
                 f"expected outputs of shape {(X.shape[0], self.task.n_outputs)}, "

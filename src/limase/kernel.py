@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from .core import BlackBoxModel, ConfigError, DataError, RandomStream
-from .shapley import ShapExplanation
+from .shapley import ShapExplanation, _check_row
 
 EXACT_MAX_FEATURES = 16
 
@@ -121,11 +121,12 @@ def kernel_shap(
     integer budget >= 2d+2 uses paired subset sampling.  base_value is
     the mean model output over the background set; classification
     explains the probability of class_index (default: the model's
-    predicted class at x).  Model scores that are not one finite value
+    predicted class at x).  An x that is not a finite row of model.d
+    values raises ValueError.  Model scores that are not one finite value
     per row raise ModelOutputError.
     """
     started = time.perf_counter()
-    x = np.asarray(x, dtype=float)
+    x = _check_row(x, model.d)
     background = np.atleast_2d(np.asarray(background, dtype=float))
     if background.shape[0] == 0:
         raise DataError("background set is empty")

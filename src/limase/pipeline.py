@@ -20,6 +20,7 @@ import numpy as np
 from .core import (
     BlackBoxModel,
     ConfigError,
+    DataError,
     FeatureMeta,
     LimaseError,
     ModelOutputError,
@@ -73,7 +74,7 @@ class LimaseResult:
         record["sigma"] = self.config.sigma
         record["n_samples"] = self.config.n_samples
         record["degenerate"] = self.degenerate
-        record["surrogate_depth"] = self.surrogate.depth()
+        record["surrogate_depth"] = self.surrogate.depth
         return record
 
 
@@ -127,7 +128,7 @@ def _score(
     if x.shape != (d,):
         raise ValueError(f"expected a row of length {d}, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
-        raise ValueError("instance contains non-finite values")
+        raise DataError("instance contains non-finite values")
     if model.d != d:
         raise ValueError(f"model expects {model.d} features, metadata describes {d}")
 
@@ -185,8 +186,8 @@ def limase_explain(
     reported as fidelity_r2 over the weighted perturbation set.  Scores
     that are not one finite value per perturbation row raise
     ModelOutputError; any other failure of the black box is wrapped in a
-    LimaseError.  A class_index the model cannot score raises ConfigError
-    before the black box is called.
+    LimaseError.  A non-finite x raises DataError.  A class_index the
+    model cannot score raises ConfigError before the black box is called.
     """
     started = time.perf_counter()
     rows, targets, class_index = _score(model, x, features, config)

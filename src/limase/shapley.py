@@ -26,18 +26,15 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .trees import LEAF, DecisionTree
+from .trees import LEAF, DecisionTree, TreeStack
 
 MAX_ENUMERATION_FEATURES = 24
 
 
-def _node_arrays(tree: DecisionTree) -> tuple[np.ndarray, ...]:
-    return (tree.feature, tree.threshold, tree.left, tree.right, tree.cover, tree.value)
-
-
 def _node_lists(tree: DecisionTree) -> tuple[list, ...]:
-    """The tree's six node arrays as Python lists, for per-node recursion."""
-    return tuple(a.tolist() for a in _node_arrays(tree))
+    """The tree's five node arrays as Python lists, for per-node recursion."""
+    return tuple(a.tolist() for a in (tree.feature, tree.threshold, tree.child,
+                                       tree.cover, tree.value))
 
 
 @dataclass
@@ -126,13 +123,13 @@ def tree_conditional_value(tree: DecisionTree, x: np.ndarray, S: int | Iterable[
     if x.shape != (tree.d,):
         raise ValueError(f"expected a row of length {tree.d}, got shape {x.shape}")
     mask = _coalition_mask(S, tree.d)
-    feature, threshold, left, right, cover, value = _node_lists(tree)
+    feature, threshold, child, cover, value = _node_lists(tree)
 
     def walk(i: int) -> float:
         f = feature[i]
         if f == LEAF:
             return value[i]
-        l, r = left[i], right[i]
+        r, l = child[i]
         if (mask >> f) & 1:
             return walk(l if x[f] <= threshold[i] else r)
         return (cover[l] * walk(l) + cover[r] * walk(r)) / cover[i]
@@ -156,7 +153,7 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     masks = np.arange(n_masks, dtype=np.uint64)
     in_coalition = [((masks >> np.uint64(f)) & np.uint64(1)).astype(bool) for f in range(d)]
     total = np.zeros(n_masks)
-    feature, threshold, left, right, cover, value = _node_lists(tree)
+    feature, threshold, child, cover, value = _node_lists(tree)
 
     def walk(i: int, factor: np.ndarray) -> None:
         f = feature[i]
@@ -165,7 +162,7 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
             return
         goes_left = x[f] <= threshold[i]
         member = in_coalition[f]
-        l, r = left[i], right[i]
+        r, l = child[i]
         walk(l, factor * np.where(member, 1.0 if goes_left else 0.0, cover[l] / cover[i]))
         walk(r, factor * np.where(member, 0.0 if goes_left else 1.0, cover[r] / cover[i]))
 
@@ -173,21 +170,21 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _leaf_boxes(nodes: tuple[np.ndarray, ...], d: int) -> tuple[np.ndarray, ...]:
-    """Every leaf of one tree, or of several end to end, as a box.
+def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple[np.ndarray, ...]:
+    """Every leaf of the stack's trees first to stop - 1 as a box.
 
-    nodes holds (feature, threshold, left, right, cover, value) arrays as
-    in DecisionTree, with child indices into these arrays; a run of
-    stacked trees (TreeStack.nodes) has one root per tree.  A box has one
-    slot per distinct feature on the leaf's path.  All leaves walk up to
-    their roots together, one vectorized step per level.  Returns
-    (feature, lo, hi, z, value): the splits on the path of leaf l that
-    test feature[l, j] send x there iff lo[l, j] < x <= hi[l, j], and
-    their cover ratios multiply to z[l, j].  A leaf with fewer distinct
-    features than the widest is padded with null players: feature d, an
-    unbounded interval and z = 1.
+    A box has one slot per distinct feature on the leaf's path.  All
+    leaves walk up to their roots together, one vectorized step per
+    level.  Returns (feature, lo, hi, z, value): the splits on the path
+    of leaf l that test feature[l, j] send x there iff lo[l, j] < x <=
+    hi[l, j], and their cover ratios multiply to z[l, j].  A leaf with
+    fewer distinct features than the widest is padded with null players:
+    feature d, an unbounded interval and z = 1.
     """
-    feature, threshold, left, right, cover, value = nodes  # a leaf's children go unread
+    span, d = slice(int(stack.start[first]), int(stack.start[stop])), stack.d
+    feature, threshold = stack.feature[span], stack.threshold[span]
+    cover, value = stack.cover[span], stack.value[span]
+    right, left = (stack.child[span] - span.start).T  # a leaf's children go unread
     internal = np.flatnonzero(feature != LEAF)
     parent = np.full(feature.size, -1)
     parent[left[internal]] = internal
@@ -282,7 +279,7 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     """
     x = _check_row(x, tree.d)
     start = time.perf_counter()
-    phi, fx = _box_shap(_leaf_boxes(_node_arrays(tree), tree.d), x)
+    phi, fx = _box_shap(_leaf_boxes(tree, 0, 1), x)
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(
         base_value=float(tree.value[0]),
@@ -315,7 +312,7 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
     first, stop = forest.class_span(output)
     boxes = forest.leaf_boxes.get(output)
     if boxes is None:
-        feature, lo, hi, z, value = _leaf_boxes(forest.stack.nodes(first, stop), forest.d)
+        feature, lo, hi, z, value = _leaf_boxes(forest.stack, first, stop)
         boxes = forest.leaf_boxes[output] = (feature, lo, hi, z, value / (stop - first))
     phi, fx = _box_shap(boxes, x)
     base = float(np.mean(forest.stack.value[forest.stack.start[first:stop]]))

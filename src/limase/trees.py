@@ -1,11 +1,19 @@
 """Weighted CART regression trees.
 
 The same tree type serves as the local surrogate and as the random-forest
-building block.  Fitting greedily minimizes weighted squared error; split
-thresholds sit at midpoints between consecutive distinct sorted values and
-routing sends x left iff x[feature] <= threshold.  Ties between equally
-good splits resolve to the lowest feature index, then the lowest
-threshold, so a fit is reproducible across platforms.
+building block.  Every tree lives in one node layout, TreeStack: preorder
+node arrays in which child[i] holds node i's two children, right then
+left, and a leaf is its own child.  A DecisionTree is a stack of one
+tree, and a forest stacks its trees end to end with each tree's child
+indices offset, so prediction and the tree explainer walk one tree or
+many the same way.  Only the JSON form (to_dict/from_dict) spells the
+children as left and right, with LEAF at leaves.
+
+Fitting greedily minimizes weighted squared error; split thresholds sit
+at midpoints between consecutive distinct sorted values and routing
+sends x left iff x[feature] <= threshold.  Ties between equally good
+splits resolve to the lowest feature index, then the lowest threshold,
+so a fit is reproducible across platforms.
 
 Split search follows CART's presorting (Breiman et al. 1984) and SLIQ's
 sort-once lists (Mehta et al. 1996): each column is stable-sorted once
@@ -50,37 +58,63 @@ class TreeParams:
 
 
 @dataclass(eq=False)
-class DecisionTree:
-    """A fitted tree as six node arrays in preorder; node 0 is the root.
+class TreeStack:
+    """Trees' node arrays end to end, walked as one.
 
-    Node i splits on feature[i] at threshold[i] and routes x to left[i]
-    iff x[feature[i]] <= threshold[i], else to right[i].  A leaf has
-    feature, left and right equal to LEAF and a NaN threshold.  cover[i]
-    is the sum of sample weights routed to node i and value[i] their
-    weight-weighted mean target.
+    Tree t owns nodes start[t] to start[t + 1] - 1 in its own preorder,
+    so its root is node start[t].  Node i splits on feature[i] at
+    threshold[i]; child[i, 1] is where x goes when x[feature[i]] <=
+    threshold[i] and child[i, 0] where it goes otherwise, both as stacked
+    indices.  A leaf has feature LEAF, a NaN threshold and itself as both
+    children, so depth levels of the walk bring every row of every tree
+    to its leaf.  cover[i] is the sum of sample weights routed to node i
+    and value[i] their weight-weighted mean target.
     """
 
     feature: np.ndarray  # intp
     threshold: np.ndarray
-    left: np.ndarray  # intp
-    right: np.ndarray  # intp
+    child: np.ndarray  # (n_nodes, 2) intp
     cover: np.ndarray
     value: np.ndarray
+    start: np.ndarray  # (n_trees + 1,) intp
     d: int
+
+    @property
+    def n_trees(self) -> int:
+        return self.start.size - 1
+
+    @cached_property
+    def depth(self) -> int:
+        """The deepest tree's depth, found level by level on first use."""
+        level, frontier = 0, self.start[:-1]
+        while True:
+            frontier = frontier[self.feature[frontier] != LEAF]
+            if frontier.size == 0:
+                return level
+            frontier = self.child[frontier].ravel()
+            level += 1
+
+
+@dataclass(eq=False)
+class DecisionTree(TreeStack):
+    """A fitted tree: a TreeStack of one tree (start is [0, n], root node 0).
+
+    params are the growth limits it was fitted under.
+    """
+
     params: TreeParams
 
     @property
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature == LEAF))
 
-    def depth(self) -> int:
-        return stack_trees([self], self.d).depth
-
     def split_features(self) -> set[int]:
         return set(self.feature[self.feature != LEAF].tolist())
 
     def to_dict(self) -> dict:
-        columns = (self.feature, self.threshold, self.left, self.right, self.cover, self.value)
+        # the JSON format names the children left and right, LEAF at leaves
+        right, left = np.where((self.feature == LEAF)[:, None], LEAF, self.child).T
+        columns = (self.feature, self.threshold, left, right, self.cover, self.value)
         return {
             "d": self.d,
             "root": 0,
@@ -108,31 +142,37 @@ class DecisionTree:
         tree = _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
         # Preorder puts both children after their parent, so every walk ends;
         # the explainers divide by covers and sum values.
+        left, right = np.array([row[2:4] for row in rows], dtype=np.intp).T
         n, index = len(rows), np.arange(len(rows))
         internal = tree.feature != LEAF
         bad = np.flatnonzero(
             internal & ((tree.feature < 0) | (tree.feature >= tree.d)
-                        | (tree.left <= index) | (tree.left >= n)
-                        | (tree.right <= index) | (tree.right >= n)
+                        | (left <= index) | (left >= n)
+                        | (right <= index) | (right >= n)
                         | ~np.isfinite(tree.threshold))
-            | ~internal & ((tree.left != LEAF) | (tree.right != LEAF))
+            | ~internal & ((left != LEAF) | (right != LEAF))
             | ~(np.isfinite(tree.cover) & (tree.cover > 0)) | ~np.isfinite(tree.value))
         if bad.size:
             i = int(bad[0])
             raise DataError(f"tree node {i} of {n} is malformed: feature {tree.feature[i]} "
                             f"(d={tree.d}), threshold {tree.threshold[i]}, children "
-                            f"{tree.left[i]} and {tree.right[i]}, cover {tree.cover[i]}, "
+                            f"{left[i]} and {right[i]}, cover {tree.cover[i]}, "
                             f"value {tree.value[i]}")
         return tree
 
 
 def _from_rows(rows: list, d: int, params: TreeParams) -> DecisionTree:
-    """A tree from preorder (feature, threshold, left, right, cover, value) rows."""
+    """A tree from preorder (feature, threshold, left, right, cover, value) rows.
+
+    A leaf row's left and right are LEAF; the tree points them at the leaf.
+    """
     feature, threshold, left, right, cover, value = zip(*rows)
+    feature = np.array(feature, dtype=np.intp)
+    child = np.where((feature == LEAF)[:, None], np.arange(feature.size)[:, None],
+                     np.array([right, left], dtype=np.intp).T)
     return DecisionTree(
-        np.array(feature, dtype=np.intp), np.array(threshold, dtype=float),
-        np.array(left, dtype=np.intp), np.array(right, dtype=np.intp),
-        np.array(cover, dtype=float), np.array(value, dtype=float), d, params)
+        feature, np.array(threshold, dtype=float), child, np.array(cover, dtype=float),
+        np.array(value, dtype=float), np.array([0, feature.size], dtype=np.intp), d, params)
 
 
 def _weighted_mean(y: np.ndarray, w: np.ndarray, wsum: float) -> float:
@@ -317,75 +357,22 @@ def fit_tree(
     return _from_rows(nodes, d, params)
 
 
-# (tree, row) pairs per block of a stacked walk; bounds its peak memory.
-_BLOCK_PAIRS = 1 << 16
-
-
-@dataclass(eq=False)
-class TreeStack:
-    """Several trees' node arrays end to end, walked as one.
-
-    Tree t owns nodes start[t] to start[t + 1] - 1 in its own preorder,
-    so its root is node start[t].  child[i, 1] is where x goes when
-    x[feature[i]] <= threshold[i] and child[i, 0] where it goes otherwise,
-    both as stacked indices; a leaf's two children are the leaf itself,
-    so depth levels of the walk bring every row of every tree to its
-    leaf.  feature, threshold, cover and value are the trees' arrays,
-    with LEAF and NaN at leaves.
-    """
-
-    feature: np.ndarray  # intp
-    threshold: np.ndarray
-    child: np.ndarray  # (n_nodes, 2) intp
-    cover: np.ndarray
-    value: np.ndarray
-    start: np.ndarray  # (n_trees + 1,) intp
-    d: int
-
-    @property
-    def n_trees(self) -> int:
-        return self.start.size - 1
-
-    def nodes(self, first: int, stop: int) -> tuple[np.ndarray, ...]:
-        """Trees first to stop - 1 as DecisionTree-style node arrays, end to end.
-
-        Returns (feature, threshold, left, right, cover, value), with child
-        indices into these arrays; a leaf's left and right are itself.
-        """
-        span = slice(self.start[first], self.start[stop])
-        right, left = (self.child[span] - span.start).T
-        return (self.feature[span], self.threshold[span], left, right,
-                self.cover[span], self.value[span])
-
-    @cached_property
-    def depth(self) -> int:
-        """The deepest tree's depth, found level by level on first use."""
-        level, frontier = 0, self.start[:-1]
-        while True:
-            frontier = frontier[self.feature[frontier] != LEAF]
-            if frontier.size == 0:
-                return level
-            frontier = self.child[frontier].ravel()
-            level += 1
-
-
 def stack_trees(trees: list[DecisionTree], d: int) -> TreeStack:
-    """The trees' node arrays stacked in the given order (see TreeStack)."""
+    """The trees' node arrays end to end in the given order (see TreeStack)."""
     sizes = [t.feature.size for t in trees]
     start = np.cumsum([0] + sizes).astype(np.intp)
 
-    def joined(name: str, dtype) -> np.ndarray:
-        # the empty head keeps the dtype, and concatenate working, with no trees
-        return np.concatenate([np.empty(0, dtype)] + [getattr(t, name) for t in trees])
+    def joined(name: str, empty: np.ndarray) -> np.ndarray:
+        # the empty head keeps the dtype and shape, and concatenate working, with no trees
+        return np.concatenate([empty] + [getattr(t, name) for t in trees])
 
-    feature, left, right = (joined(name, np.intp) for name in ("feature", "left", "right"))
-    threshold, cover, value = (joined(name, float) for name in ("threshold", "cover", "value"))
-    offset = np.repeat(start[:-1], sizes)
-    leaf = feature == LEAF
-    own = np.arange(feature.size)
-    child = np.stack([np.where(leaf, own, right + offset),
-                      np.where(leaf, own, left + offset)], axis=1)
-    return TreeStack(feature, threshold, child, cover, value, start, d)
+    child = joined("child", np.empty((0, 2), np.intp)) + np.repeat(start[:-1], sizes)[:, None]
+    return TreeStack(joined("feature", np.empty(0, np.intp)), joined("threshold", np.empty(0)),
+                     child, joined("cover", np.empty(0)), joined("value", np.empty(0)), start, d)
+
+
+# (tree, row) pairs per block of a stacked walk; bounds its peak memory.
+_BLOCK_PAIRS = 1 << 16
 
 
 def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndarray:
@@ -431,4 +418,4 @@ def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndar
 
 def predict_batch(tree: DecisionTree, X: np.ndarray) -> np.ndarray:
     """Value of the leaf each row of X reaches (<= goes left)."""
-    return predict_stack(stack_trees([tree], tree.d), X)[:, 0]
+    return predict_stack(tree, X)[:, 0]

@@ -7,22 +7,12 @@ import numpy as np
 import pytest
 
 from limase.core import Dataset, RandomStream, Task, compute_feature_meta
-from limase.trees import LEAF, DecisionTree, TreeParams
+from limase.trees import LEAF, DecisionTree, TreeParams, _from_rows
 
 
 def tree_from_nodes(nodes: list, d: int, params: TreeParams) -> DecisionTree:
     """A tree from preorder (feature, threshold, left, right, cover, value) rows."""
-    feature, threshold, left, right, cover, value = zip(*nodes)
-    return DecisionTree(
-        feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold, dtype=float),
-        left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp),
-        cover=np.array(cover, dtype=float),
-        value=np.array(value, dtype=float),
-        d=d,
-        params=params,
-    )
+    return _from_rows(nodes, d, params)
 
 
 def random_tree(rng: RandomStream, d: int, max_depth: int,
@@ -65,8 +55,8 @@ def shift_subtree(tree: DecisionTree, root_of_subtree: int, c: float) -> Decisio
     Internal values are rebuilt bottom-up so the cover/value recurrence
     still holds.
     """
-    feature, left, right, cover = (a.tolist() for a in (tree.feature, tree.left,
-                                                         tree.right, tree.cover))
+    feature, left, right, cover = (a.tolist() for a in (tree.feature, tree.child[:, 1],
+                                                         tree.child[:, 0], tree.cover))
     value = tree.value.tolist()
 
     def shift(i: int) -> None:

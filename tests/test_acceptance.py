@@ -190,7 +190,7 @@ def test_criterion_04_larger_marginals_never_rank_lower():
         t2 = random_tree(rng, d, _randint(rng, 2, 5))
         x = 3.0 * rng.normal(d)
         i = t2.feature[0]
-        hot = t2.left[0] if x[i] <= t2.threshold[0] else t2.right[0]
+        hot = t2.child[0, 1] if x[i] <= t2.threshold[0] else t2.child[0, 0]
         c = 0.5 + 2.0 * float(rng.uniform(1)[0])
         t1 = shift_subtree(t2, hot, c)
 

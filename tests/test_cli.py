@@ -264,6 +264,23 @@ class TestSp:
         assert not (tmp_path / "sp" / "sp.json").exists()
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("command, option, value", [
+        ("sp", "--count", -1),
+        ("sp", "--budget", 0),
+        ("explain", "--background", -1),
+        ("train", "--hidden", "a"),
+    ])
+    def test_rejected_before_any_model(self, reg_csv, tmp_path, capsys,
+                                       command, option, value):
+        code = run(command, "--data", reg_csv, "--target", "y", "--model", "mlp",
+                   "--explainer", "limase" if command == "sp" else "kernelshap",
+                   option, value, "--out", tmp_path / "out")
+        assert code == 2
+        assert option in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
 class TestBenchValidation:
     def test_needs_enough_rows(self, tmp_path, capsys):
         rng = RandomStream(65)
@@ -341,6 +358,15 @@ class TestConfigFile:
         assert run("explain", "--data", reg_csv, "--target", "y",
                    "--config", cfg) == 2
         assert ":2" in capsys.readouterr().err
+
+    def test_value_outside_choices_names_line(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\nexplainer = bogus\n")
+        assert run("explain", "--data", reg_csv, "--target", "y",
+                   "--config", cfg, "--out", tmp_path / "out") == 2
+        err = capsys.readouterr().err
+        assert "explainer" in err and ":2" in err
+        assert not (tmp_path / "out").exists()
 
     def test_bad_value_type(self, reg_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -109,6 +109,11 @@ class TestProtocol:
             assert model._results == {}
             assert model._abandoned == set()
 
+    @pytest.mark.parametrize("reply", ["text", "ragged"])
+    def test_outputs_not_numbers_name_request(self, reply):
+        with pytest.raises(ProtocolError, match="prediction 0"):
+            attach_external(server("server_bad_outputs.py") + [reply], d=2, task="regression")
+
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):
             attach_external(server("server_errors.py"), d=2, task="regression")

@@ -237,6 +237,13 @@ class TestErrors:
         with pytest.raises(ModelOutputError, match="non-finite"):
             kernel_shap(ConstantModel(float("nan"), 2), np.zeros(2), bg, 64, RandomStream(1))
 
+    def test_non_finite_instance_rejected(self):
+        data = make_regression_dataset(3, 60, 3)
+        forest = fit_random_forest(data, 3, TreeParams(max_depth=2), RandomStream(0))
+        x = np.array([0.0, np.nan, 0.0])
+        with pytest.raises(ValueError, match="finite"):
+            kernel_shap(forest, x, data.rows[:5], "exact", RandomStream(1))
+
     def test_exact_limited_to_16_features(self):
         d = 17
         with pytest.raises(ConfigError, match="16"):

@@ -132,7 +132,7 @@ def reference_walk(tree, X):
     """predict_batch before the stacked walk: each row stops at its leaf."""
     X = np.asarray(X, dtype=float)
     feature, threshold, left, right, value = (
-        tree.feature, tree.threshold, tree.left, tree.right, tree.value)
+        tree.feature, tree.threshold, tree.child[:, 1], tree.child[:, 0], tree.value)
     current = np.zeros(X.shape[0], dtype=np.intp)
     active = feature[current] != LEAF
     while active.any():

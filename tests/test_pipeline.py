@@ -11,6 +11,7 @@ import limase.pipeline
 from limase.core import (
     BlackBoxModel,
     ConfigError,
+    DataError,
     LimaseError,
     ModelOutput,
     ModelOutputError,
@@ -484,6 +485,17 @@ class TestBatch:
             assert not isinstance(result, LimaseError)
             assert abs(result.explanation.efficiency_gap()) <= 1e-9
 
+    def test_non_finite_instance_isolated_from_batch(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[0], [np.nan, 0.0], rows[1]])
+        out = limase_explain_batch(QuadraticModel(2), X, meta_for(rows),
+                                   LimaseConfig(n_samples=50, seed=0))
+        assert isinstance(out[1], DataError)
+        assert "non-finite" in str(out[1])
+        for result in (out[0], out[2]):
+            assert not isinstance(result, LimaseError)
+            assert abs(result.explanation.efficiency_gap()) <= 1e-9
+
     def test_probability_rows_checked_per_row(self):
         rows = RandomStream(13).normal_matrix(30, 2)
         X = np.vstack([rows[0], [1000.0, 0.0], rows[1]])
@@ -536,7 +548,7 @@ class TestSigmaSweep:
                                           getattr(direct.explanation, name))
                 assert entry.fidelity_r2 == direct.fidelity_r2
                 assert entry.degenerate == direct.degenerate
-                for name in ("feature", "threshold", "left", "right", "cover", "value"):
+                for name in ("feature", "threshold", "child", "cover", "value"):
                     assert np.array_equal(getattr(entry.surrogate, name),
                                           getattr(direct.surrogate, name), equal_nan=True)
 

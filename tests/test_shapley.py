@@ -222,7 +222,7 @@ class TestDeepPaths:
         rng = RandomStream(4000 + seed)
         x0 = rng.normal(3)
         tree = chain_tree(rng, x0, 30)
-        assert tree.depth() == 30
+        assert tree.depth == 30
         for x in [x0] + [x0 + 0.5 * rng.normal(3) for _ in range(4)]:
             table = enumerate_tree_values(tree, x)
             want = shapley_brute_force(lambda m: table[m], 3)
@@ -246,7 +246,7 @@ class TestConsistency:
             t2 = random_tree(rng, d=d, max_depth=4)
             x = rng.normal(d)
             i = t2.feature[0]
-            hot = t2.left[0] if x[i] <= t2.threshold[0] else t2.right[0]
+            hot = t2.child[0, 1] if x[i] <= t2.threshold[0] else t2.child[0, 0]
             c = 0.5 + float(rng.uniform(1)[0])
             t1 = shift_subtree(t2, hot, c)
             v1 = enumerate_tree_values(t1, x)

@@ -31,7 +31,7 @@ def assert_cover_value_recurrence(tree: DecisionTree):
         if tree.feature[i] == LEAF:
             assert cover[i] > 0
             continue
-        l, r = tree.left[i], tree.right[i]
+        l, r = tree.child[i, 1], tree.child[i, 0]
         assert cover[i] == pytest.approx(cover[l] + cover[r], rel=1e-9)
         mixed = (cover[l] * value[l] + cover[r] * value[r]) / cover[i]
         assert value[i] == pytest.approx(mixed, rel=1e-9, abs=1e-12)
@@ -85,8 +85,8 @@ def node_rows(tree: DecisionTree, X: np.ndarray) -> list[np.ndarray]:
     for i, feature in enumerate(tree.feature):  # preorder: parents come first
         if feature != LEAF:
             left = X[:, feature] <= tree.threshold[i]
-            masks[tree.left[i]] = masks[i] & left
-            masks[tree.right[i]] = masks[i] & ~left
+            masks[tree.child[i, 1]] = masks[i] & left
+            masks[tree.child[i, 0]] = masks[i] & ~left
     return masks
 
 
@@ -161,7 +161,8 @@ def reference_fit(X, y, w, params, feature_rng=None, mtry=None):
 def assert_same_nodes(tree: DecisionTree, want: list[tuple]):
     assert tree.feature.size == len(want)
     for i, (feature, threshold, left, right, cover, value) in enumerate(want):
-        assert (tree.feature[i], tree.left[i], tree.right[i]) == (feature, left, right)
+        children = (i, i) if feature == LEAF else (left, right)  # a leaf is its own child
+        assert (tree.feature[i], tree.child[i, 1], tree.child[i, 0]) == (feature, *children)
         assert tree.cover[i] == cover and tree.value[i] == value
         if feature == LEAF:
             assert np.isnan(tree.threshold[i]) and np.isnan(threshold)
@@ -184,7 +185,7 @@ class TestFitTreeExamples:
         tree = fit_tree(X, y, unit_w(4), TreeParams(max_depth=1, min_samples_leaf=1))
         assert tree.feature[0] == 0
         assert tree.threshold[0] == pytest.approx(1.5)
-        l, r = tree.left[0], tree.right[0]
+        l, r = tree.child[0, 1], tree.child[0, 0]
         assert (tree.value[l], tree.cover[l]) == (0.0, 2.0)
         assert (tree.value[r], tree.cover[r]) == (4.0, 2.0)
 
@@ -272,7 +273,7 @@ class TestInvariants:
         w = 0.05 + rng.uniform(120)
         tree = fit_tree(X, y, w, TreeParams(max_depth=5, min_samples_leaf=2))
         assert_cover_value_recurrence(tree)
-        assert tree.depth() <= 5
+        assert tree.depth <= 5
 
     def test_integer_weights_equal_row_repetition(self):
         rng = RandomStream(33)
@@ -285,7 +286,7 @@ class TestInvariants:
         expanded = fit_tree(X[reps], y[reps], unit_w(len(reps)), params)
         # structure and covers identical; values reassociate the same sum,
         # so they agree only to machine precision
-        for name in ("feature", "left", "right", "cover"):
+        for name in ("feature", "child", "cover"):
             assert np.array_equal(getattr(weighted, name), getattr(expanded, name))
         assert np.array_equal(weighted.threshold, expanded.threshold, equal_nan=True)
         assert np.allclose(weighted.value, expanded.value, rtol=0.0, atol=1e-12)
@@ -589,5 +590,5 @@ class TestSerialization:
     def test_random_tree_fixture_is_consistent(self):
         tree = random_tree(RandomStream(1), d=4, max_depth=3)
         assert_cover_value_recurrence(tree)
-        assert tree.depth() <= 3
+        assert tree.depth <= 3
         assert tree.n_leaves >= 2
