@@ -122,8 +122,9 @@ def kernel_shap(
     the mean model output over the background set; classification
     explains the probability of class_index (default: the model's
     predicted class at x).  An x that is not a finite row of model.d
-    values raises ValueError.  Model scores that are not one finite value
-    per row raise ModelOutputError.
+    values raises ValueError, and a background that is not finite raises
+    DataError.  Model scores that are not one finite value per row raise
+    ModelOutputError.
     """
     started = time.perf_counter()
     x = _check_row(x, model.d)
@@ -133,6 +134,8 @@ def kernel_shap(
     d = x.shape[0]
     if background.shape[1] != d:
         raise DataError(f"background has {background.shape[1]} columns, expected {d}")
+    if not np.all(np.isfinite(background)):
+        raise DataError("background must be finite")
     scores, class_index = model.predict_scalar_and_class(x[None, :], class_index)
     fx = float(scores[0])
     base = float(np.mean(model.predict_scalar(background, class_index)))

@@ -280,6 +280,13 @@ class TestUsageErrors:
         assert option in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_nan_leaf_minimum_rejected_before_training(self, reg_csv, tmp_path, capsys):
+        code = run("train", "--data", reg_csv, "--target", "y", "--model", "tree",
+                   "--min-samples-leaf", "nan", "--out", tmp_path / "out")
+        assert code == 2
+        assert "min_samples_leaf" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestBenchValidation:
     def test_needs_enough_rows(self, tmp_path, capsys):

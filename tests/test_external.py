@@ -1,12 +1,16 @@
 """Subprocess adapter: handshake, correlation, purity, failure modes."""
+import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from limase import external
 from limase.core import RandomStream, Task
 from limase.external import ProtocolError, attach_external
+from limase.kernel import kernel_shap
 from limase.shapley import tree_conditional_value
 from limase.trees import TreeParams, fit_tree
 
@@ -136,3 +140,123 @@ class TestProtocol:
         assert model._proc.stdin.closed and model._proc.stdout.closed
         model.close()
         assert model._proc.stdout.closed
+
+
+def predict_line(request_id, X) -> bytes:
+    """A predict request as json.dumps spells it, the form the child must receive."""
+    return (json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()})
+            + "\n").encode()
+
+
+def composites(n_masks, d, seed):
+    """KernelSHAP-style rows: x on a random coalition, a background row elsewhere."""
+    rng = RandomStream(seed)
+    x, background = rng.normal_matrix(1, d)[0], rng.normal_matrix(5, d)
+    member = rng.uniform(n_masks * d).reshape(n_masks, 1, d) < 0.5
+    return np.where(member, x, background).reshape(-1, d)
+
+
+class Pieces(list):
+    """A text stream that keeps each write."""
+
+    write = list.append
+
+
+SPECIAL = np.array([-0.0, 0.0, 1e-310, 5e-324, 1e16, 1e-7, 1.7e308, -1.7e308])
+NON_FINITE = np.array([np.nan, np.inf, -np.inf, 1.5])
+
+
+class TestWireBytes:
+    """Each request line the child reads is json.dumps of the same message."""
+
+    CASES = {
+        "kernel_composites": (composites(300, 6, 1), True),
+        "all_distinct": (RandomStream(2).normal_matrix(50, 4), False),
+        "zero_rows": (np.empty((0, 3)), False),
+        "one_row": (RandomStream(3).normal_matrix(1, 5), False),
+        "one_column": (np.repeat([[0.5], [-2.0], [3.25]], 40, axis=0), True),
+        "special_values": (np.tile(SPECIAL, (30, 1)), True),
+        "nan_and_inf": (np.tile(NON_FINITE, (30, 1)), True),
+        "column_slice": (composites(300, 6, 4)[:, 1:4], True),
+        "repeated_head_distinct_tail": (
+            np.vstack([np.zeros((40, 3)), RandomStream(8).normal_matrix(200, 3)]), False),
+        "distinct_head_repeated_tail": (
+            np.vstack([RandomStream(9).normal_matrix(40, 3), np.zeros((200, 3))]), False),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_line_equals_json_dumps(self, case, tmp_path):
+        X, repeats = self.CASES[case]
+        pieces = Pieces()
+        external._write_predict(pieces, 2, X)
+        assert (len(pieces) > 1) == repeats  # streamed in pieces or one json.dumps line
+        log = tmp_path / "requests.ndjson"
+        d = X.shape[1]
+        with attach_external(server("server_record.py") + [str(log), str(d)], d=d,
+                             task="regression") as model:
+            out = model.predict(X)
+        assert out.values.shape == (X.shape[0], 1)
+        probe = RandomStream(external._PROBE_SEED).normal_matrix(external._PROBE_ROWS, d)
+        want = [predict_line(0, probe), predict_line(1, probe), predict_line(2, X)]
+        assert log.read_bytes().splitlines(keepends=True) == want
+
+    def test_kernel_shap_phi_equals_json_dumps_encoding(self, tmp_path, monkeypatch):
+        d = 4
+        rng = RandomStream(5)
+        x, background = rng.normal_matrix(1, d)[0], rng.normal_matrix(5, d)
+
+        def explain(log):
+            with attach_external(server("server_record.py") + [str(log), str(d)], d=d,
+                                 task="regression") as model:
+                return kernel_shap(model, x, background, "exact", RandomStream(6))
+
+        writes, write_predict = [], external._write_predict
+
+        def counting(out, request_id, X):
+            pieces = Pieces()
+            write_predict(pieces, request_id, X)
+            writes.append(len(pieces))
+            out.write("".join(pieces))
+
+        monkeypatch.setattr(external, "_write_predict", counting)
+        streamed = explain(tmp_path / "streamed.ndjson")
+        assert max(writes) > 1  # the composites took the streamed path
+        monkeypatch.setattr(external, "_write_predict", lambda out, request_id, X:
+                            out.write(predict_line(request_id, X).decode()))
+        dumped = explain(tmp_path / "dumped.ndjson")
+        assert streamed.phi.tobytes() == dumped.phi.tobytes()
+        assert (tmp_path / "streamed.ndjson").read_bytes() \
+            == (tmp_path / "dumped.ndjson").read_bytes()
+
+
+class TestStreamedMemory:
+    def test_peak_no_higher_than_json_dumps(self):
+        # a kernel-sized request: 7,666 composites of 30 columns, 6 values per column
+        rng = RandomStream(7)
+        values = rng.normal_matrix(6, 30)
+        X = values[(6 * rng.uniform(7666 * 30)).astype(int).reshape(7666, 30), np.arange(30)]
+
+        class Sink:
+            largest = total = 0
+
+            def write(self, text):
+                self.largest = max(self.largest, len(text))
+                self.total += len(text)
+
+        def peak(send):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            send()
+            return tracemalloc.get_traced_memory()[1] - before
+
+        streamed, dumped = Sink(), Sink()
+        tracemalloc.start()
+        try:
+            dumped_peak = peak(lambda: dumped.write(predict_line(0, X).decode()))
+            streamed_peak = peak(lambda: external._write_predict(streamed, 0, X))
+        finally:
+            tracemalloc.stop()
+        assert streamed.total == dumped.total
+        assert streamed_peak <= dumped_peak
+        # the rows go out in blocks, never as one string
+        assert streamed.largest < streamed.total // 8

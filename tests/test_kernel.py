@@ -244,6 +244,15 @@ class TestErrors:
         with pytest.raises(ValueError, match="finite"):
             kernel_shap(forest, x, data.rows[:5], "exact", RandomStream(1))
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_background_rejected(self, cell):
+        data = make_regression_dataset(3, 60, 3)
+        forest = fit_random_forest(data, 3, TreeParams(max_depth=2), RandomStream(0))
+        background = data.rows[:5].copy()
+        background[2, 1] = cell
+        with pytest.raises(DataError, match="background must be finite"):
+            kernel_shap(forest, data.rows[5], background, "exact", RandomStream(1))
+
     def test_exact_limited_to_16_features(self):
         d = 17
         with pytest.raises(ConfigError, match="16"):
