@@ -133,8 +133,11 @@ class ExternalModel(BlackBoxModel):
                 if "id" not in msg:
                     self._fail(f"{kind} message without id: {line!r}")
                     return
+                request_id = msg["id"]
+                if type(request_id) is not int:  # not a bool, float or string either
+                    self._fail(f"{kind} message with a non-integer id: {line!r}")
+                    return
                 with self._cond:
-                    request_id = int(msg["id"])
                     if request_id in self._abandoned:
                         self._abandoned.remove(request_id)
                     else:

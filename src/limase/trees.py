@@ -371,8 +371,9 @@ def stack_trees(trees: list[DecisionTree], d: int) -> TreeStack:
                      child, joined("cover", np.empty(0)), joined("value", np.empty(0)), start, d)
 
 
-# (tree, row) pairs per block of a stacked walk; bounds its peak memory.
-_BLOCK_PAIRS = 1 << 16
+# (tree, row) pairs per block of a stacked walk: each level's temporaries
+# (a few 128 KB arrays) stay in L2, and the walk's peak memory is bounded.
+_BLOCK_PAIRS = 1 << 14
 
 
 def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Subprocess adapter: handshake, correlation, purity, failure modes."""
 import json
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -117,6 +118,16 @@ class TestProtocol:
     def test_outputs_not_numbers_name_request(self, reply):
         with pytest.raises(ProtocolError, match="prediction 0"):
             attach_external(server("server_bad_outputs.py") + [reply], d=2, task="regression")
+
+    @pytest.mark.parametrize("kind", ["text", "float", "bool", "null"])
+    def test_non_integer_id_fails_at_once(self, kind):
+        # the reader must fail the model, not die and leave predict to time out
+        began = time.monotonic()
+        with pytest.raises(ProtocolError, match="non-integer id") as err:
+            attach_external(server("server_bad_id.py") + [kind], d=2, task="regression",
+                            timeout=10)
+        assert time.monotonic() - began < 5
+        assert '"type": "result"' in str(err.value)  # the line is quoted
 
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):

@@ -14,6 +14,7 @@ from limase.core import (
     compute_feature_meta,
 )
 from limase.models import (
+    _SLAB_ROWS,
     ForestModel,
     MlpModel,
     TreeModel,
@@ -333,6 +334,82 @@ class TestMlp:
         loss0 = mlp_loss_and_gradients(model0, data.rows, data.target)[0]
         loss1 = mlp_loss_and_gradients(model1, data.rows, data.target)[0]
         assert loss1 < loss0
+
+
+def random_mlp(task: Task, d: int, hidden: list[int], seed: int) -> MlpModel:
+    """An untrained MLP with He-scaled weights and small biases."""
+    rng = RandomStream(seed)
+    sizes = [d] + hidden + [task.n_outputs]
+    weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
+    biases = [0.1 * rng.normal(b) for b in sizes[1:]]
+    return MlpModel(weights=weights, biases=biases, task=task)
+
+
+SLAB_SIZES = [0, 1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 2 * _SLAB_ROWS + 3]
+
+
+class TestMlpSlabs:
+    """predict runs the forward pass in _SLAB_ROWS-row slabs; training does not."""
+
+    @pytest.fixture(params=["regression", "classification"])
+    def model(self, request):
+        task = Task.regression() if request.param == "regression" else Task.classification(3)
+        return random_mlp(task, 6, [16, 8], 30)
+
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_predict_equals_per_slab_predicts(self, model, n):
+        X = RandomStream(n).normal_matrix(n, 6)
+        slabs = [model.predict(X[s : s + _SLAB_ROWS]).values for s in range(0, n, _SLAB_ROWS)]
+        want = np.concatenate(slabs + [np.empty((0, model.task.n_outputs))])
+        got = model.predict(X).values
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", SLAB_SIZES)
+    def test_predict_matches_whole_matrix_forward(self, model, n):
+        # equal bytes would depend on how the BLAS build splits a product by rows
+        X = RandomStream(n).normal_matrix(n, 6)
+        raw = model._forward(X)
+        want = _softmax(raw) if model.task.is_classification else raw
+        got = model.predict(X)
+        np.testing.assert_allclose(got.values, want, rtol=1e-12, atol=1e-12)
+        if model.task.is_classification:
+            got.check_probabilities()
+            np.testing.assert_allclose(got.values.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("n", [0, 1, _SLAB_ROWS + 1])
+    def test_wrong_width_rejected(self, model, n):
+        with pytest.raises(ValueError, match="expected 6 columns, got 7"):
+            model.predict(np.zeros((n, 7)))
+
+    def test_training_forward_is_whole_batch(self, model, monkeypatch):
+        forward, seen = MlpModel._forward, []
+
+        def spy(self, X, inputs=None):
+            raw = forward(self, X, inputs)
+            seen.append((X.shape[0], None if inputs is None else [a.shape[0] for a in inputs]))
+            return raw
+
+        monkeypatch.setattr(MlpModel, "_forward", spy)
+        n = 2 * _SLAB_ROWS + 3
+        X = RandomStream(31).normal_matrix(n, 6)
+        y = np.arange(n) % 3 if model.task.is_classification else X[:, 0]
+        mlp_loss_and_gradients(model, X, y)
+        assert seen == [(n, [n] * len(model.weights))]
+        seen.clear()
+        model.predict(X)
+        assert seen == [(_SLAB_ROWS, None), (_SLAB_ROWS, None), (3, None)]
+
+    def test_predict_memory_is_bounded_by_slabs(self):
+        # 40k rows through [64, 64]: a whole-matrix forward holds 20 MB per hidden layer
+        model = random_mlp(Task.regression(), 30, [64, 64], 32)
+        X = RandomStream(33).normal_matrix(40_000, 30)
+        tracemalloc.start()
+        try:
+            model.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
 
 
 class TestTrainingScore:
