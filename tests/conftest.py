@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from limase.core import Dataset, RandomStream, Task, compute_feature_meta
+from limase.models import MlpModel
 from limase.trees import LEAF, DecisionTree, TreeParams, _from_rows
 
 
@@ -114,3 +115,12 @@ def reg_data() -> Dataset:
 @pytest.fixture
 def cls_data() -> Dataset:
     return make_classification_dataset(13, 300, 5, 3)
+
+
+def random_mlp(seed: int, d: int, hidden: list[int], task: Task = Task.regression()) -> MlpModel:
+    """An untrained MLP with He-scaled weights and small biases."""
+    rng = RandomStream(seed)
+    sizes = [d] + hidden + [task.n_outputs]
+    weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
+    biases = [0.1 * rng.normal(b) for b in sizes[1:]]
+    return MlpModel(weights=weights, biases=biases, task=task)

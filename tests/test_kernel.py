@@ -15,11 +15,11 @@ from limase.core import (
     Task,
 )
 from limase.kernel import _sample_masks, kernel_shap
-from limase.models import MlpModel, fit_mlp, fit_random_forest
+from limase.models import fit_mlp, fit_random_forest
 from limase.shapley import shapley_brute_force
 from limase.trees import TreeParams
 
-from conftest import make_classification_dataset, make_regression_dataset
+from conftest import make_classification_dataset, make_regression_dataset, random_mlp
 
 
 class LinearModel(BlackBoxModel):
@@ -66,15 +66,6 @@ class LoudModel(BlackBoxModel):
         if X[:, 0].max() > self.threshold:
             out[:] = 0.7
         return ModelOutput(out)
-
-
-def random_mlp(seed, d, hidden):
-    """An untrained regression MLP with He-scaled weights and small biases."""
-    rng = RandomStream(seed)
-    sizes = [d] + hidden + [1]
-    weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
-    biases = [0.1 * rng.normal(b) for b in sizes[1:]]
-    return MlpModel(weights=weights, biases=biases, task=Task.regression())
 
 
 def reference_sample_masks(d, budget, rng):

@@ -28,7 +28,7 @@ from limase.models import (
 )
 from limase.trees import _BLOCK_PAIRS, LEAF, TreeParams, fit_tree, predict_batch
 
-from conftest import make_classification_dataset, random_tree, tree_from_nodes
+from conftest import make_classification_dataset, random_mlp, random_tree, tree_from_nodes
 
 NAN = float("nan")
 
@@ -336,15 +336,6 @@ class TestMlp:
         assert loss1 < loss0
 
 
-def random_mlp(task: Task, d: int, hidden: list[int], seed: int) -> MlpModel:
-    """An untrained MLP with He-scaled weights and small biases."""
-    rng = RandomStream(seed)
-    sizes = [d] + hidden + [task.n_outputs]
-    weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
-    biases = [0.1 * rng.normal(b) for b in sizes[1:]]
-    return MlpModel(weights=weights, biases=biases, task=task)
-
-
 SLAB_SIZES = [0, 1, _SLAB_ROWS - 1, _SLAB_ROWS, _SLAB_ROWS + 1, 2 * _SLAB_ROWS + 3]
 
 
@@ -354,7 +345,7 @@ class TestMlpSlabs:
     @pytest.fixture(params=["regression", "classification"])
     def model(self, request):
         task = Task.regression() if request.param == "regression" else Task.classification(3)
-        return random_mlp(task, 6, [16, 8], 30)
+        return random_mlp(30, 6, [16, 8], task)
 
     @pytest.mark.parametrize("n", SLAB_SIZES)
     def test_predict_equals_per_slab_predicts(self, model, n):
@@ -401,7 +392,7 @@ class TestMlpSlabs:
 
     def test_predict_memory_is_bounded_by_slabs(self):
         # 40k rows through [64, 64]: a whole-matrix forward holds 20 MB per hidden layer
-        model = random_mlp(Task.regression(), 30, [64, 64], 32)
+        model = random_mlp(32, 30, [64, 64])
         X = RandomStream(33).normal_matrix(40_000, 30)
         tracemalloc.start()
         try:

@@ -5,7 +5,8 @@
         --claim mlp-global:kernelshap_rows_per_s --out BENCH_13.json
 
 Each side is exported with `git archive` into its own temporary
-directory, and every run is `python3 perfbench/run.py` from that checkout.
+directory, and every run is `python3 perfbench/run.py` from that checkout,
+for the run_seconds that BENCHMARK.json sets.
 Pair i of a workload runs both sides on seed first-seed + i, the parent
 first when i is even. After the pairs come one traced pair on the claimed
 workload and one `--seed 1 --seconds 3 --trace 1` smoke run of every
@@ -96,12 +97,11 @@ def main(argv: list[str]) -> None:
     p.add_argument("--change", default="HEAD")
     p.add_argument("--pairs", action="append", required=True, help="WORKLOAD=COUNT")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--seconds", type=float, default=None, help="default: BENCHMARK.json")
     p.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     bench = json.loads(Path("BENCHMARK.json").read_text())
-    seconds = args.seconds or bench["run_seconds"]
+    seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     claim_workload, claim_metric = args.claim.split(":")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
