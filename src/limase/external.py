@@ -10,7 +10,8 @@ Wire format (one JSON object per line on the child's stdin/stdout):
 Responses may arrive out of order; ids correlate requests with answers.
 A reader thread owns the child's stdout; predict() blocks on a condition
 variable until its id shows up or the timeout passes.  A reply that
-arrives after its request timed out is dropped.
+arrives after its request timed out is dropped; one whose id was never
+issued fails the model with a ProtocolError.
 
 Every predict line is byte for byte what json.dumps makes of the message.
 A batch that repeats values, such as KernelSHAP's composites of x and a
@@ -138,11 +139,16 @@ class ExternalModel(BlackBoxModel):
                     self._fail(f"{kind} message with a non-integer id: {line!r}")
                     return
                 with self._cond:
-                    if request_id in self._abandoned:
+                    issued = 0 <= request_id < self._next_id
+                    if issued and request_id in self._abandoned:
                         self._abandoned.remove(request_id)
-                    else:
+                    elif issued:
                         self._results[request_id] = msg
                         self._cond.notify_all()
+                if not issued:
+                    # parked, it would be popped by no request and the real one would time out
+                    self._fail(f"{kind} message with an id never issued: {line!r}")
+                    return
             else:
                 self._fail(f"unknown message type {kind!r} from external model")
                 return

@@ -10,9 +10,13 @@ far g is from f locally is reported as a weighted R^2, never hidden.
 """
 from __future__ import annotations
 
+import multiprocessing
 import os
+import pickle
+import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -205,15 +209,29 @@ def limase_explain_batch(
     """Explain each row of X; entry i uses a seed derived from (seed, i).
 
     Per-row failures do not abort the batch: the failed position holds
-    the exception instead of a result.  A class_index the model cannot
-    score raises ConfigError once, before the first row.
+    the exception, with its __cause__ chain, instead of a result.  A
+    class_index the model cannot score raises ConfigError once, before
+    the first row.
 
-    The black box decides how rows run.  An ExternalModel's rows share
-    a pool of os.cpu_count() threads: a thread waiting on the child's
-    pipe releases the GIL, so one row's surrogate fit overlaps another
-    row's round trip.  Any other model runs its rows in order in the
-    caller's thread, because in-process work contends for the GIL and a
-    pool only adds switching.  Results do not depend on either order.
+    The black box decides how rows run, and results do not depend on it:
+    each row keeps its seed and its one scoring call, so every entry
+    equals the serial one bit for bit.
+    - An ExternalModel's rows share a pool of one thread per usable CPU:
+      a thread waiting on the child's pipe releases the GIL, so one row's
+      surrogate fit overlaps another row's round trip.
+    - Any other model splits its rows into contiguous stripes, one per
+      worker, when min(usable CPUs // BLAS threads, rows // 2) is at
+      least 2.  Stripe 0 runs in the caller; the others run in processes
+      forked from it, which return their results pickled.  BLAS threads
+      are read as OpenBLAS reads them (OPENBLAS_NUM_THREADS, else
+      OMP_NUM_THREADS, else one per usable CPU), so pinning BLAS to one
+      thread is what turns the workers on.  A forked row's side effects
+      in predict (counters, caches) stay in its worker, and worker memory
+      is not in the caller's RUSAGE_SELF peak.
+    - Otherwise, and always off Linux or when the caller has more than
+      one live thread (a fork could copy a lock another thread holds),
+      the rows run in order in the caller's thread.  A thread pool would not help: in-process work contends
+      for the GIL.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     model.task.check_class_index(config.class_index)
@@ -225,10 +243,104 @@ def limase_explain_batch(
         except LimaseError as e:
             return e
 
+    n = X.shape[0]
     if isinstance(model, ExternalModel):
-        with ThreadPoolExecutor(max_workers=os.cpu_count() or 1) as pool:
-            return list(pool.map(explain_row, range(X.shape[0])))
-    return [explain_row(i) for i in range(X.shape[0])]
+        with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
+            return list(pool.map(explain_row, range(n)))
+    workers = _fork_workers(n)
+    if workers < 2:
+        return [explain_row(i) for i in range(n)]
+    return _explain_forked(explain_row, n, workers)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call off Linux
+        return os.cpu_count() or 1
+
+
+def _blas_threads() -> int:
+    """Threads per BLAS call, read from the environment as OpenBLAS reads it."""
+    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _usable_cpus()
+
+
+def _fork_workers(rows: int) -> int:
+    """Processes to share an in-process batch; below 2 its rows stay in the caller.
+
+    Each worker's BLAS threads get CPUs of their own, and each stripe
+    has at least two rows.
+    """
+    if sys.platform != "linux" or threading.active_count() > 1:
+        return 1
+    return min(_usable_cpus() // _blas_threads(), rows // 2)
+
+
+def _explain_forked(explain_row, n: int, workers: int) -> list[LimaseResult | LimaseError]:
+    """Rows [0, n) in contiguous stripes: the first in the caller, the rest in forks.
+
+    A forked worker inherits explain_row, and with it the model and the
+    rows; only stripe bounds go to it, and only results come back.  A
+    fork-context pool forks all its workers before its manager thread
+    starts (CPython gh-90622), so each fork copies a one-thread process.
+    """
+    bounds = [k * n // workers for k in range(workers + 1)]
+    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_adopt_rows, initargs=(explain_row,)) as pool:
+        stripes = [pool.submit(_explain_stripe, start, stop)
+                   for start, stop in zip(bounds[1:-1], bounds[2:])]
+        out = [explain_row(i) for i in range(bounds[1])]
+        for stripe in stripes:
+            out += [_relink(outcome, causes) for outcome, causes in stripe.result()]
+    return out
+
+
+_forked_row = None  # explain_row of the batch a forked worker serves
+
+
+def _adopt_rows(explain_row) -> None:
+    global _forked_row
+    _forked_row = explain_row
+
+
+def _explain_stripe(start: int, stop: int) -> list[tuple]:
+    """In a forked worker: each row's outcome with the __cause__ chain pickle drops."""
+    return [(outcome, _portable_causes(outcome))
+            for outcome in map(_forked_row, range(start, stop))]
+
+
+def _portable_causes(outcome) -> list[BaseException]:
+    """An error's __cause__ chain, cut before the first link that fails a pickle round trip.
+
+    A cause comes from the black box and can be of any class; one that
+    cannot be rebuilt from its pickle would break the whole pool.
+    """
+    chain = []
+    cause = outcome.__cause__ if isinstance(outcome, BaseException) else None
+    while cause is not None and cause not in chain:
+        try:
+            pickle.loads(pickle.dumps(cause))
+        except Exception:  # whatever the cause's class raises on the way
+            break
+        chain.append(cause)
+        cause = cause.__cause__
+    return chain
+
+
+def _relink(outcome, causes: list[BaseException]):
+    link = outcome
+    for cause in causes:
+        link.__cause__ = cause
+        link = cause
+    return outcome
 
 
 def sigma_sweep(

@@ -1,13 +1,14 @@
-"""External-model fixture: valid hello, then results whose id is not an integer.
+"""External-model fixture: valid hello, then results whose id was not issued.
 
 The one argument picks the id: "text" answers "x<id>", "float" <id> + 0.5,
-"bool" true, "null" null.
+"bool" true, "null" null, "ahead" <id> + 1000 and "negative" -1.
 """
 import json
 import sys
 
 IDS = {"text": lambda i: f"x{i}", "float": lambda i: i + 0.5,
-       "bool": lambda i: True, "null": lambda i: None}
+       "bool": lambda i: True, "null": lambda i: None,
+       "ahead": lambda i: i + 1000, "negative": lambda i: -1}
 
 print(json.dumps({"type": "hello", "d": 2, "task": "regression", "k": 1}), flush=True)
 for line in sys.stdin:

@@ -129,6 +129,16 @@ class TestProtocol:
         assert time.monotonic() - began < 5
         assert '"type": "result"' in str(err.value)  # the line is quoted
 
+    @pytest.mark.parametrize("kind", ["ahead", "negative"])
+    def test_unissued_id_fails_at_once(self, kind):
+        # a parked stray reply would leave the probe to wait out its timeout
+        began = time.monotonic()
+        with pytest.raises(ProtocolError, match="never issued") as err:
+            attach_external(server("server_bad_id.py") + [kind], d=2, task="regression",
+                            timeout=5)
+        assert time.monotonic() - began < 1
+        assert '"type": "result"' in str(err.value)
+
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):
             attach_external(server("server_errors.py"), d=2, task="regression")

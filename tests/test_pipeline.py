@@ -1,4 +1,6 @@
 """Local surrogate pipeline: sampling, weighting, fitting, explaining."""
+import multiprocessing
+import os
 import sys
 import threading
 from dataclasses import replace
@@ -109,6 +111,13 @@ class ShortModel(BlackBoxModel):
 
     def predict(self, X):
         return ModelOutput(np.atleast_2d(X)[:-1, :1])
+
+
+class TwoPartError(Exception):
+    """An exception that its own pickle cannot rebuild: __init__ wants two arguments."""
+
+    def __init__(self, code, text):
+        super().__init__(f"{code}: {text}")
 
 
 class CountingModel(BlackBoxModel):
@@ -517,6 +526,148 @@ class TestBatch:
         assert first.shape == second.shape == (101, reg_data.d)
         assert np.array_equal(first[0], X[0]) and np.array_equal(second[0], X[0])
         assert not np.array_equal(first[1:], second[1:])
+
+
+def _chain(error):
+    """(type, message) of error and each link of its __cause__ chain."""
+    out = []
+    while error is not None:
+        out.append((type(error), str(error)))
+        error = error.__cause__
+    return out
+
+
+class TestForkedBatch:
+    """In-process batches whose rows run in forked workers as well as the caller."""
+
+    @pytest.fixture(autouse=True)
+    def one_blas_thread(self, monkeypatch):
+        if sys.platform != "linux":
+            pytest.skip("rows are forked only on Linux")
+        if limase.pipeline._usable_cpus() < 2:
+            pytest.skip("needs two usable CPUs")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+
+    @staticmethod
+    def _serial(monkeypatch, model, X, meta, cfg):
+        with monkeypatch.context() as m:
+            m.setattr(limase.pipeline, "_fork_workers", lambda rows: 1)
+            return limase_explain_batch(model, X, meta, cfg)
+
+    @staticmethod
+    def _tag_pids(monkeypatch) -> list:
+        """Patch limase_explain to tag each result with its pid; return the caller's pids."""
+        inner, seen = limase.pipeline.limase_explain, []
+
+        def tagging(*a, **kw):
+            seen.append(os.getpid())
+            result = inner(*a, **kw)
+            result.pid = os.getpid()
+            return result
+
+        monkeypatch.setattr(limase.pipeline, "limase_explain", tagging)
+        return seen
+
+    def test_results_equal_serial_rows_and_ran_elsewhere(self, reg_data, cls_data,
+                                                          monkeypatch):
+        mlp = fit_mlp(reg_data, [16, 16], 3, 0.05, RandomStream(4))
+        forest = fit_random_forest(cls_data, 5, TreeParams(max_depth=4), RandomStream(5))
+        for model, data in ((mlp, reg_data), (forest, cls_data)):
+            cfg = LimaseConfig(n_samples=200, seed=9)
+            with monkeypatch.context() as m:
+                seen = self._tag_pids(m)
+                batch = limase_explain_batch(model, data.rows[:8], data.features, cfg)
+            assert len(batch) == 8
+            assert len(seen) < 8  # the caller explained only its own stripe
+            pids = {r.pid for r in batch}
+            assert os.getpid() in pids and len(pids) > 1
+            for i, result in enumerate(batch):
+                single = limase_explain(model, data.rows[i], data.features,
+                                        replace(cfg, seed=child_seed(cfg.seed, i)))
+                for name in ("phi", "base_value", "fx", "class_index"):
+                    assert np.array_equal(getattr(result.explanation, name),
+                                          getattr(single.explanation, name))
+                assert result.fidelity_r2 == single.fidelity_r2
+                assert result.degenerate == single.degenerate
+                for name in ("feature", "threshold", "child", "cover", "value"):
+                    assert np.array_equal(getattr(result.surrogate, name),
+                                          getattr(single.surrogate, name), equal_nan=True)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("make_model, bad_row", [
+        (lambda: FlakyModel(2), [1000.0, 0.0]),
+        (lambda: FlakyModel(2, error=ValueError), [1000.0, 0.0]),
+        (lambda: NanModel(2), [1000.0, 0.0]),
+        (lambda: QuadraticModel(2), [np.nan, 0.0]),
+    ], ids=["runtime-error", "value-error", "nan-scores", "non-finite-row"])
+    def test_row_errors_come_back_in_place(self, make_model, bad_row, monkeypatch):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[:8], [bad_row]])[[0, 8, 1, 2, 3, 8, 4, 5, 8, 6]]
+        cfg = LimaseConfig(n_samples=50, seed=0)
+        forked = limase_explain_batch(make_model(), X, meta_for(rows), cfg)
+        serial = self._serial(monkeypatch, make_model(), X, meta_for(rows), cfg)
+        for i, (a, b) in enumerate(zip(forked, serial, strict=True)):
+            if i in (1, 5, 8):
+                assert isinstance(a, LimaseError)
+                assert _chain(a) == _chain(b)  # types, messages and causes
+            else:
+                assert np.array_equal(a.explanation.phi, b.explanation.phi)
+        assert multiprocessing.active_children() == []
+
+    def test_cause_that_pickle_cannot_rebuild_is_cut(self, monkeypatch):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[:5], [[1000.0, 0.0]]])
+        cfg = LimaseConfig(n_samples=50, seed=0)
+        forked = limase_explain_batch(FlakyModel(2, error=lambda m: TwoPartError(7, m)),
+                                      X, meta_for(rows), cfg)
+        serial = self._serial(monkeypatch, FlakyModel(2, error=lambda m: TwoPartError(7, m)),
+                              X, meta_for(rows), cfg)
+        assert type(forked[5]) is LimaseError and str(forked[5]) == str(serial[5])
+        assert isinstance(serial[5].__cause__, TwoPartError)
+        assert forked[5].__cause__ is None
+        for a, b in zip(forked[:5], serial[:5]):
+            assert np.array_equal(a.explanation.phi, b.explanation.phi)
+
+    def test_worker_exception_propagates_and_no_child_outlives_batch(self, reg_data,
+                                                                     monkeypatch):
+        inner = limase.pipeline.limase_explain
+
+        def failing(model, x, features, config):
+            if x[0] > 100.0:
+                raise KeyError("not a LimaseError")
+            return inner(model, x, features, config)
+
+        monkeypatch.setattr(limase.pipeline, "limase_explain", failing)
+        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        X = reg_data.rows[:8].copy()
+        X[7, 0] = 1000.0  # in the last stripe, which a worker runs
+        with pytest.raises(KeyError, match="not a LimaseError"):
+            limase_explain_batch(model, X, reg_data.features, LimaseConfig(n_samples=50))
+        assert multiprocessing.active_children() == []
+
+    def test_rows_stay_in_caller(self, reg_data, monkeypatch):
+        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        cfg = LimaseConfig(n_samples=50, seed=1)
+        seen = self._tag_pids(monkeypatch)
+        limase_explain_batch(model, reg_data.rows[:3], reg_data.features, cfg)
+        assert seen == [os.getpid()] * 3  # one row per worker would be too few
+
+        release = threading.Event()
+        extra = threading.Thread(target=release.wait, args=(10.0,))
+        extra.start()
+        try:
+            seen.clear()
+            limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
+            assert seen == [os.getpid()] * 8  # a fork could copy a lock this thread holds
+        finally:
+            release.set()
+            extra.join(timeout=10.0)
+        assert not extra.is_alive()
+
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(limase.pipeline._usable_cpus()))
+        seen.clear()
+        limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
+        assert seen == [os.getpid()] * 8  # BLAS threads already fill every CPU
 
 
 class TestSigmaSweep:
