@@ -140,13 +140,13 @@ class ExternalModel(BlackBoxModel):
                     return
                 with self._cond:
                     issued = 0 <= request_id < self._next_id
-                    if issued and request_id in self._abandoned:
+                    if request_id in self._abandoned:
                         self._abandoned.remove(request_id)
                     elif issued:
                         self._results[request_id] = msg
                         self._cond.notify_all()
                 if not issued:
-                    # parked, it would be popped by no request and the real one would time out
+                    # nothing would pop it, and the request it was meant for would time out
                     self._fail(f"{kind} message with an id never issued: {line!r}")
                     return
             else:
