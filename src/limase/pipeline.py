@@ -219,19 +219,25 @@ def limase_explain_batch(
     - An ExternalModel's rows share a pool of one thread per usable CPU:
       a thread waiting on the child's pipe releases the GIL, so one row's
       surrogate fit overlaps another row's round trip.
-    - Any other model splits its rows into contiguous stripes, one per
-      worker, when min(usable CPUs // BLAS threads, rows // 2) is at
-      least 2.  Stripe 0 runs in the caller; the others run in processes
+    - Any other model explains row 0 in the caller and times it.  The
+      remaining rows are split into contiguous stripes, one per worker,
+      when there are at least two workers (usable CPUs // BLAS threads,
+      at most one per row) and row 0's time, taken for every remaining
+      row, says striping would save at least _MIN_SAVING_S (50 ms) of
+      wall time; a fork costs more than a few fast rows.  The first
+      stripe runs in the caller; the others run in processes
       forked from it, which return their results pickled.  BLAS threads
-      are read as OpenBLAS reads them (OPENBLAS_NUM_THREADS, else
-      OMP_NUM_THREADS, else one per usable CPU), so pinning BLAS to one
-      thread is what turns the workers on.  A forked row's side effects
-      in predict (counters, caches) stay in its worker, and worker memory
-      is not in the caller's RUSAGE_SELF peak.
+      are read once, when this module loads, as OpenBLAS reads them
+      (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
+      CPU); with any other BLAS they count as one per usable CPU.  So
+      pinning OpenBLAS to one thread before numpy loads is what turns
+      the workers on.  A forked row's side effects in predict (counters,
+      caches) stay in its worker, and worker memory is not in the
+      caller's RUSAGE_SELF peak.
     - Otherwise, and always off Linux or when the caller has more than
       one live thread (a fork could copy a lock another thread holds),
-      the rows run in order in the caller's thread.  A thread pool would not help: in-process work contends
-      for the GIL.
+      the rows run in order in the caller's thread.  A thread pool would
+      not help: in-process work contends for the GIL.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     model.task.check_class_index(config.class_index)
@@ -247,10 +253,26 @@ def limase_explain_batch(
     if isinstance(model, ExternalModel):
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
             return list(pool.map(explain_row, range(n)))
-    workers = _fork_workers(n)
+    workers = _fork_workers(n - 1)
     if workers < 2:
         return [explain_row(i) for i in range(n)]
-    return _explain_forked(explain_row, n, workers)
+    started = time.perf_counter()
+    out = [explain_row(0)]
+    row_s = time.perf_counter() - started
+    rest = n - 1
+    longest = (rest + workers - 1) // workers  # rows in the longest stripe
+    if row_s * (rest - longest) < _MIN_SAVING_S:
+        return out + [explain_row(i) for i in range(1, n)]
+    return out + _explain_forked(explain_row, 1, n, workers)
+
+
+# Least wall time, in seconds, that striping a batch's remaining rows must be
+# estimated to save before they are forked.  The estimate assumes every row
+# takes as long as row 0: its time multiplied by the rows beyond the longest
+# stripe.  Measured on a 2-vCPU VM, the real saving fell 17-28 ms short of
+# the estimate (pool start and shutdown 6-10 ms, a worker's rows about 8%
+# slower than the caller's), so forking paid from an estimate of about 25 ms.
+_MIN_SAVING_S = 0.05
 
 
 def _usable_cpus() -> int:
@@ -262,42 +284,55 @@ def _usable_cpus() -> int:
 
 
 def _blas_threads() -> int:
-    """Threads per BLAS call, read from the environment as OpenBLAS reads it."""
-    for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
+    """Threads per BLAS call, read from the environment as OpenBLAS reads it.
+
+    OpenBLAS reads its variables once, when numpy loads; another BLAS
+    counts as one thread per usable CPU, so its rows stay in the caller.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # show_config's layout differs across numpy versions
+        blas = ""
+    if "openblas" in str(blas).lower():
+        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            try:
+                threads = int(os.environ.get(name, ""))
+            except ValueError:
+                continue
+            if threads > 0:
+                return threads
     return _usable_cpus()
 
 
-def _fork_workers(rows: int) -> int:
-    """Processes to share an in-process batch; below 2 its rows stay in the caller.
+_BLAS_THREADS = _blas_threads()  # numpy is loaded by now; later changes are not seen
 
-    Each worker's BLAS threads get CPUs of their own, and each stripe
-    has at least two rows.
+
+def _fork_workers(rows: int) -> int:
+    """Processes that could share `rows` rows; below 2 they stay in the caller.
+
+    Each worker's BLAS threads get CPUs of their own, and each worker
+    has at least one row.
     """
     if sys.platform != "linux" or threading.active_count() > 1:
         return 1
-    return min(_usable_cpus() // _blas_threads(), rows // 2)
+    return min(_usable_cpus() // _BLAS_THREADS, rows)
 
 
-def _explain_forked(explain_row, n: int, workers: int) -> list[LimaseResult | LimaseError]:
-    """Rows [0, n) in contiguous stripes: the first in the caller, the rest in forks.
+def _explain_forked(explain_row, start: int, stop: int,
+                    workers: int) -> list[LimaseResult | LimaseError]:
+    """Rows [start, stop) in contiguous stripes: the first in the caller, the rest in forks.
 
     A forked worker inherits explain_row, and with it the model and the
     rows; only stripe bounds go to it, and only results come back.  A
     fork-context pool forks all its workers before its manager thread
     starts (CPython gh-90622), so each fork copies a one-thread process.
     """
-    bounds = [k * n // workers for k in range(workers + 1)]
+    bounds = [start + k * (stop - start) // workers for k in range(workers + 1)]
     with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
                              initializer=_adopt_rows, initargs=(explain_row,)) as pool:
-        stripes = [pool.submit(_explain_stripe, start, stop)
-                   for start, stop in zip(bounds[1:-1], bounds[2:])]
-        out = [explain_row(i) for i in range(bounds[1])]
+        stripes = [pool.submit(_explain_stripe, first, last)
+                   for first, last in zip(bounds[1:-1], bounds[2:])]
+        out = [explain_row(i) for i in range(start, bounds[1])]
         for stripe in stripes:
             out += [_relink(outcome, causes) for outcome, causes in stripe.result()]
     return out

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import sys
 import threading
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -537,8 +538,15 @@ def _chain(error):
     return out
 
 
+MIN_SAVING_S = limase.pipeline._MIN_SAVING_S
+
+
 class TestForkedBatch:
-    """In-process batches whose rows run in forked workers as well as the caller."""
+    """In-process batches whose rows run in forked workers as well as the caller.
+
+    The rows here are fast, so each test forks rows that would save no
+    time unless it restores the real MIN_SAVING_S.
+    """
 
     @pytest.fixture(autouse=True)
     def one_blas_thread(self, monkeypatch):
@@ -546,7 +554,8 @@ class TestForkedBatch:
             pytest.skip("rows are forked only on Linux")
         if limase.pipeline._usable_cpus() < 2:
             pytest.skip("needs two usable CPUs")
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(limase.pipeline, "_BLAS_THREADS", 1)
+        monkeypatch.setattr(limase.pipeline, "_MIN_SAVING_S", 0.0)
 
     @staticmethod
     def _serial(monkeypatch, model, X, meta, cfg):
@@ -649,8 +658,8 @@ class TestForkedBatch:
         model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
         cfg = LimaseConfig(n_samples=50, seed=1)
         seen = self._tag_pids(monkeypatch)
-        limase_explain_batch(model, reg_data.rows[:3], reg_data.features, cfg)
-        assert seen == [os.getpid()] * 3  # one row per worker would be too few
+        limase_explain_batch(model, reg_data.rows[:1], reg_data.features, cfg)
+        assert seen == [os.getpid()]  # nothing left to share after row 0
 
         release = threading.Event()
         extra = threading.Thread(target=release.wait, args=(10.0,))
@@ -664,10 +673,48 @@ class TestForkedBatch:
             extra.join(timeout=10.0)
         assert not extra.is_alive()
 
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(limase.pipeline._usable_cpus()))
+        monkeypatch.setattr(limase.pipeline, "_BLAS_THREADS", limase.pipeline._usable_cpus())
         seen.clear()
         limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
         assert seen == [os.getpid()] * 8  # BLAS threads already fill every CPU
+
+    def test_row_time_decides(self, reg_data, monkeypatch):
+        """Rows fork only when the first row's time says striping saves MIN_SAVING_S."""
+        monkeypatch.setattr(limase.pipeline, "_MIN_SAVING_S", MIN_SAVING_S)
+        model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
+        cfg = LimaseConfig(n_samples=50, seed=1)
+        seen = self._tag_pids(monkeypatch)
+        limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
+        assert seen == [os.getpid()] * 8  # a fork would cost more than these rows
+
+        tagging = limase.pipeline.limase_explain
+
+        def slow(*a, **kw):
+            time.sleep(MIN_SAVING_S)
+            return tagging(*a, **kw)
+
+        monkeypatch.setattr(limase.pipeline, "limase_explain", slow)
+        seen.clear()
+        batch = limase_explain_batch(model, reg_data.rows[:6], reg_data.features, cfg)
+        assert seen == [os.getpid()] * 3  # row 0 and the caller's stripe of the other five
+        assert [r.pid == os.getpid() for r in batch] == [True] * 3 + [False] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert limase.pipeline._blas_threads() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
+        assert limase.pipeline._blas_threads() == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert limase.pipeline._blas_threads() == limase.pipeline._usable_cpus()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "Build Dependencies": {"blas": {"name": "mkl"}}})
+        assert limase.pipeline._blas_threads() == limase.pipeline._usable_cpus()
 
 
 class TestSigmaSweep:
