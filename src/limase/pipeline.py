@@ -253,17 +253,17 @@ def limase_explain_batch(
     if isinstance(model, ExternalModel):
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
             return list(pool.map(explain_row, range(n)))
-    workers = _fork_workers(n - 1)
-    if workers < 2:
+    if n < 2:
         return [explain_row(i) for i in range(n)]
     started = time.perf_counter()
     out = [explain_row(0)]
     row_s = time.perf_counter() - started
     rest = n - 1
-    longest = (rest + workers - 1) // workers  # rows in the longest stripe
-    if row_s * (rest - longest) < _MIN_SAVING_S:
-        return out + [explain_row(i) for i in range(1, n)]
-    return out + _explain_forked(explain_row, 1, n, workers)
+    workers = _fork_workers(rest)  # after row 0, whose predict may have started a thread
+    longest = -(-rest // workers)  # rows in the longest stripe
+    if workers >= 2 and row_s * (rest - longest) >= _MIN_SAVING_S:
+        return out + _explain_forked(explain_row, 1, n, workers)
+    return out + [explain_row(i) for i in range(1, n)]
 
 
 # Least wall time, in seconds, that striping a batch's remaining rows must be

@@ -673,6 +673,25 @@ class TestForkedBatch:
             extra.join(timeout=10.0)
         assert not extra.is_alive()
 
+        release.clear()
+        threads = []
+
+        class ThreadStartingModel(QuadraticModel):
+            def predict(self, X):
+                if not threads:  # the first call leaves a thread running
+                    threads.append(threading.Thread(target=release.wait, args=(10.0,)))
+                    threads[0].start()
+                return super().predict(X)
+
+        rows = RandomStream(13).normal_matrix(8, 2)
+        try:
+            seen.clear()
+            limase_explain_batch(ThreadStartingModel(2), rows, meta_for(rows), cfg)
+            assert seen == [os.getpid()] * 8  # row 0 started it, so the rest stay too
+        finally:
+            release.set()
+            threads[0].join(timeout=10.0)
+
         monkeypatch.setattr(limase.pipeline, "_BLAS_THREADS", limase.pipeline._usable_cpus())
         seen.clear()
         limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
