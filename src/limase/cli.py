@@ -28,7 +28,7 @@ from .core import (
     dataset_summary,
     load_csv,
 )
-from .external import ExternalModel, attach_external
+from .external import attach_external
 from .kernel import kernel_shap
 from .models import (
     ForestModel,
@@ -39,7 +39,7 @@ from .models import (
     save_model,
     training_score,
 )
-from .pipeline import LimaseConfig, LimaseResult, limase_explain_batch
+from .pipeline import LimaseConfig, LimaseResult, explain_dataset_rows
 from .shapley import ShapExplanation, forest_shap, tree_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
@@ -114,21 +114,15 @@ def _add_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.05)
 
 
-def _explicit_dests(parser: argparse.ArgumentParser, argv: list[str]) -> set[str]:
-    """Dests of options literally present on the command line."""
-    explicit = set()
-    for action in parser._actions:
-        for opt in action.option_strings:
-            if any(a == opt or a.startswith(opt + "=") for a in argv):
-                explicit.add(action.dest)
-    return explicit
-
-
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into typed values using the option table."""
     actions = {action.dest: action for action in parser._actions if action.option_strings}
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as e:
+        raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from e
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -156,11 +150,10 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
+        # file values become defaults, so a flag on the command line beats them
         command_parser = _subparser_for(parser, args.command)
-        explicit = _explicit_dests(command_parser, argv)
-        for key, value in _load_config_file(args.config, command_parser).items():
-            if key not in explicit:
-                setattr(args, key, value)
+        command_parser.set_defaults(**_load_config_file(args.config, command_parser))
+        args = parser.parse_args(argv)
     for name in ("count", "background", "budget"):
         if getattr(args, name) < 1:
             raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
@@ -269,18 +262,15 @@ def _out_dir(args) -> Path:
 
 
 def _explain_rows(args, data: Dataset, model,
-                  rows: np.ndarray) -> list[LimaseResult | ShapExplanation]:
-    """Explain each row with the configured explainer; row i gets child seed i.
+                  indices: list[int]) -> list[LimaseResult | ShapExplanation]:
+    """Explain the dataset rows at indices with the configured explainer.
 
-    limase gives LimaseResults, treeshap and kernelshap ShapExplanations.
-    Any failed row fails the call.
+    The i-th row gets child seed i.  limase gives LimaseResults, treeshap
+    and kernelshap ShapExplanations.  Any failed row fails the call.
     """
     if args.explainer == "limase":
-        results = limase_explain_batch(model, rows, data.features, _limase_config(args))
-        failed = [r for r in results if isinstance(r, Exception)]
-        if failed:
-            raise LimaseError(f"{len(failed)} of {len(results)} explanations failed: {failed[0]}")
-        return results
+        return explain_dataset_rows(model, data, indices, _limase_config(args))
+    rows = data.rows[indices]
     if args.explainer == "treeshap":
         if isinstance(model, TreeModel):
             return [tree_shap(model.tree, row) for row in rows]
@@ -330,14 +320,10 @@ def cmd_explain(args) -> int:
     data.task.check_class_index(args.class_index)
     if not 0 <= args.instance < data.n:
         raise ConfigError(f"--instance {args.instance} out of range for {data.n} rows")
-    model = _resolve_model(args, data)
-    try:
+    with _resolve_model(args, data) as model:
         started = time.perf_counter()
-        [result] = _explain_rows(args, data, model, data.rows[[args.instance]])
+        [result] = _explain_rows(args, data, model, [args.instance])
         elapsed = time.perf_counter() - started
-    finally:
-        if isinstance(model, ExternalModel):
-            model.close()
     record = result.to_json_dict(data.feature_names)
     record["instance_index"] = args.instance
     record["config"] = _config_echo(args)
@@ -357,14 +343,10 @@ def cmd_global(args) -> int:
     data.task.check_class_index(args.class_index)
     if args.count > data.n:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
-    model = _resolve_model(args, data)
     indices = _sample_indices(args, data, args.count)
-    started = time.perf_counter()
-    try:
-        explanations = [_shap(r) for r in _explain_rows(args, data, model, data.rows[indices])]
-    finally:
-        if isinstance(model, ExternalModel):
-            model.close()
+    with _resolve_model(args, data) as model:
+        started = time.perf_counter()
+        explanations = [_shap(r) for r in _explain_rows(args, data, model, indices)]
     elapsed = time.perf_counter() - started
     matrix = ExplanationMatrix(S=np.vstack([e.phi for e in explanations]), indices=indices)
     payload = {
@@ -392,14 +374,10 @@ def cmd_sp(args) -> int:
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     count = min(args.count, data.n)
-    model = _resolve_model(args, data)
     indices = _sample_indices(args, data, count)
-    started = time.perf_counter()
-    try:
+    with _resolve_model(args, data) as model:
+        started = time.perf_counter()
         pick, matrix, _ = sp_explain(model, data, indices, _limase_config(args), args.budget)
-    finally:
-        if isinstance(model, ExternalModel):
-            model.close()
     elapsed = time.perf_counter() - started
     picked_rows = [indices[p] for p in pick.selected]
     payload = pick.to_json_dict()
@@ -423,28 +401,24 @@ def cmd_bench(args) -> int:
     data.task.check_class_index(args.class_index)
     if data.n < BENCH_BATCH:
         raise DataError(f"bench needs at least {BENCH_BATCH} rows, got {data.n}")
-    model = _resolve_model(args, data)
-    if isinstance(model, (TreeModel, ForestModel)):
-        raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
-    rows = data.rows[_sample_indices(args, data, BENCH_BATCH)]
+    indices = _sample_indices(args, data, BENCH_BATCH)
     limase_args = argparse.Namespace(**{**vars(args), "explainer": "limase"})
     kernel_args = argparse.Namespace(**{**vars(args), "explainer": "kernelshap",
                                         "kernel_budget": str(BENCH_KERNEL_BUDGET),
                                         "background": BENCH_BACKGROUND_ROWS})
 
-    def timed(run_args, X: np.ndarray) -> float:
+    def timed(run_args, rows: list[int]) -> float:
         started = time.perf_counter()
-        _explain_rows(run_args, data, model, X)
+        _explain_rows(run_args, data, model, rows)
         return time.perf_counter() - started
 
-    try:
-        limase_single = timed(limase_args, rows[:1])
-        limase_batch = timed(limase_args, rows)
-        kernel_single = timed(kernel_args, rows[:1])
-        kernel_batch = timed(kernel_args, rows)
-    finally:
-        if isinstance(model, ExternalModel):
-            model.close()
+    with _resolve_model(args, data) as model:
+        if isinstance(model, (TreeModel, ForestModel)):
+            raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
+        limase_single = timed(limase_args, indices[:1])
+        limase_batch = timed(limase_args, indices)
+        kernel_single = timed(kernel_args, indices[:1])
+        kernel_batch = timed(kernel_args, indices)
 
     payload = {
         "n_rows": data.n,

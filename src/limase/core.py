@@ -177,6 +177,7 @@ class BlackBoxModel(ABC):
 
     Purity (identical batch in, identical output out) is required: the
     explainers compare repeated queries and derive oracles from it.
+    Every model is a context manager whose exit calls close().
     """
 
     task: Task
@@ -220,6 +221,25 @@ class BlackBoxModel(ABC):
         if self.task.is_classification:
             out.check_probabilities()
         return scores, class_index
+
+    def close(self) -> None:
+        """Release what the model holds outside this process; nothing by default."""
+
+    def __enter__(self) -> "BlackBoxModel":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def check_row(x: np.ndarray, d: int) -> np.ndarray:
+    """x as a float row to explain: ValueError unless its shape is (d,), DataError if not finite."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != (d,):
+        raise ValueError(f"expected a row of length {d}, got shape {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError("row to explain contains non-finite values")
+    return x
 
 
 def child_seed(seed: int, index: int) -> int:
@@ -295,6 +315,7 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     All cells must parse as finite numbers; row order is preserved.
     `task` may be a Task or the strings "classification" / "regression";
     for the former string the class count is inferred from the labels.
+    A file that cannot be opened raises DataError naming it.
 
     The file is read once, a whole record at a time.  A record that fails
     (wrong length, a cell float() rejects, a non-finite sum) is parsed
@@ -310,7 +331,11 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
         else:
             raise ConfigError(f"unknown task kind: {task!r}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
+    try:
+        fh = path.open(newline="", encoding="utf-8")
+    except OSError as e:
+        raise DataError(f"cannot read data file {path}: {e.strerror or e}") from e
+    with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

@@ -238,12 +238,6 @@ class ExternalModel(BlackBoxModel):
         if not self._reader.is_alive() and not proc.stdout.closed:
             proc.stdout.close()
 
-    def __enter__(self) -> "ExternalModel":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def __del__(self):
         try:
             self.close()

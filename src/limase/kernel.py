@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import bisect
 import math
+import numbers
 import time
 
 import numpy as np
 
-from .core import BlackBoxModel, ConfigError, DataError, RandomStream
-from .shapley import ShapExplanation, _check_row
+from .core import BlackBoxModel, ConfigError, DataError, RandomStream, check_row
+from .shapley import ShapExplanation
 
 EXACT_MAX_FEATURES = 16
 
@@ -121,13 +122,13 @@ def kernel_shap(
     integer budget >= 2d+2 uses paired subset sampling.  base_value is
     the mean model output over the background set; classification
     explains the probability of class_index (default: the model's
-    predicted class at x).  An x that is not a finite row of model.d
-    values raises ValueError, and a background that is not finite raises
-    DataError.  Model scores that are not one finite value per row raise
+    predicted class at x).  An x that is not a row of model.d values
+    raises ValueError, and a non-finite x or background raises DataError.
+    Model scores that are not one finite value per row raise
     ModelOutputError.
     """
     started = time.perf_counter()
-    x = _check_row(x, model.d)
+    x = check_row(x, model.d)
     background = np.atleast_2d(np.asarray(background, dtype=float))
     if background.shape[0] == 0:
         raise DataError("background set is empty")
@@ -145,7 +146,8 @@ def kernel_shap(
             raise ConfigError(
                 f"exact enumeration supports at most {EXACT_MAX_FEATURES} features, got {d}"
             )
-    elif isinstance(budget, int) and not isinstance(budget, bool):
+    elif isinstance(budget, numbers.Integral) and not isinstance(budget, bool):
+        budget = int(budget)  # NumPy's integers too
         if budget < 2 * d + 2:
             raise ConfigError(f"budget {budget} too small; need at least {2 * d + 2}")
     else:

@@ -251,14 +251,16 @@ def mlp_loss_and_gradients(
     return loss, grads_w, grads_b
 
 
+# Rows per step of fit_mlp's mini-batch gradient descent
+_TRAIN_BATCH_ROWS = 32
+
+
 def fit_mlp(
     data: Dataset,
     hidden: list[int],
     epochs: int,
     learning_rate: float,
     rng: RandomStream,
-    *,
-    batch_size: int = 32,
 ) -> MlpModel:
     """Mini-batch gradient descent; deterministic given the stream.
 
@@ -281,8 +283,8 @@ def fit_mlp(
     order = np.arange(n)
     for _ in range(epochs):
         rng.shuffle(order)
-        for start in range(0, n, batch_size):
-            batch = order[start : start + batch_size]
+        for start in range(0, n, _TRAIN_BATCH_ROWS):
+            batch = order[start : start + _TRAIN_BATCH_ROWS]
             _, gw, gb = mlp_loss_and_gradients(model, X[batch], y[batch])
             for i in range(len(model.weights)):
                 model.weights[i] -= learning_rate * gw[i]
@@ -331,16 +333,24 @@ def save_model(model: BlackBoxModel, path: str | Path, feature_names: list[str] 
 
 
 def load_model(path: str | Path) -> BlackBoxModel:
-    """Inverse of save_model."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    kind = data.get("kind")
-    if kind == "tree":
-        return TreeModel(DecisionTree.from_dict(data["tree"]))
-    if kind == "forest":
-        return ForestModel(trees=[DecisionTree.from_dict(t) for t in data["trees"]],
-                           task=_task_from_dict(data["task"]), d=int(data["d"]))
-    if kind == "mlp":
-        return MlpModel(weights=[np.array(w, dtype=float) for w in data["weights"]],
-                        biases=[np.array(b, dtype=float) for b in data["biases"]],
-                        task=_task_from_dict(data["task"]))
+    """Inverse of save_model.
+
+    A file that cannot be read, is not JSON or does not hold a model's
+    fields raises DataError naming it.
+    """
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        kind = data.get("kind")
+        if kind == "tree":
+            return TreeModel(DecisionTree.from_dict(data["tree"]))
+        if kind == "forest":
+            return ForestModel(trees=[DecisionTree.from_dict(t) for t in data["trees"]],
+                               task=_task_from_dict(data["task"]), d=int(data["d"]))
+        if kind == "mlp":
+            return MlpModel(weights=[np.array(w, dtype=float) for w in data["weights"]],
+                            biases=[np.array(b, dtype=float) for b in data["biases"]],
+                            task=_task_from_dict(data["task"]))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
+        # each comes from the file: unreadable, not JSON, a missing key, a value of the wrong type
+        raise DataError(f"cannot load model {path}: {type(e).__name__}: {e}") from e
     raise DataError(f"unknown model kind in {path}: {kind!r}")

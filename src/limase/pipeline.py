@@ -24,11 +24,12 @@ import numpy as np
 from .core import (
     BlackBoxModel,
     ConfigError,
-    DataError,
+    Dataset,
     FeatureMeta,
     LimaseError,
     ModelOutputError,
     RandomStream,
+    check_row,
     child_seed,
 )
 from .external import ExternalModel
@@ -127,14 +128,9 @@ def _score(
     whose probability the targets are (None for regression).
     """
     model.task.check_class_index(config.class_index)
-    x = np.asarray(x, dtype=float)
-    d = len(features)
-    if x.shape != (d,):
-        raise ValueError(f"expected a row of length {d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("instance contains non-finite values")
-    if model.d != d:
-        raise ValueError(f"model expects {model.d} features, metadata describes {d}")
+    x = check_row(x, len(features))
+    if model.d != x.size:
+        raise ValueError(f"model expects {model.d} features, metadata describes {x.size}")
 
     rng = RandomStream(config.seed)
     sampled = sample_around(x, features, config.n_samples, rng)
@@ -264,6 +260,24 @@ def limase_explain_batch(
     if workers >= 2 and row_s * (rest - longest) >= _MIN_SAVING_S:
         return out + _explain_forked(explain_row, 1, n, workers)
     return out + [explain_row(i) for i in range(1, n)]
+
+
+def explain_dataset_rows(
+    model: BlackBoxModel,
+    dataset: Dataset,
+    indices: list[int],
+    config: LimaseConfig,
+) -> list[LimaseResult]:
+    """limase_explain_batch over the dataset rows at indices, failing on the first failed row.
+
+    That row's error becomes the cause of a LimaseError naming its
+    dataset row.
+    """
+    results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
+    for index, result in zip(indices, results):
+        if isinstance(result, LimaseError):
+            raise LimaseError(f"explanation failed for dataset row {index}: {result}") from result
+    return results
 
 
 # Least wall time, in seconds, that striping a batch's remaining rows must be

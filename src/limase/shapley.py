@@ -26,6 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
+from .core import check_row
 from .trees import LEAF, DecisionTree, TreeStack
 
 MAX_ENUMERATION_FEATURES = 24
@@ -261,15 +262,6 @@ def _box_shap(boxes: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray,
     return phi, fx
 
 
-def _check_row(x: np.ndarray, d: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (d,):
-        raise ValueError(f"expected a row of length {d}, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("row must be finite")
-    return x
-
-
 def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     """Exact Shapley values of the tree's conditional value function at x.
 
@@ -277,7 +269,7 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     time polynomial in leaves x depth^2 rather than exponential in d.
     Features never split on receive an exact zero.
     """
-    x = _check_row(x, tree.d)
+    x = check_row(x, tree.d)
     start = time.perf_counter()
     phi, fx = _box_shap(_leaf_boxes(tree, 0, 1), x)
     elapsed = (time.perf_counter() - start) * 1000.0
@@ -303,7 +295,7 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
     """
     if not forest.trees:
         raise ValueError("empty forest")
-    x = _check_row(x, forest.d)
+    x = check_row(x, forest.d)
     start = time.perf_counter()
     forest.task.check_class_index(class_index)
     if forest.task.is_classification and class_index is None:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BlackBoxModel, ConfigError, DataError, Dataset, LimaseError
-from .pipeline import LimaseConfig, LimaseResult, limase_explain_batch
+from .core import BlackBoxModel, ConfigError, DataError, Dataset
+from .pipeline import LimaseConfig, LimaseResult, explain_dataset_rows
 
 
 @dataclass
@@ -145,12 +145,7 @@ def sp_explain(
             raise IndexError(f"instance index {i} out of range for {dataset.n} rows")
     if not indices:
         raise DataError("sample_indices is empty")
-    results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
-    for position, r in enumerate(results):
-        if isinstance(r, Exception):
-            raise LimaseError(
-                f"explanation failed for dataset row {indices[position]}: {r}"
-            ) from r
+    results = explain_dataset_rows(model, dataset, indices, config)
     matrix = ExplanationMatrix(
         S=np.vstack([r.explanation.phi for r in results]), indices=indices
     )

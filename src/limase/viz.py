@@ -71,19 +71,6 @@ class SummaryPlotData:
     color_columns: list[np.ndarray]
     n_samples: int
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n_samples": self.n_samples,
-            "features": [
-                {
-                    "name": name,
-                    "phi": [float(v) for v in phi],
-                    "color": [float(v) for v in color],
-                }
-                for name, phi, color in zip(self.names, self.phi_columns, self.color_columns)
-            ],
-        }
-
 
 def build_force_plot(e: ShapExplanation, features: list[FeatureMeta]) -> ForcePlotData:
     """Sort contributions for drawing and re-verify the efficiency identity."""

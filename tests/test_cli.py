@@ -6,8 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import limase.cli
 from limase.cli import main
 from limase.core import Dataset, RandomStream, Task, compute_feature_meta, write_csv
+from limase.external import ExternalModel
 
 from conftest import make_classification_dataset, make_regression_dataset
 
@@ -187,6 +189,52 @@ class TestExternalModels:
         assert "malformed" in capsys.readouterr().err
 
 
+class TestModelLifetime:
+    """Each command closes the model it attached exactly once, whether it succeeds or not."""
+
+    @pytest.fixture
+    def lifetimes(self, monkeypatch):
+        """The models the CLI attaches, and the model of each close() call.
+
+        Holding the models keeps their __del__, which closes again, from running.
+        """
+        attached, closed = [], []
+        real_attach, real_close = limase.cli.attach_external, ExternalModel.close
+
+        def attach(*args, **kwargs):
+            attached.append(real_attach(*args, **kwargs))
+            return attached[-1]
+
+        def close(model):
+            closed.append(model)
+            real_close(model)
+
+        monkeypatch.setattr(limase.cli, "attach_external", attach)
+        monkeypatch.setattr(ExternalModel, "close", close)
+        return attached, closed
+
+    @pytest.mark.parametrize("command", ["explain", "global", "sp", "bench"])
+    @pytest.mark.parametrize("server, d, code", [
+        ("server_stump.py", 1, 0),
+        ("server_small_batches.py", 2, 1),  # refuses every limase batch after the probe
+    ])
+    def test_closed_once(self, tmp_path, capsys, lifetimes, command, server, d, code):
+        X = 1.5 + RandomStream(67).normal_matrix(120, d)
+        data = Dataset(compute_feature_meta(X, [f"x{j}" for j in range(d)]), X, X[:, 0],
+                       Task.regression())
+        csv = tmp_path / "data.csv"
+        write_csv(data, csv, target_column="y")
+        command_line = f"{sys.executable} {FIXTURES / server}"
+        assert run(command, "--data", csv, "--target", "y", "--model", f"external:{command_line}",
+                   "--n-samples", 20, "--count", 3, "--budget", 2, "--out", tmp_path / "out") == code
+        attached, closed = lifetimes
+        [model] = attached
+        assert [m for m in closed if m is model] == [model]
+        assert model._proc.poll() is not None
+        if code:
+            assert "at most 4 rows" in capsys.readouterr().err
+
+
 class TestGlobal:
     def test_single_instance_matrix(self, reg_csv, tmp_path):
         code = run("global", "--data", reg_csv, "--target", "y",
@@ -278,6 +326,31 @@ class TestUsageErrors:
                    option, value, "--out", tmp_path / "out")
         assert code == 2
         assert option in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_data_file_named(self, tmp_path, capsys):
+        missing = tmp_path / "nope.csv"
+        assert run("inspect", "--data", missing) == 2
+        assert f"error: cannot read data file {missing}" in capsys.readouterr().err
+
+    def test_missing_config_file_named(self, reg_csv, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert run("inspect", "--data", reg_csv, "--target", "y", "--config", missing) == 2
+        assert f"error: cannot read config file {missing}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, cause", [
+        ("{not json", "JSONDecodeError"),
+        ('{"kind": "forest", "task": {"kind": "regression", "n_classes": null}, "d": 4}',
+         "KeyError: 'trees'"),
+    ])
+    def test_bad_model_file_named(self, reg_csv, tmp_path, capsys, text, cause):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        code = run("explain", "--data", reg_csv, "--target", "y", "--model", path,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot load model {path}: {cause}" in err
         assert not (tmp_path / "out").exists()
 
     def test_nan_leaf_minimum_rejected_before_training(self, reg_csv, tmp_path, capsys):

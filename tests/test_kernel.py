@@ -218,6 +218,12 @@ class TestErrors:
             kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
                         np.zeros((1, 2)), "fast", RandomStream(0))
 
+    @pytest.mark.parametrize("budget", [True, np.True_, 64.0, np.float64(64), "64"])
+    def test_budget_must_be_an_integer(self, budget):
+        with pytest.raises(ConfigError, match="positive integer or 'exact'"):
+            kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
+                        np.zeros((1, 2)), budget, RandomStream(0))
+
     def test_probability_rows_not_summing_to_one_raise_typed_error(self):
         bg = RandomStream(0).normal_matrix(5, 2)
         with pytest.raises(ModelOutputError, match="sum to 1"):
@@ -232,7 +238,7 @@ class TestErrors:
         data = make_regression_dataset(3, 60, 3)
         forest = fit_random_forest(data, 3, TreeParams(max_depth=2), RandomStream(0))
         x = np.array([0.0, np.nan, 0.0])
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             kernel_shap(forest, x, data.rows[:5], "exact", RandomStream(1))
 
     @pytest.mark.parametrize("cell", [np.nan, np.inf])
@@ -259,6 +265,15 @@ class TestDeterminism:
         a = kernel_shap(model, x, bg, 60, RandomStream(42)).phi
         b = kernel_shap(model, x, bg, 60, RandomStream(42)).phi
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("budget", [np.int64(60), np.int32(60), np.uint16(60)])
+    def test_numpy_integer_budget_matches_int(self, budget):
+        data = make_regression_dataset(30, 50, 5)
+        model = fit_mlp(data, [5], epochs=2, learning_rate=0.02, rng=RandomStream(0))
+        x, bg = data.rows[0], data.rows[1:9]
+        want = kernel_shap(model, x, bg, 60, RandomStream(42)).phi
+        got = kernel_shap(model, x, bg, budget, RandomStream(42)).phi
+        assert got.tobytes() == want.tobytes()
 
 
 class TestSampleMasks:

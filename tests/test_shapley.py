@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from limase.core import ConfigError, RandomStream, Task
+from limase.core import ConfigError, DataError, RandomStream, Task
 from limase.models import ForestModel, fit_random_forest
 from limase.shapley import (
     enumerate_tree_values,
@@ -167,7 +167,7 @@ class TestTreeShap:
     @pytest.mark.parametrize("bad", [NAN, -np.inf])
     def test_non_finite_row_rejected(self, bad):
         # such a row lies in no leaf's interval box, so fx would read 0
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(DataError, match="finite"):
             tree_shap(hand_stump(), np.array([bad, 0.0]))
 
     def test_deep_tree_stays_polynomial(self):
