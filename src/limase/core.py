@@ -233,7 +233,7 @@ class BlackBoxModel(ABC):
 
 
 def check_row(x: np.ndarray, d: int) -> np.ndarray:
-    """x as a float row to explain: ValueError unless its shape is (d,), DataError if not finite."""
+    """x as a float row: ValueError unless its shape is (d,), DataError if not finite."""
     x = np.asarray(x, dtype=float)
     if x.shape != (d,):
         raise ValueError(f"expected a row of length {d}, got shape {x.shape}")

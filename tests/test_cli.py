@@ -214,24 +214,26 @@ class TestModelLifetime:
         return attached, closed
 
     @pytest.mark.parametrize("command", ["explain", "global", "sp", "bench"])
-    @pytest.mark.parametrize("server, d, code", [
+    @pytest.mark.parametrize("server, d, exit_code", [
         ("server_stump.py", 1, 0),
         ("server_small_batches.py", 2, 1),  # refuses every limase batch after the probe
     ])
-    def test_closed_once(self, tmp_path, capsys, lifetimes, command, server, d, code):
+    def test_closed_once(self, tmp_path, capsys, lifetimes, command, server, d, exit_code):
         X = 1.5 + RandomStream(67).normal_matrix(120, d)
         data = Dataset(compute_feature_meta(X, [f"x{j}" for j in range(d)]), X, X[:, 0],
                        Task.regression())
         csv = tmp_path / "data.csv"
         write_csv(data, csv, target_column="y")
         command_line = f"{sys.executable} {FIXTURES / server}"
-        assert run(command, "--data", csv, "--target", "y", "--model", f"external:{command_line}",
-                   "--n-samples", 20, "--count", 3, "--budget", 2, "--out", tmp_path / "out") == code
+        code = run(command, "--data", csv, "--target", "y",
+                   "--model", f"external:{command_line}", "--n-samples", 20,
+                   "--count", 3, "--budget", 2, "--out", tmp_path / "out")
+        assert code == exit_code
         attached, closed = lifetimes
         [model] = attached
         assert [m for m in closed if m is model] == [model]
         assert model._proc.poll() is not None
-        if code:
+        if exit_code:
             assert "at most 4 rows" in capsys.readouterr().err
 
 
