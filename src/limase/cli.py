@@ -39,7 +39,7 @@ from .models import (
     save_model,
     training_score,
 )
-from .pipeline import LimaseConfig, LimaseResult, explain_dataset_rows
+from .pipeline import LimaseConfig, LimaseResult, dataset_row_failure, explain_dataset_rows
 from .shapley import ShapExplanation, forest_shap, tree_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
@@ -266,23 +266,35 @@ def _explain_rows(args, data: Dataset, model,
     """Explain the dataset rows at indices with the configured explainer.
 
     The i-th row gets child seed i.  limase gives LimaseResults, treeshap
-    and kernelshap ShapExplanations.  Any failed row fails the call.
+    and kernelshap ShapExplanations.  The first failed row fails the
+    call with a LimaseError naming its dataset row.
     """
     if args.explainer == "limase":
         return explain_dataset_rows(model, data, indices, _limase_config(args))
-    rows = data.rows[indices]
     if args.explainer == "treeshap":
         if isinstance(model, TreeModel):
-            return [tree_shap(model.tree, row) for row in rows]
-        if isinstance(model, ForestModel):
-            return [forest_shap(model, row, args.class_index) for row in rows]
-        raise ConfigError("--explainer treeshap requires a tree or forest model")
-    budget = _parse_kernel_budget(args.kernel_budget)
-    background = _background_rows(args, data)
-    seed = child_seed(args.seed, _KERNEL_STREAM)
-    return [kernel_shap(model, row, background, budget, RandomStream(child_seed(seed, i)),
-                        args.class_index)
-            for i, row in enumerate(rows)]
+            def explain(i, row):
+                return tree_shap(model.tree, row)
+        elif isinstance(model, ForestModel):
+            def explain(i, row):
+                return forest_shap(model, row, args.class_index)
+        else:
+            raise ConfigError("--explainer treeshap requires a tree or forest model")
+    else:
+        budget = _parse_kernel_budget(args.kernel_budget)
+        background = _background_rows(args, data)
+        seed = child_seed(args.seed, _KERNEL_STREAM)
+
+        def explain(i, row):
+            return kernel_shap(model, row, background, budget,
+                               RandomStream(child_seed(seed, i)), args.class_index)
+    out = []
+    for i, index in enumerate(indices):
+        try:
+            out.append(explain(i, data.rows[index]))
+        except LimaseError as e:
+            raise dataset_row_failure(index, e)
+    return out
 
 
 def _shap(result: LimaseResult | ShapExplanation) -> ShapExplanation:

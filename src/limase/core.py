@@ -315,7 +315,7 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     All cells must parse as finite numbers; row order is preserved.
     `task` may be a Task or the strings "classification" / "regression";
     for the former string the class count is inferred from the labels.
-    A file that cannot be opened raises DataError naming it.
+    A file that cannot be opened or is not UTF-8 raises DataError naming it.
 
     The file is read once, a whole record at a time.  A record that fails
     (wrong length, a cell float() rejects, a non-finite sum) is parsed
@@ -335,27 +335,30 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
         fh = path.open(newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot read data file {path}: {e.strerror or e}") from e
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        if target_column not in header:
-            raise DataError(f"missing target column {target_column!r} in {path}")
-        t_idx = header.index(target_column)
-        names = [h for i, h in enumerate(header) if i != t_idx]
-        width = len(header)
-        rows: list[list[float]] = []
-        for r, record in enumerate(reader, start=1):
+    try:
+        with fh:
+            reader = csv.reader(fh)
             try:
-                vals = list(map(float, record))
-            except ValueError:
-                vals = None
-            # a non-finite cell makes the sum non-finite; so may an overflow
-            if vals is None or len(vals) != width or not math.isfinite(sum(vals)):
-                vals = _parse_record(record, r, header, t_idx)
-            rows.append(vals)
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"empty file: {path}") from None
+            if target_column not in header:
+                raise DataError(f"missing target column {target_column!r} in {path}")
+            t_idx = header.index(target_column)
+            names = [h for i, h in enumerate(header) if i != t_idx]
+            width = len(header)
+            rows: list[list[float]] = []
+            for r, record in enumerate(reader, start=1):
+                try:
+                    vals = list(map(float, record))
+                except ValueError:
+                    vals = None
+                # a non-finite cell makes the sum non-finite; so may an overflow
+                if vals is None or len(vals) != width or not math.isfinite(sum(vals)):
+                    vals = _parse_record(record, r, header, t_idx)
+                rows.append(vals)
+    except UnicodeDecodeError as e:
+        raise DataError(f"data file {path} is not UTF-8 text: {e}") from e
     table = np.array(rows, dtype=float).reshape(len(rows), width)
     if table.shape[0] == 0:
         raise DataError(f"no data rows in {path}")

@@ -20,7 +20,9 @@ import time
 import numpy as np
 
 from .core import BlackBoxModel, ConfigError, DataError, RandomStream, check_row
+from .external import ExternalModel
 from .shapley import ShapExplanation
+from .stripes import stripe_map
 
 EXACT_MAX_FEATURES = 16
 
@@ -41,17 +43,28 @@ def _coalition_values(
     background: np.ndarray,
     member: np.ndarray,
     class_index: int | None,
+    mask_s: float,
 ) -> np.ndarray:
-    """v(S) for each mask row: mean model output over background composites."""
+    """v(S) for each mask row: mean model output over background composites.
+
+    mask_s estimates one mask's scoring time (one call on the background
+    rows); the chunks go through stripes.stripe_map with that estimate,
+    so they fork before the first one when striping saves time.  An
+    ExternalModel's chunks stay in this process, beside its pipes.
+    """
     n_bg, d = background.shape
     per_mask = max(1, _CHUNK_ROWS // n_bg)
-    values = np.empty(member.shape[0])
-    for start in range(0, member.shape[0], per_mask):
+
+    def score(start: int) -> np.ndarray:
         chunk = member[start : start + per_mask]
         composites = np.where(chunk[:, None, :], x[None, None, :], background[None, :, :])
         out = model.predict_scalar(composites.reshape(-1, d), class_index)
-        values[start : start + per_mask] = out.reshape(chunk.shape[0], n_bg).mean(axis=1)
-    return values
+        return out.reshape(chunk.shape[0], n_bg).mean(axis=1)
+
+    starts = range(0, member.shape[0], per_mask)
+    if isinstance(model, ExternalModel):
+        return np.concatenate([score(start) for start in starts])
+    return np.concatenate(stripe_map(score, starts, mask_s * per_mask))
 
 
 def _kernel_weights(sizes: np.ndarray, d: int) -> np.ndarray:
@@ -139,7 +152,9 @@ def kernel_shap(
         raise DataError("background must be finite")
     scores, class_index = model.predict_scalar_and_class(x[None, :], class_index)
     fx = float(scores[0])
+    scored = time.perf_counter()
     base = float(np.mean(model.predict_scalar(background, class_index)))
+    mask_s = time.perf_counter() - scored  # a mask's composites are as many rows
 
     if budget == "exact":
         if d > EXACT_MAX_FEATURES:
@@ -164,7 +179,7 @@ def kernel_shap(
         else:
             masks, weights = _sample_masks(d, budget, rng)
             member = _masks_matrix(masks, d)
-        values = _coalition_values(model, x, background, member, class_index)
+        values = _coalition_values(model, x, background, member, class_index, mask_s)
         phi = _solve_constrained(member, weights, values, base, fx)
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0

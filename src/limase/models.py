@@ -24,6 +24,7 @@ from .core import (
     RandomStream,
     Task,
 )
+from .stripes import stripe_map
 from .trees import (
     DecisionTree,
     TreeParams,
@@ -121,8 +122,10 @@ def fit_random_forest(
 ) -> ForestModel:
     """Fit a bagged forest: bootstrap resamples, sqrt(d) features per split.
 
-    Every tree's stream is derived from (seed, round, output) before any
-    fitting happens, so the result is independent of fitting order.
+    Every tree's stream is derived from (seed, round, output), so the
+    result is independent of fitting order, and the rounds go through
+    stripes.stripe_map: round 0 is timed in the caller, and the rest fork
+    over every CPU when that time says it saves at least 50 ms.
     bootstrap=False and mtry=d turn the randomness off (test hook / single
     deterministic tree per round).
     """
@@ -138,20 +141,19 @@ def fit_random_forest(
         targets = [(data.target == c).astype(float) for c in range(k)]
     else:
         targets = [data.target]
-    trees: list[DecisionTree] = []
-    for r in range(n_trees):
+
+    def fit_round(r: int) -> list[DecisionTree]:
         round_rng = rng.child(r)
         if bootstrap:
             counts = np.bincount(round_rng.integers(0, n, n), minlength=n).astype(float)
         else:
             counts = np.ones(n)
-        for c in range(k):
-            tree_rng = round_rng.child(c)
-            trees.append(
-                fit_tree(data.rows, targets[c], counts, params,
-                         _feature_rng=tree_rng, _mtry=mtry)
-            )
-    return ForestModel(trees=trees, task=data.task, d=d)
+        return [fit_tree(data.rows, targets[c], counts, params,
+                         _feature_rng=round_rng.child(c), _mtry=mtry)
+                for c in range(k)]
+
+    rounds = stripe_map(fit_round, range(n_trees))
+    return ForestModel(trees=[tree for trees in rounds for tree in trees], task=data.task, d=d)
 
 
 # Rows per slab of an MLP forward pass at prediction.  A slab's activations

@@ -10,13 +10,8 @@ far g is from f locally is reported as a weighted R^2, never hidden.
 """
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
-import sys
-import threading
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +29,7 @@ from .core import (
 )
 from .external import ExternalModel
 from .shapley import ShapExplanation, tree_shap
+from .stripes import _usable_cpus, stripe_map
 from .trees import DecisionTree, TreeParams, fit_tree, predict_batch
 
 
@@ -215,25 +211,13 @@ def limase_explain_batch(
     - An ExternalModel's rows share a pool of one thread per usable CPU:
       a thread waiting on the child's pipe releases the GIL, so one row's
       surrogate fit overlaps another row's round trip.
-    - Any other model explains row 0 in the caller and times it.  The
-      remaining rows are split into contiguous stripes, one per worker,
-      when there are at least two workers (usable CPUs // BLAS threads,
-      at most one per row) and row 0's time, taken for every remaining
-      row, says striping would save at least _MIN_SAVING_S (50 ms) of
-      wall time; a fork costs more than a few fast rows.  The first
-      stripe runs in the caller; the others run in processes
-      forked from it, which return their results pickled.  BLAS threads
-      are read once, when this module loads, as OpenBLAS reads them
-      (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
-      CPU); with any other BLAS they count as one per usable CPU.  So
-      pinning OpenBLAS to one thread before numpy loads is what turns
-      the workers on.  A forked row's side effects in predict (counters,
-      caches) stay in its worker, and worker memory is not in the
-      caller's RUSAGE_SELF peak.
-    - Otherwise, and always off Linux or when the caller has more than
-      one live thread (a fork could copy a lock another thread holds),
+    - Any other model's rows go through stripes.stripe_map, which times
+      row 0 in the caller and forks stripes of the other rows over every
+      CPU when that time says it saves at least 50 ms; otherwise, and
+      always off Linux or when the caller has more than one live thread,
       the rows run in order in the caller's thread.  A thread pool would
-      not help: in-process work contends for the GIL.
+      not help: in-process work contends for the GIL.  A forked row's
+      side effects in predict (counters, caches) stay in its worker.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     model.task.check_class_index(config.class_index)
@@ -245,21 +229,11 @@ def limase_explain_batch(
         except LimaseError as e:
             return e
 
-    n = X.shape[0]
+    rows = range(X.shape[0])
     if isinstance(model, ExternalModel):
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-            return list(pool.map(explain_row, range(n)))
-    if n < 2:
-        return [explain_row(i) for i in range(n)]
-    started = time.perf_counter()
-    out = [explain_row(0)]
-    row_s = time.perf_counter() - started
-    rest = n - 1
-    workers = _fork_workers(rest)  # after row 0, whose predict may have started a thread
-    longest = -(-rest // workers)  # rows in the longest stripe
-    if workers >= 2 and row_s * (rest - longest) >= _MIN_SAVING_S:
-        return out + _explain_forked(explain_row, 1, n, workers)
-    return out + [explain_row(i) for i in range(1, n)]
+            return list(pool.map(explain_row, rows))
+    return stripe_map(explain_row, rows)
 
 
 def explain_dataset_rows(
@@ -276,120 +250,18 @@ def explain_dataset_rows(
     results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
     for index, result in zip(indices, results):
         if isinstance(result, LimaseError):
-            raise LimaseError(f"explanation failed for dataset row {index}: {result}") from result
+            raise dataset_row_failure(index, result)
     return results
 
 
-# Least wall time, in seconds, that striping a batch's remaining rows must be
-# estimated to save before they are forked.  The estimate assumes every row
-# takes as long as row 0: its time multiplied by the rows beyond the longest
-# stripe.  Measured on a 2-vCPU VM, the real saving fell 17-28 ms short of
-# the estimate (pool start and shutdown 6-10 ms, a worker's rows about 8%
-# slower than the caller's), so forking paid from an estimate of about 25 ms.
-_MIN_SAVING_S = 0.05
+def dataset_row_failure(index: int, error: LimaseError) -> LimaseError:
+    """The error a batch over dataset rows raises when row index fails with error.
 
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call off Linux
-        return os.cpu_count() or 1
-
-
-def _blas_threads() -> int:
-    """Threads per BLAS call, read from the environment as OpenBLAS reads it.
-
-    OpenBLAS reads its variables once, when numpy loads; another BLAS
-    counts as one thread per usable CPU, so its rows stay in the caller.
+    It names the dataset row, and error is its cause.
     """
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
-    except Exception:  # show_config's layout differs across numpy versions
-        blas = ""
-    if "openblas" in str(blas).lower():
-        for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
-            try:
-                threads = int(os.environ.get(name, ""))
-            except ValueError:
-                continue
-            if threads > 0:
-                return threads
-    return _usable_cpus()
-
-
-_BLAS_THREADS = _blas_threads()  # numpy is loaded by now; later changes are not seen
-
-
-def _fork_workers(rows: int) -> int:
-    """Processes that could share `rows` rows; below 2 they stay in the caller.
-
-    Each worker's BLAS threads get CPUs of their own, and each worker
-    has at least one row.
-    """
-    if sys.platform != "linux" or threading.active_count() > 1:
-        return 1
-    return min(_usable_cpus() // _BLAS_THREADS, rows)
-
-
-def _explain_forked(explain_row, start: int, stop: int,
-                    workers: int) -> list[LimaseResult | LimaseError]:
-    """Rows [start, stop) in contiguous stripes: the first in the caller, the rest in forks.
-
-    A forked worker inherits explain_row, and with it the model and the
-    rows; only stripe bounds go to it, and only results come back.  A
-    fork-context pool forks all its workers before its manager thread
-    starts (CPython gh-90622), so each fork copies a one-thread process.
-    """
-    bounds = [start + k * (stop - start) // workers for k in range(workers + 1)]
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt_rows, initargs=(explain_row,)) as pool:
-        stripes = [pool.submit(_explain_stripe, first, last)
-                   for first, last in zip(bounds[1:-1], bounds[2:])]
-        out = [explain_row(i) for i in range(start, bounds[1])]
-        for stripe in stripes:
-            out += [_relink(outcome, causes) for outcome, causes in stripe.result()]
-    return out
-
-
-_forked_row = None  # explain_row of the batch a forked worker serves
-
-
-def _adopt_rows(explain_row) -> None:
-    global _forked_row
-    _forked_row = explain_row
-
-
-def _explain_stripe(start: int, stop: int) -> list[tuple]:
-    """In a forked worker: each row's outcome with the __cause__ chain pickle drops."""
-    return [(outcome, _portable_causes(outcome))
-            for outcome in map(_forked_row, range(start, stop))]
-
-
-def _portable_causes(outcome) -> list[BaseException]:
-    """An error's __cause__ chain, cut before the first link that fails a pickle round trip.
-
-    A cause comes from the black box and can be of any class; one that
-    cannot be rebuilt from its pickle would break the whole pool.
-    """
-    chain = []
-    cause = outcome.__cause__ if isinstance(outcome, BaseException) else None
-    while cause is not None and cause not in chain:
-        try:
-            pickle.loads(pickle.dumps(cause))
-        except Exception:  # whatever the cause's class raises on the way
-            break
-        chain.append(cause)
-        cause = cause.__cause__
-    return chain
-
-
-def _relink(outcome, causes: list[BaseException]):
-    link = outcome
-    for cause in causes:
-        link.__cause__ = cause
-        link = cause
-    return outcome
+    failure = LimaseError(f"explanation failed for dataset row {index}: {error}")
+    failure.__cause__ = error
+    return failure
 
 
 def sigma_sweep(

@@ -2,13 +2,14 @@
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import limase.cli
 from limase.cli import main
-from limase.core import Dataset, RandomStream, Task, compute_feature_meta, write_csv
+from limase.core import DataError, Dataset, RandomStream, Task, compute_feature_meta, write_csv
 from limase.external import ExternalModel
 
 from conftest import make_classification_dataset, make_regression_dataset
@@ -263,6 +264,38 @@ class TestGlobal:
         assert (tmp_path / "summary.svg").read_bytes() == first_svg
 
 
+    @pytest.mark.parametrize("explainer", ["kernelshap", "treeshap"])
+    def test_failed_row_names_its_dataset_row(self, tmp_path, capsys, monkeypatch, explainer):
+        X = RandomStream(66).normal_matrix(30, 2)
+        data = Dataset(compute_feature_meta(X, ["a", "b"]), X, X[:, 0], Task.regression())
+        csv = tmp_path / "d2.csv"
+        write_csv(data, csv, target_column="y")
+        indices = limase.cli._sample_indices(SimpleNamespace(seed=5), data, 3)
+        if explainer == "kernelshap":
+            # the server answers x and the 4 background rows, then refuses the coalitions
+            model = f"external:{sys.executable} {FIXTURES / 'server_small_batches.py'}"
+            failed, message = indices[0], "at most 4 rows"
+        else:
+            model, failed, message = "forest", indices[1], "second row refused"
+            inner, calls = limase.cli.forest_shap, []
+
+            def refusing(*args):
+                calls.append(args)
+                if len(calls) == 2:
+                    raise DataError("second row refused")
+                return inner(*args)
+
+            monkeypatch.setattr(limase.cli, "forest_shap", refusing)
+        code = run("global", "--data", csv, "--target", "y", "--model", model,
+                   "--explainer", explainer, "--background", 4, "--count", 3,
+                   "--seed", 5, "--out", tmp_path / "out")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"explanation failed for dataset row {failed}: " in err
+        assert message in err
+        assert not (tmp_path / "out" / "matrix.json").exists()
+
+
 class TestSp:
     def test_budget_one(self, reg_csv, tmp_path):
         code = run("sp", "--data", reg_csv, "--target", "y", "--count", 6,
@@ -334,6 +367,12 @@ class TestUsageErrors:
         missing = tmp_path / "nope.csv"
         assert run("inspect", "--data", missing) == 2
         assert f"error: cannot read data file {missing}" in capsys.readouterr().err
+
+    def test_non_utf8_data_file_named(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,y\n1,2,3\n1,\xff,3\n")
+        assert run("inspect", "--data", path, "--target", "y") == 2
+        assert f"error: data file {path} is not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_config_file_named(self, reg_csv, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -194,6 +194,13 @@ class TestCsv:
         msg = str(err.value)
         assert "b" in msg and "2" in msg  # column name and data-row number
 
+    def test_non_utf8_file_named(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,b,y\n1,2,3\n1,\xff,3\n")
+        with pytest.raises(DataError, match="is not UTF-8 text") as err:
+            load_csv(path, "y", "regression")
+        assert str(path) in str(err.value)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

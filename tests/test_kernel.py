@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import limase.kernel
+import limase.stripes
 from limase.core import (
     BlackBoxModel,
     ConfigError,
@@ -311,6 +312,7 @@ class TestChunks:
                 want.base_value, want.fx, want.class_index)
 
     def test_chunks_split_masks_not_backgrounds(self, monkeypatch):
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 1)  # record every call
         sizes = []
 
         class RecordingModel(LinearModel):
@@ -323,8 +325,10 @@ class TestChunks:
         kernel_shap(RecordingModel([1.0, 2.0, 3.0]), np.ones(3), bg, "exact", RandomStream(0))
         assert sizes == [1, 10, 20, 20, 20]  # x, the background, 6 masks in 3 calls
 
-    def test_peak_memory_is_bounded(self):
-        # the mlp-global shape: d=30, [64, 64], 100 background rows, budget 2048
+    def test_peak_memory_is_bounded(self, monkeypatch):
+        # the mlp-global shape: d=30, [64, 64], 100 background rows, budget 2048;
+        # its chunks stay in this process, so every one is traced
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 1)
         model = random_mlp(8, 30, [64, 64])
         data = RandomStream(9).normal_matrix(101, 30)
         tracemalloc.start()

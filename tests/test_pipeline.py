@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import limase.pipeline
+import limase.stripes
 from limase.core import (
     BlackBoxModel,
     ConfigError,
@@ -346,8 +347,9 @@ class TestLimaseExplain:
                                  LimaseConfig(n_samples=200, seed=7))
         assert default.explanation.class_index == model.predicted_class(x)
 
-    def test_classification_row_calls_the_model_once(self, cls_data):
+    def test_classification_row_calls_the_model_once(self, cls_data, monkeypatch):
         forest = fit_random_forest(cls_data, 4, TreeParams(max_depth=3), RandomStream(1))
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 1)  # count every call
         model = CountingModel(forest)
         cfg = LimaseConfig(n_samples=50, seed=0)
         x = cls_data.rows[0]
@@ -538,7 +540,7 @@ def _chain(error):
     return out
 
 
-MIN_SAVING_S = limase.pipeline._MIN_SAVING_S
+MIN_SAVING_S = limase.stripes._MIN_SAVING_S
 
 
 class TestForkedBatch:
@@ -552,15 +554,15 @@ class TestForkedBatch:
     def one_blas_thread(self, monkeypatch):
         if sys.platform != "linux":
             pytest.skip("rows are forked only on Linux")
-        if limase.pipeline._usable_cpus() < 2:
+        if limase.stripes._usable_cpus() < 2:
             pytest.skip("needs two usable CPUs")
-        monkeypatch.setattr(limase.pipeline, "_BLAS_THREADS", 1)
-        monkeypatch.setattr(limase.pipeline, "_MIN_SAVING_S", 0.0)
+        monkeypatch.setattr(limase.stripes, "_BLAS_THREADS", 1)
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", 0.0)
 
     @staticmethod
     def _serial(monkeypatch, model, X, meta, cfg):
         with monkeypatch.context() as m:
-            m.setattr(limase.pipeline, "_fork_workers", lambda rows: 1)
+            m.setattr(limase.stripes, "_fork_workers", lambda rows: 1)
             return limase_explain_batch(model, X, meta, cfg)
 
     @staticmethod
@@ -692,14 +694,14 @@ class TestForkedBatch:
             release.set()
             threads[0].join(timeout=10.0)
 
-        monkeypatch.setattr(limase.pipeline, "_BLAS_THREADS", limase.pipeline._usable_cpus())
+        monkeypatch.setattr(limase.stripes, "_BLAS_THREADS", limase.stripes._usable_cpus())
         seen.clear()
         limase_explain_batch(model, reg_data.rows[:8], reg_data.features, cfg)
         assert seen == [os.getpid()] * 8  # BLAS threads already fill every CPU
 
     def test_row_time_decides(self, reg_data, monkeypatch):
         """Rows fork only when the first row's time says striping saves MIN_SAVING_S."""
-        monkeypatch.setattr(limase.pipeline, "_MIN_SAVING_S", MIN_SAVING_S)
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
         model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
         cfg = LimaseConfig(n_samples=50, seed=1)
         seen = self._tag_pids(monkeypatch)
@@ -724,16 +726,16 @@ class TestForkedBatch:
             "Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert limase.pipeline._blas_threads() == 1
+        assert limase.stripes._blas_threads() == 1
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
-        assert limase.pipeline._blas_threads() == 2
+        assert limase.stripes._blas_threads() == 2
         monkeypatch.delenv("OPENBLAS_NUM_THREADS")
         monkeypatch.delenv("OMP_NUM_THREADS")
-        assert limase.pipeline._blas_threads() == limase.pipeline._usable_cpus()
+        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
         monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
         monkeypatch.setattr(np, "show_config", lambda mode: {
             "Build Dependencies": {"blas": {"name": "mkl"}}})
-        assert limase.pipeline._blas_threads() == limase.pipeline._usable_cpus()
+        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
 
 
 class TestSigmaSweep:

@@ -11,8 +11,10 @@ Pair i of a workload runs both sides on seed first-seed + i, the parent
 first when i is even. After the pairs come one traced pair on the claimed
 workload and one `--seed 1 --seconds 3 --trace 1` smoke run of every
 workload on each side.  summary holds each side's median and quartiles
-per end-to-end metric and how many pairs the change won, by the
-directions in BENCHMARK.json.  Run it from the root of a checkout.
+per end-to-end metric, how many pairs the change won, by the directions
+in BENCHMARK.json, and a verdict per metric against its bound there:
+within, worse, or unresolved when the parent's runs spread too widely
+to tell.  Run it from the root of a checkout.
 """
 import argparse
 import json
@@ -26,7 +28,8 @@ RUN = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {s
 NOTE = ("Untraced result lines (the last stdout line of each run) for the parent commit and "
         "the change, each side run from its own git archive checkout. Pairs alternate which "
         "side runs first. phi_digest is from the info line of the same run. summary holds each "
-        "side's median and quartiles per metric and how many pairs the change won. traced is "
+        "side's median and quartiles per metric, how many pairs the change won and a verdict "
+        "against the metric's bound (within, worse or unresolved). traced is "
         "one --trace 1 pair on the claimed workload; smoke is the --seed 1 --seconds 3 "
         "--trace 1 run of every workload on both sides.")
 
@@ -72,7 +75,34 @@ def same_digests(runs: list[dict]) -> bool:
     return all(a["phi_digest"] == b["phi_digest"] for a, b in zip(runs[::2], runs[1::2]))
 
 
-def summarize(runs: list[dict], better: dict) -> dict:
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> dict:
+    """How the change's median compares with the parent's, against a relative bound.
+
+    change is the relative move of the median, positive when it is
+    better; parent_spread is the parent's quartile spread over its
+    median.  The verdict is "unresolved" when that spread exceeds the
+    bound and the change does not win every pair, else "worse" when the
+    median moved the wrong way by more than the bound, else "within".
+    """
+    sign = 1 if better == "higher" else -1
+    p_median, c_median = statistics.median(parent), statistics.median(change)
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 \
+        else parent * 3
+    scale = abs(p_median) or 1.0  # a zero parent median compares absolute values
+    moved = sign * (c_median - p_median) / scale
+    spread = (q3 - q1) / scale
+    wins_all = all(sign * (c - p) > 0 for p, c in zip(parent, change))
+    if spread > bound and not wins_all:
+        label = "unresolved"
+    elif -moved > bound:
+        label = "worse"
+    else:
+        label = "within"
+    return {"verdict": label, "change": round(moved, 4), "parent_spread": round(spread, 4),
+            "bound": bound}
+
+
+def summarize(runs: list[dict], better: dict, bounds: dict) -> dict:
     sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
     names = [m for m in better if m in sides["parent"][0]["result"]["metrics"]]
     out = {"pairs": len(sides["parent"]),
@@ -87,6 +117,10 @@ def summarize(runs: list[dict], better: dict) -> dict:
     sign = {m: 1 if better[m] == "higher" else -1 for m in names}
     out["change_better"] = {
         m: f"{sum(sign[m] * (metric(c, m) - metric(p, m)) > 0 for p, c in zip(sides['parent'], sides['change']))} of {out['pairs']}"
+        for m in names}
+    out["verdicts"] = {
+        m: verdict([metric(p, m) for p in sides["parent"]],
+                   [metric(c, m) for c in sides["change"]], better[m], bounds[m])
         for m in names}
     return out
 
@@ -103,6 +137,7 @@ def main(argv: list[str]) -> None:
     bench = json.loads(Path("BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     claim_workload, claim_metric = args.claim.split(":")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
         roots = {"parent": Path(work, "parent"), "change": Path(work, "change")}
@@ -114,7 +149,7 @@ def main(argv: list[str]) -> None:
             for i in range(int(count)):
                 done += pair(roots, workload, args.first_seed + i, i % 2 == 0, seconds, 0)
             runs += done
-            summary[workload] = summarize(done, better)
+            summary[workload] = summarize(done, better, bounds)
         traced_seed = args.first_seed + max(int(s.split("=")[1]) for s in args.pairs)
         traced = pair(roots, claim_workload, traced_seed, True, seconds, 1)
         smoke = [run(side, roots[side], w["name"], 1, 3, 1)
@@ -146,6 +181,8 @@ def main(argv: list[str]) -> None:
             and sign * (change_median - parent_median) > spread,
         },
         "summary": summary,
+        "not_within": sorted(f"{w}:{m} {v['verdict']}" for w, ws in summary.items()
+                             for m, v in ws["verdicts"].items() if v["verdict"] != "within"),
         "all_correct": all(r["exit"] == 0 and r["result"] and r["result"]["correct"]
                            for r in runs + traced + smoke),
         "phi_digest_equal": same_digests(runs + traced) and same_digests(smoke),
