@@ -20,7 +20,6 @@ import time
 import numpy as np
 
 from .core import BlackBoxModel, ConfigError, DataError, RandomStream, check_row
-from .external import ExternalModel
 from .shapley import ShapExplanation
 from .stripes import stripe_map
 
@@ -43,14 +42,12 @@ def _coalition_values(
     background: np.ndarray,
     member: np.ndarray,
     class_index: int | None,
-    mask_s: float,
 ) -> np.ndarray:
     """v(S) for each mask row: mean model output over background composites.
 
-    mask_s estimates one mask's scoring time (one call on the background
-    rows); the chunks go through stripes.stripe_map with that estimate,
-    so they fork before the first one when striping saves time.  An
-    ExternalModel's chunks stay in this process, beside its pipes.
+    The chunks go through stripes.stripe_map, which scores and times
+    chunk 0 in the caller and forks the rest when that time says
+    striping saves time.
     """
     n_bg, d = background.shape
     per_mask = max(1, _CHUNK_ROWS // n_bg)
@@ -61,10 +58,7 @@ def _coalition_values(
         out = model.predict_scalar(composites.reshape(-1, d), class_index)
         return out.reshape(chunk.shape[0], n_bg).mean(axis=1)
 
-    starts = range(0, member.shape[0], per_mask)
-    if isinstance(model, ExternalModel):
-        return np.concatenate([score(start) for start in starts])
-    return np.concatenate(stripe_map(score, starts, mask_s * per_mask))
+    return np.concatenate(stripe_map(score, range(0, member.shape[0], per_mask)))
 
 
 def _kernel_weights(sizes: np.ndarray, d: int) -> np.ndarray:
@@ -152,9 +146,7 @@ def kernel_shap(
         raise DataError("background must be finite")
     scores, class_index = model.predict_scalar_and_class(x[None, :], class_index)
     fx = float(scores[0])
-    scored = time.perf_counter()
     base = float(np.mean(model.predict_scalar(background, class_index)))
-    mask_s = time.perf_counter() - scored  # a mask's composites are as many rows
 
     if budget == "exact":
         if d > EXACT_MAX_FEATURES:
@@ -179,7 +171,7 @@ def kernel_shap(
         else:
             masks, weights = _sample_masks(d, budget, rng)
             member = _masks_matrix(masks, d)
-        values = _coalition_values(model, x, background, member, class_index, mask_s)
+        values = _coalition_values(model, x, background, member, class_index)
         phi = _solve_constrained(member, weights, values, base, fx)
 
     elapsed_ms = (time.perf_counter() - started) * 1000.0

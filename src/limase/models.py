@@ -125,7 +125,7 @@ def fit_random_forest(
     Every tree's stream is derived from (seed, round, output), so the
     result is independent of fitting order, and the rounds go through
     stripes.stripe_map: round 0 is timed in the caller, and the rest fork
-    over every CPU when that time says it saves at least 50 ms.
+    over every CPU when that time says striping saves time.
     bootstrap=False and mtry=d turn the randomness off (test hook / single
     deterministic tree per round).
     """

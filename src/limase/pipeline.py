@@ -213,7 +213,7 @@ def limase_explain_batch(
       surrogate fit overlaps another row's round trip.
     - Any other model's rows go through stripes.stripe_map, which times
       row 0 in the caller and forks stripes of the other rows over every
-      CPU when that time says it saves at least 50 ms; otherwise, and
+      CPU when that time says striping saves time; otherwise, and
       always off Linux or when the caller has more than one live thread,
       the rows run in order in the caller's thread.  A thread pool would
       not help: in-process work contends for the GIL.  A forked row's

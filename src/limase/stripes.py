@@ -5,12 +5,13 @@ coalition chunks of kernel_shap and the training rounds of a forest.
 Each item keeps its own seed and its own model calls, so the outputs are
 those of the serial loop bit for bit; only where an item runs changes.
 
-The items of one call are split into contiguous stripes, one per worker,
-when there are at least two workers (usable CPUs // BLAS threads, at
-most one per item) and the estimated time of one item, taken for every
-item beyond the longest stripe, says striping would save at least
-_MIN_SAVING_S of wall time; a fork costs more than a few fast items.  The
-first stripe runs in the caller, the others in processes forked from it,
+The first item runs in the caller, which times it.  The other items are
+split into contiguous stripes, one per worker, when there are at least
+two workers (usable CPUs // BLAS threads, at most one per item) and the
+first item's time, taken for every item beyond the longest stripe, says
+striping would save at least _MIN_SAVING_S of wall time; a fork costs
+more than a few fast items.  The first stripe runs in the caller, the
+others in processes forked from it,
 which return their results pickled.  Nothing forks off Linux, inside a
 forked worker, or when the caller has more than one live thread (a fork
 could copy a lock another thread holds).
@@ -39,13 +40,15 @@ import numpy as np
 from .core import LimaseError
 
 # Least wall time, in seconds, that striping must be estimated to save
-# before items are forked.  The estimate assumes every item takes as long as
-# the caller's estimate of one: that time multiplied by the items beyond the
-# longest stripe.  Measured on a 2-vCPU VM for batch rows timed on row 0, the
-# real saving fell 17-28 ms short of the estimate (pool start and shutdown
-# 6-10 ms, a worker's rows about 8% slower than the caller's), so forking
-# paid from an estimate of about 25 ms.
-_MIN_SAVING_S = 0.05
+# before items are forked.  The estimate takes the first item's time for
+# every item beyond the longest stripe.  Pool start and shutdown (6-10 ms)
+# and worker items a little slower than the caller's make the real saving
+# fall short of it.  Measured on a 2-vCPU VM with one BLAS thread, serial
+# against forked, forking paid from an estimate of about 15 ms for limase
+# batch rows of a [64, 64] MLP (6 ms saved at 28 ms estimated) and about
+# 24 ms for kernel_shap chunks of 16,300 rows on that MLP (7-14 ms saved at
+# 35 ms, none at 12 ms); this floor sits above both.
+_MIN_SAVING_S = 0.03
 
 
 def _usable_cpus() -> int:
@@ -93,26 +96,26 @@ def _fork_workers(items: int) -> int:
     return min(_usable_cpus() // _BLAS_THREADS, items)
 
 
-def stripe_map(fn: Callable, items: Sequence, item_s: float | None = None) -> list:
+def stripe_map(fn: Callable, items: Sequence) -> list:
     """[fn(item) for item in items], in stripes over forked workers when that saves time.
 
-    item_s estimates one item's time.  None runs the first item in the
-    caller, times it and takes that time; the workers are counted after
-    it, since it may have started a thread.  An exception that fn raises
-    reaches the caller with its type, at the first failing item in order;
-    a worker's exception that pickle cannot rebuild arrives as a
-    LimaseError naming its class.
+    The first item runs in the caller, which times it and takes that time
+    for every other item; the workers are counted after it, since it may
+    have started a thread.  An exception that fn raises reaches the
+    caller with its type, at the first failing item in order; a worker's
+    exception that pickle cannot rebuild arrives as a LimaseError naming
+    its class.
     """
-    out, rest = [], items
-    if item_s is None and len(items):
-        started = time.perf_counter()
-        out.append(fn(items[0]))
-        item_s, rest = time.perf_counter() - started, items[1:]
+    if not len(items):
+        return []
+    started = time.perf_counter()
+    first = fn(items[0])
+    item_s, rest = time.perf_counter() - started, items[1:]
     workers = _fork_workers(len(rest))
     longest = -(-len(rest) // max(workers, 1))  # items in the longest stripe
     if workers >= 2 and item_s * (len(rest) - longest) >= _MIN_SAVING_S:
-        return out + _map_forked(fn, rest, workers)
-    return out + [fn(item) for item in rest]
+        return [first] + _map_forked(fn, rest, workers)
+    return [first] + [fn(item) for item in rest]
 
 
 def _map_forked(fn: Callable, items: Sequence, workers: int) -> list:

@@ -37,8 +37,14 @@ class TestVerdict:
         assert v["verdict"] == "unresolved" and v["parent_spread"] > 0.25
         worse = verdict(NOISY, shifted(NOISY, 0.5), "higher", 0.25)
         assert worse["verdict"] == "unresolved"  # too noisy to call it worse
-        # a change that wins every pair is resolved however noisy the parent
-        assert verdict(NOISY, shifted(NOISY, 1.1), "higher", 0.25)["verdict"] == "within"
+        # winning every pair is not enough: the change's 66 reads below the parent's 140
+        assert verdict(NOISY, shifted(NOISY, 1.1), "higher", 0.25)["verdict"] == "unresolved"
+        # every run of the change reads better than every run of the parent
+        assert verdict(NOISY, [150.0 + v / 10 for v in NOISY], "higher", 0.25)["verdict"] \
+            == "within"
+        assert verdict(NOISY, [50.0 - v / 10 for v in NOISY], "lower", 0.25)["verdict"] \
+            == "within"
+        assert verdict(NOISY, shifted(NOISY, 0.9), "lower", 0.25)["verdict"] == "unresolved"
 
     def test_zero_parent_median_compares_absolute_values(self):
         assert verdict([0.0] * 4, [0.0] * 4, "higher", 0.05)["verdict"] == "within"

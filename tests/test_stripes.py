@@ -2,6 +2,8 @@
 import multiprocessing
 import os
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +28,8 @@ from limase.trees import TreeParams
 
 from conftest import make_classification_dataset, make_regression_dataset, random_mlp
 
-CLASSIFIER_SERVER = [sys.executable,
-                     str(Path(__file__).parent / "fixtures" / "server_classifier.py")]
+CONSTANT_SERVER = [sys.executable,
+                   str(Path(__file__).parent / "fixtures" / "server_constant.py")]
 
 
 class TwoPartError(Exception):
@@ -55,6 +57,17 @@ class NanOffAnchorModel(LinearModel):
         out = super().predict(X).values.copy()
         out[(X[:, -1] > 100.0) & (X[:, 0] != 0.0)] = np.nan
         return ModelOutput(out)
+
+
+class SleepingModel(LinearModel):
+    """Sleeps MIN_SAVING_S in each call, so a few calls are worth striping."""
+
+    def predict(self, X):
+        time.sleep(MIN_SAVING_S)
+        return super().predict(X)
+
+
+MIN_SAVING_S = limase.stripes._MIN_SAVING_S
 
 
 def pid_of(item):
@@ -92,20 +105,21 @@ def serial(monkeypatch, fn, *args, **kwargs):
 
 class TestStripeMap:
     def test_items_in_order_and_first_stripe_in_caller(self, forked):
-        pids = stripe_map(pid_of, range(6), 1.0)
-        assert pids[:3] == [os.getpid()] * 3
+        pids = stripe_map(pid_of, range(6))
+        assert pids[:3] == [os.getpid()] * 3  # item 0, then the first stripe of the other five
         assert os.getpid() not in pids[3:]
-        assert stripe_map(lambda i: i * i, range(7), 1.0) == [i * i for i in range(7)]
-        assert forked == [6, 7]
+        assert stripe_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+        assert forked == [5, 6]
 
     def test_no_fork_inside_a_forked_worker(self, forked):
         def inner_pids(item):
-            return stripe_map(pid_of, range(4), 1.0)
+            return stripe_map(pid_of, range(4))
 
-        outer = stripe_map(inner_pids, range(2), 1.0)
-        assert forked == [2]  # the worker's own map stayed in the worker
-        assert outer[0][:2] == [os.getpid()] * 2
-        assert len(set(outer[1])) == 1 and os.getpid() not in outer[1]
+        outer = stripe_map(inner_pids, range(3))
+        assert forked == [3, 2]  # item 0's inner map, then the outer one
+        assert outer[0][:2] == [os.getpid()] * 2 and os.getpid() not in outer[0][2:]
+        assert outer[1] == [os.getpid()] * 4  # beside the outer pool's thread
+        assert len(set(outer[2])) == 1 and os.getpid() not in outer[2]  # stayed in its worker
 
     def test_first_item_timed_in_caller(self, forked, monkeypatch):
         monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", 60.0)
@@ -125,7 +139,7 @@ class TestStripeMap:
             return i
 
         with pytest.raises(ModelOutputError, match="item 4") as caught:
-            stripe_map(failing, range(8), 1.0)
+            stripe_map(failing, range(8))
         assert isinstance(caught.value.__cause__, KeyError)
 
         def failing_twice(i):
@@ -134,7 +148,7 @@ class TestStripeMap:
             return i
 
         with pytest.raises(ValueError, match="item 1"):  # the caller's own stripe
-            stripe_map(failing_twice, range(8), 1.0)
+            stripe_map(failing_twice, range(8))
 
     def test_exception_pickle_cannot_rebuild_arrives_as_limase_error(self, forked):
         def failing(i):
@@ -143,10 +157,10 @@ class TestStripeMap:
             return i
 
         with pytest.raises(LimaseError, match="TwoPartError") as caught:
-            stripe_map(failing, range(8), 1.0)
+            stripe_map(failing, range(8))
         assert type(caught.value) is LimaseError
         assert "7: no pickle" in str(caught.value)
-        assert stripe_map(lambda i: i, range(4), 1.0) == [0, 1, 2, 3]  # the pool was not broken
+        assert stripe_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the pool was not broken
 
 
 class TestKernelChunks:
@@ -164,14 +178,25 @@ class TestKernelChunks:
                 np.asarray(getattr(want, name)).tobytes()
 
     def test_model_output_error_in_a_worker_chunk(self, forked, monkeypatch):
-        # exact enumeration scores masks 1-6 in ascending order, three per
-        # stripe; masks 4 and 6 (feature 2 without feature 0) score NaN
+        # exact enumeration scores masks 1-6 in ascending order: mask 1 and
+        # then 2-3 in the caller, 4-6 in a worker; masks 4 and 6 (feature 2
+        # without feature 0) score NaN
         model = NanOffAnchorModel([1.0, 2.0, 3.0])
         bg = 1.0 + RandomStream(6).normal_matrix(4, 3) ** 2
         monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 4)  # one mask per chunk
         with pytest.raises(ModelOutputError):
             kernel_shap(model, np.array([0.0, 0.0, 1000.0]), bg, "exact", RandomStream(0))
-        assert forked == [6]
+        assert forked == [5]
+
+    def test_chunk_time_decides(self, forked, monkeypatch):
+        """Chunks fork only when chunk 0's time says striping saves MIN_SAVING_S."""
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
+        monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 4)  # one mask per chunk
+        x, bg = np.array([0.0, 1.0, 2.0]), RandomStream(6).normal_matrix(4, 3)
+        kernel_shap(LinearModel([1.0, 2.0, 3.0]), x, bg, "exact", RandomStream(0))
+        assert forked == []  # six fast chunks stay in the caller
+        kernel_shap(SleepingModel([1.0, 2.0, 3.0]), x, bg, "exact", RandomStream(0))
+        assert forked == [5]  # chunk 0 ran and was timed in the caller
 
     def test_one_chunk_never_forks(self, forked):
         # forest-cls (d=10, background 20) and external-sp (d=30, background 5)
@@ -184,13 +209,13 @@ class TestKernelChunks:
         assert forked == []
 
     def test_external_model_never_forks(self, forked, monkeypatch):
-        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 2)  # despite its thread
-        monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 3)  # one mask per chunk
-        bg = RandomStream(8).normal_matrix(3, 2)
-        with attach_external(CLASSIFIER_SERVER, d=2, task="classification") as model:
-            got = kernel_shap(model, np.array([0.5, -1.0]), bg, "exact", RandomStream(0))
+        monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 3)  # one mask per chunk: six chunks
+        bg = RandomStream(8).normal_matrix(3, 3)
+        with attach_external(CONSTANT_SERVER, d=3, task="regression") as model:
+            assert threading.active_count() > 1  # its reader thread keeps every item in the caller
+            got = kernel_shap(model, np.array([0.5, -1.0, 2.0]), bg, "exact", RandomStream(0))
         assert forked == []
-        assert abs(got.efficiency_gap()) <= 1e-9
+        assert got.fx == got.base_value == 7.25 and not np.any(got.phi)
 
 
 class TestForestRounds:

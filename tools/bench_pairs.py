@@ -14,7 +14,8 @@ workload on each side.  summary holds each side's median and quartiles
 per end-to-end metric, how many pairs the change won, by the directions
 in BENCHMARK.json, and a verdict per metric against its bound there:
 within, worse, or unresolved when the parent's runs spread too widely
-to tell.  Run it from the root of a checkout.
+to tell and the change's runs do not all read better than all of the
+parent's.  Run it from the root of a checkout.
 """
 import argparse
 import json
@@ -81,8 +82,9 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     change is the relative move of the median, positive when it is
     better; parent_spread is the parent's quartile spread over its
     median.  The verdict is "unresolved" when that spread exceeds the
-    bound and the change does not win every pair, else "worse" when the
-    median moved the wrong way by more than the bound, else "within".
+    bound and not every run of the change reads better than every run of
+    the parent, else "worse" when the median moved the wrong way by more
+    than the bound, else "within".
     """
     sign = 1 if better == "higher" else -1
     p_median, c_median = statistics.median(parent), statistics.median(change)
@@ -91,8 +93,8 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     scale = abs(p_median) or 1.0  # a zero parent median compares absolute values
     moved = sign * (c_median - p_median) / scale
     spread = (q3 - q1) / scale
-    wins_all = all(sign * (c - p) > 0 for p, c in zip(parent, change))
-    if spread > bound and not wins_all:
+    beats_every_run = min(sign * c for c in change) > max(sign * p for p in parent)
+    if spread > bound and not beats_every_run:
         label = "unresolved"
     elif -moved > bound:
         label = "worse"
