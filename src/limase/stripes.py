@@ -46,8 +46,8 @@ from .core import LimaseError
 # fall short of it.  Measured on a 2-vCPU VM with one BLAS thread, serial
 # against forked, forking paid from an estimate of about 15 ms for limase
 # batch rows of a [64, 64] MLP (6 ms saved at 28 ms estimated) and about
-# 24 ms for kernel_shap chunks of 16,300 rows on that MLP (7-14 ms saved at
-# 35 ms, none at 12 ms); this floor sits above both.
+# 24 ms for kernel_shap chunks of 16,300 rows on that MLP (6-14 ms saved at
+# 34-36 ms, 6-12 ms lost at 12 ms); this floor sits above both.
 _MIN_SAVING_S = 0.03
 
 
