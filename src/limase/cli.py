@@ -6,7 +6,8 @@ All artifacts land under --out with fixed names and embed the resolved
 configuration.  Timing fields inside explain/global/sp artifacts are
 normalized to null so reruns with the same seed are byte-identical;
 real wall times go to stdout (and to bench.json, which is a timing
-report by definition).
+report by definition).  The rows of every explainer run through
+pipeline.explain_rows, and the first failed row fails the command.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from .models import (
     save_model,
     training_score,
 )
-from .pipeline import LimaseConfig, LimaseResult, dataset_row_failure, explain_dataset_rows
+from .pipeline import LimaseConfig, LimaseResult, explain_rows, limase_rows
 from .shapley import ShapExplanation, forest_shap, tree_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
@@ -263,15 +264,15 @@ def _out_dir(args) -> Path:
 
 def _explain_rows(args, data: Dataset, model,
                   indices: list[int]) -> list[LimaseResult | ShapExplanation]:
-    """Explain the dataset rows at indices with the configured explainer.
+    """Explain the dataset rows at indices with the configured explainer, by explain_rows.
 
     The i-th row gets child seed i.  limase gives LimaseResults, treeshap
     and kernelshap ShapExplanations.  The first failed row fails the
     call with a LimaseError naming its dataset row.
     """
     if args.explainer == "limase":
-        return explain_dataset_rows(model, data, indices, _limase_config(args))
-    if args.explainer == "treeshap":
+        explain = limase_rows(model, data.features, _limase_config(args))
+    elif args.explainer == "treeshap":
         if isinstance(model, TreeModel):
             def explain(i, row):
                 return tree_shap(model.tree, row)
@@ -288,13 +289,7 @@ def _explain_rows(args, data: Dataset, model,
         def explain(i, row):
             return kernel_shap(model, row, background, budget,
                                RandomStream(child_seed(seed, i)), args.class_index)
-    out = []
-    for i, index in enumerate(indices):
-        try:
-            out.append(explain(i, data.rows[index]))
-        except LimaseError as e:
-            raise dataset_row_failure(index, e)
-    return out
+    return explain_rows(model, data.rows[indices], explain, indices)
 
 
 def _shap(result: LimaseResult | ShapExplanation) -> ShapExplanation:

@@ -205,14 +205,19 @@ class BlackBoxModel(ABC):
         """predict_scalar's scores and the class they score, from one call.
 
         A classification model with no class_index scores the class it
-        predicts for X[0].  Raises as predict_scalar does.
+        predicts for X[0].  Raises as predict_scalar does, and LimaseError
+        from any other error that predict or reading its output raises.
         """
         self.task.check_class_index(class_index)
-        out = self.predict(X)
-        values = out.values
-        if self.task.is_classification and class_index is None:
-            class_index = int(np.argmax(values[0]))
-        scores = values[:, 0 if class_index is None else class_index]
+        try:
+            out = self.predict(X)
+            if self.task.is_classification and class_index is None:
+                class_index = int(np.argmax(out.values[0]))
+            scores = out.values[:, 0 if class_index is None else class_index]
+        except LimaseError:
+            raise
+        except Exception as e:
+            raise LimaseError(f"black-box prediction failed: {e}") from e
         n = len(X)
         if scores.shape != (n,) or not np.all(np.isfinite(scores)):
             raise ModelOutputError(

@@ -69,6 +69,8 @@ class ForestModel(BlackBoxModel):
     leaf_boxes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self):
+        if not self.trees:
+            raise DataError("a forest needs at least one tree")
         for i, tree in enumerate(self.trees):
             if tree.d != self.d:
                 raise DataError(f"forest tree {i} has d={tree.d}, the forest d={self.d}")
@@ -352,6 +354,8 @@ def load_model(path: str | Path) -> BlackBoxModel:
             return MlpModel(weights=[np.array(w, dtype=float) for w in data["weights"]],
                             biases=[np.array(b, dtype=float) for b in data["biases"]],
                             task=_task_from_dict(data["task"]))
+    except DataError as e:  # the file's fields do not make a model
+        raise DataError(f"cannot load model {path}: {e}") from e
     except (OSError, ValueError, KeyError, TypeError, AttributeError) as e:
         # each comes from the file: unreadable, not JSON, a missing key, a value of the wrong type
         raise DataError(f"cannot load model {path}: {type(e).__name__}: {e}") from e

@@ -11,6 +11,7 @@ far g is from f locally is reported as a weighted R^2, never hidden.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -19,10 +20,8 @@ import numpy as np
 from .core import (
     BlackBoxModel,
     ConfigError,
-    Dataset,
     FeatureMeta,
     LimaseError,
-    ModelOutputError,
     RandomStream,
     check_row,
     child_seed,
@@ -132,13 +131,8 @@ def _score(
     sampled = sample_around(x, features, config.n_samples, rng)
     rows = np.vstack([x[None, :], sampled])
 
-    try:
-        # row 0 is x, so the one scoring call also picks the default class
-        targets, class_index = model.predict_scalar_and_class(rows, config.class_index)
-    except ModelOutputError:
-        raise
-    except Exception as e:
-        raise LimaseError(f"black-box prediction failed during perturbation scoring: {e}") from e
+    # row 0 is x, so the one scoring call also picks the default class
+    targets, class_index = model.predict_scalar_and_class(rows, config.class_index)
     return rows, targets, class_index
 
 
@@ -198,70 +192,68 @@ def limase_explain_batch(
     features: list[FeatureMeta],
     config: LimaseConfig,
 ) -> list[LimaseResult | LimaseError]:
-    """Explain each row of X; entry i uses a seed derived from (seed, i).
+    """explain_rows over the rows of X with limase_rows: a failed row holds its LimaseError."""
+    return explain_rows(model, X, limase_rows(model, features, config))
 
-    Per-row failures do not abort the batch: the failed position holds
-    the exception, with its __cause__ chain, instead of a result.  A
-    class_index the model cannot score raises ConfigError once, before
-    the first row.
+
+def limase_rows(
+    model: BlackBoxModel, features: list[FeatureMeta], config: LimaseConfig
+) -> Callable[[int, np.ndarray], LimaseResult]:
+    """explain(i, x) for explain_rows: limase_explain at seed child_seed(config.seed, i).
+
+    A class_index the model cannot score raises ConfigError before any row.
+    """
+    model.task.check_class_index(config.class_index)
+
+    def explain(i: int, x: np.ndarray) -> LimaseResult:
+        return limase_explain(model, x, features, replace(config, seed=child_seed(config.seed, i)))
+
+    return explain
+
+
+def explain_rows(
+    model: BlackBoxModel,
+    X: np.ndarray,
+    explain: Callable[[int, np.ndarray], object],
+    indices: Sequence[int] | None = None,
+) -> list:
+    """[explain(i, X[i]) for each row i]: the one row runner of every explainer.
+
+    A row whose explain raises a LimaseError holds that error, with its
+    __cause__ chain, in place of a result; any other exception fails the
+    call.  With indices, the dataset row of each row of X, the first
+    failed row fails the call instead, with a LimaseError that names its
+    dataset row and has the row's error as its cause.
 
     The black box decides how rows run, and results do not depend on it:
-    each row keeps its seed and its one scoring call, so every entry
+    each row is one call of explain with its own i, so every entry
     equals the serial one bit for bit.
     - An ExternalModel's rows share a pool of one thread per usable CPU:
       a thread waiting on the child's pipe releases the GIL, so one row's
-      surrogate fit overlaps another row's round trip.
-    - Any other model's rows go through stripes.stripe_map, which times
-      row 0 in the caller and forks stripes of the other rows over every
-      CPU when that time says striping saves time; otherwise, and
-      always off Linux or when the caller has more than one live thread,
-      the rows run in order in the caller's thread.  A thread pool would
-      not help: in-process work contends for the GIL.  A forked row's
-      side effects in predict (counters, caches) stay in its worker.
+      in-process work overlaps another row's round trip.
+    - Any other model's rows go through stripes.stripe_map, which forks
+      stripes of them over every CPU when row 0's time says that saves
+      time and otherwise runs them in order in the caller's thread.  A
+      thread pool would not help: in-process work contends for the GIL.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    model.task.check_class_index(config.class_index)
 
-    def explain_row(i: int) -> LimaseResult | LimaseError:
-        row_config = replace(config, seed=child_seed(config.seed, i))
+    def explain_row(i: int):
         try:
-            return limase_explain(model, X[i], features, row_config)
+            return explain(i, X[i])
         except LimaseError as e:
             return e
 
     rows = range(X.shape[0])
     if isinstance(model, ExternalModel):
         with ThreadPoolExecutor(max_workers=_usable_cpus()) as pool:
-            return list(pool.map(explain_row, rows))
-    return stripe_map(explain_row, rows)
-
-
-def explain_dataset_rows(
-    model: BlackBoxModel,
-    dataset: Dataset,
-    indices: list[int],
-    config: LimaseConfig,
-) -> list[LimaseResult]:
-    """limase_explain_batch over the dataset rows at indices, failing on the first failed row.
-
-    That row's error becomes the cause of a LimaseError naming its
-    dataset row.
-    """
-    results = limase_explain_batch(model, dataset.rows[indices], dataset.features, config)
-    for index, result in zip(indices, results):
+            results = list(pool.map(explain_row, rows))
+    else:
+        results = stripe_map(explain_row, rows)
+    for index, result in zip(indices or (), results):
         if isinstance(result, LimaseError):
-            raise dataset_row_failure(index, result)
+            raise LimaseError(f"explanation failed for dataset row {index}: {result}") from result
     return results
-
-
-def dataset_row_failure(index: int, error: LimaseError) -> LimaseError:
-    """The error a batch over dataset rows raises when row index fails with error.
-
-    It names the dataset row, and error is its cause.
-    """
-    failure = LimaseError(f"explanation failed for dataset row {index}: {error}")
-    failure.__cause__ = error
-    return failure
 
 
 def sigma_sweep(

@@ -293,8 +293,6 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
     pre-normalization score (mean of that class's trees); default is the
     model's predicted class at x.
     """
-    if not forest.trees:
-        raise ValueError("empty forest")
     x = check_row(x, forest.d)
     start = time.perf_counter()
     forest.task.check_class_index(class_index)

@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import BlackBoxModel, ConfigError, DataError, Dataset
-from .pipeline import LimaseConfig, LimaseResult, explain_dataset_rows
+from .pipeline import LimaseConfig, LimaseResult, explain_rows, limase_rows
 
 
 @dataclass
@@ -145,7 +145,8 @@ def sp_explain(
             raise IndexError(f"instance index {i} out of range for {dataset.n} rows")
     if not indices:
         raise DataError("sample_indices is empty")
-    results = explain_dataset_rows(model, dataset, indices, config)
+    results = explain_rows(model, dataset.rows[indices],
+                           limase_rows(model, dataset.features, config), indices)
     matrix = ExplanationMatrix(
         S=np.vstack([r.explanation.phi for r in results]), indices=indices
     )

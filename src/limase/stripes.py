@@ -1,7 +1,8 @@
 """One stripe map: independent items run on every CPU, in the caller and in forked workers.
 
-Three loops use it: the rows of an in-process limase batch, the
-coalition chunks of kernel_shap and the training rounds of a forest.
+Three loops use it: the rows of a batch of any explainer on an
+in-process model, the coalition chunks of kernel_shap and the training
+rounds of a forest.
 Each item keeps its own seed and its own model calls, so the outputs are
 those of the serial loop bit for bit; only where an item runs changes.
 

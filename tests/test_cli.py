@@ -16,6 +16,13 @@ from conftest import make_classification_dataset, make_regression_dataset
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+# model.json's form of a one-leaf tree over 3 features
+LEAF_TREE_D3 = {"d": 3, "root": 0,
+                "params": {"max_depth": 1, "min_samples_leaf": 1.0,
+                           "min_weight_fraction_leaf": 0.0},
+                "nodes": [{"feature": -1, "threshold": None, "left": -1, "right": -1,
+                           "cover": 1.0, "value": 0.0}]}
+
 
 @pytest.fixture(scope="module")
 def reg_csv(tmp_path_factory):
@@ -383,6 +390,11 @@ class TestUsageErrors:
         ("{not json", "JSONDecodeError"),
         ('{"kind": "forest", "task": {"kind": "regression", "n_classes": null}, "d": 4}',
          "KeyError: 'trees'"),
+        (json.dumps({"kind": "forest", "task": {"kind": "regression", "n_classes": None},
+                     "d": 4, "trees": [LEAF_TREE_D3]}),
+         "forest tree 0 has d=3, the forest d=4"),
+        ('{"kind": "forest", "task": {"kind": "regression", "n_classes": null}, "d": 4, '
+         '"trees": []}', "a forest needs at least one tree"),
     ])
     def test_bad_model_file_named(self, reg_csv, tmp_path, capsys, text, cause):
         path = tmp_path / "model.json"

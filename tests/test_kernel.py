@@ -10,6 +10,7 @@ from limase.core import (
     BlackBoxModel,
     ConfigError,
     DataError,
+    LimaseError,
     ModelOutput,
     ModelOutputError,
     RandomStream,
@@ -51,6 +52,19 @@ class CountingModel(BlackBoxModel):
     def predict(self, X):
         self.calls += 1
         return self.inner.predict(X)
+
+
+class RefusingModel(LinearModel):
+    """Raises RuntimeError for a batch of more than max_rows rows."""
+
+    def __init__(self, w, max_rows):
+        super().__init__(w)
+        self.max_rows = max_rows
+
+    def predict(self, X):
+        if len(X) > self.max_rows:
+            raise RuntimeError(f"batch of {len(X)} rows refused")
+        return super().predict(X)
 
 
 class LoudModel(BlackBoxModel):
@@ -234,6 +248,16 @@ class TestErrors:
         bg = RandomStream(0).normal_matrix(5, 2)
         with pytest.raises(ModelOutputError, match="non-finite"):
             kernel_shap(ConstantModel(float("nan"), 2), np.zeros(2), bg, 64, RandomStream(1))
+
+    @pytest.mark.parametrize("max_rows", [0, 5], ids=["at-x", "at-coalitions"])
+    def test_model_failure_raises_limase_error(self, max_rows):
+        bg = RandomStream(0).normal_matrix(5, 2)
+        with pytest.raises(LimaseError, match="black-box prediction failed") as caught:
+            kernel_shap(RefusingModel([1.0, 2.0], max_rows), np.zeros(2), bg, 64,
+                        RandomStream(1))
+        assert type(caught.value) is LimaseError
+        assert isinstance(caught.value.__cause__, RuntimeError)
+        assert "refused" in str(caught.value.__cause__)
 
     def test_non_finite_instance_rejected(self):
         data = make_regression_dataset(3, 60, 3)

@@ -1,5 +1,6 @@
 """Trainable models: forest layout, MLP gradients, serialization."""
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -232,9 +233,15 @@ class TestForestChecks:
         with pytest.raises(DataError, match="multiple of 3"):
             load_model(path)
 
-    def test_empty_forest_builds(self):
-        forest = ForestModel(trees=[], task=Task.classification(3), d=2)
-        assert forest.stack.n_trees == 0
+    def test_empty_forest_rejected(self, tmp_path):
+        for task in (Task.classification(3), Task.regression()):
+            with pytest.raises(DataError, match="at least one tree"):
+                ForestModel(trees=[], task=task, d=2)
+        path, payload = self._saved(tmp_path)
+        payload["trees"] = []
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"cannot load model {path}: a forest needs")):
+            load_model(path)
 
 
 class TestMlp:

@@ -25,9 +25,11 @@ from limase.core import (
     compute_feature_meta,
 )
 from limase.external import attach_external
+from limase.kernel import kernel_shap
 from limase.models import TreeModel, fit_mlp, fit_random_forest
 from limase.pipeline import (
     LimaseConfig,
+    explain_rows,
     kernel_weights,
     limase_explain,
     limase_explain_batch,
@@ -376,7 +378,7 @@ class TestLimaseExplain:
         rows = RandomStream(12).normal_matrix(40, 2)
         meta = meta_for(rows)
         x = np.array([1000.0, 0.0])  # anchor trips the model
-        with pytest.raises(LimaseError, match="perturbation scoring"):
+        with pytest.raises(LimaseError, match="black-box prediction failed"):
             limase_explain(FlakyModel(2), x, meta, LimaseConfig(n_samples=50, seed=0))
 
     def test_nan_scores_raise_typed_error(self):
@@ -529,6 +531,38 @@ class TestBatch:
         assert first.shape == second.shape == (101, reg_data.d)
         assert np.array_equal(first[0], X[0]) and np.array_equal(second[0], X[0])
         assert not np.array_equal(first[1:], second[1:])
+
+
+class TestExplainRows:
+    """The row runner over kernelshap rows: failures stay in place or name the dataset row."""
+
+    @staticmethod
+    def _kernel_rows(model, background):
+        def explain(i, x):
+            return kernel_shap(model, x, background, 64, RandomStream(child_seed(3, i)))
+
+        return explain
+
+    def test_failed_kernel_row_held_in_place(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[0], [1000.0, 0.0], rows[1]])
+        explain = self._kernel_rows(FlakyModel(2), rows[2:7])
+        out = explain_rows(FlakyModel(2), X, explain)
+        assert type(out[1]) is LimaseError
+        assert "black-box prediction failed" in str(out[1])
+        assert isinstance(out[1].__cause__, RuntimeError)
+        for i in (0, 2):
+            assert out[i].phi.tobytes() == explain(i, X[i]).phi.tobytes()
+
+    def test_first_failed_kernel_row_names_dataset_row(self):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[0], [1000.0, 0.0], rows[1], [-1000.0, 0.0]])
+        explain = self._kernel_rows(FlakyModel(2), rows[4:9])
+        with pytest.raises(LimaseError, match="dataset row 11: black-box") as caught:
+            explain_rows(FlakyModel(2), X, explain, [4, 11, 20, 25])
+        assert type(caught.value) is LimaseError
+        cause = caught.value.__cause__
+        assert type(cause) is LimaseError and isinstance(cause.__cause__, RuntimeError)
 
 
 def _chain(error):
@@ -720,22 +754,6 @@ class TestForkedBatch:
         assert seen == [os.getpid()] * 3  # row 0 and the caller's stripe of the other five
         assert [r.pid == os.getpid() for r in batch] == [True] * 3 + [False] * 3
         assert multiprocessing.active_children() == []
-
-    def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch):
-        monkeypatch.setattr(np, "show_config", lambda mode: {
-            "Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setenv("OMP_NUM_THREADS", "2")
-        assert limase.stripes._blas_threads() == 1
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
-        assert limase.stripes._blas_threads() == 2
-        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
-        monkeypatch.delenv("OMP_NUM_THREADS")
-        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
-        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
-        monkeypatch.setattr(np, "show_config", lambda mode: {
-            "Build Dependencies": {"blas": {"name": "mkl"}}})
-        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
 
 
 class TestSigmaSweep:

@@ -366,11 +366,6 @@ class TestForestShap:
         with pytest.raises(ConfigError):
             forest_shap(reg_forest, np.zeros(3), class_index=0)
 
-    def test_empty_forest_rejected(self):
-        forest = ForestModel(trees=[], task=Task.regression(), d=2)
-        with pytest.raises(ValueError):
-            forest_shap(forest, np.zeros(2))
-
 
 class TestExplanationRecord:
     def test_json_dict_field_set(self):

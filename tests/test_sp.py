@@ -245,5 +245,5 @@ class TestSpExplain:
         assert not isinstance(caught.value, DataError)
         cause = caught.value.__cause__
         assert isinstance(cause, LimaseError)
-        assert "perturbation scoring" in str(cause)
+        assert "black-box prediction failed" in str(cause)
         assert isinstance(cause.__cause__, RuntimeError)

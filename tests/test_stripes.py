@@ -1,4 +1,4 @@
-"""The stripe map's edge rules, and its kernel chunks and forest rounds in forked workers."""
+"""The stripe map's edge rules, and its kernel chunks, kernel rows and forest rounds in forked workers."""
 import multiprocessing
 import os
 import sys
@@ -23,6 +23,7 @@ from limase.core import (
 from limase.external import attach_external
 from limase.kernel import kernel_shap
 from limase.models import fit_random_forest
+from limase.pipeline import explain_rows
 from limase.stripes import stripe_map
 from limase.trees import TreeParams
 
@@ -162,6 +163,22 @@ class TestStripeMap:
         assert "7: no pickle" in str(caught.value)
         assert stripe_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the pool was not broken
 
+    def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch):
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "Build Dependencies": {"blas": {"name": "scipy-openblas"}}})
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        assert limase.stripes._blas_threads() == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "x")
+        assert limase.stripes._blas_threads() == 2
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.delenv("OMP_NUM_THREADS")
+        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setattr(np, "show_config", lambda mode: {
+            "Build Dependencies": {"blas": {"name": "mkl"}}})
+        assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
+
 
 class TestKernelChunks:
     @pytest.mark.parametrize("budget", ["exact", 200])
@@ -216,6 +233,41 @@ class TestKernelChunks:
             got = kernel_shap(model, np.array([0.5, -1.0, 2.0]), bg, "exact", RandomStream(0))
         assert forked == []
         assert got.fx == got.base_value == 7.25 and not np.any(got.phi)
+
+
+class TestKernelRows:
+    """kernelshap rows through the row runner, forked across rows."""
+
+    def test_forked_rows_equal_serial_bytes_and_caller_stripe_stays(self, forked,
+                                                                     monkeypatch):
+        model = random_mlp(3, 6, [16, 16])
+        data = RandomStream(4).normal_matrix(17, 6)
+        X, bg = data[:5], data[5:]
+        monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 3 * bg.shape[0] + 1)
+
+        def explain(i, x):
+            return kernel_shap(model, x, bg, "exact", RandomStream(i))
+
+        want = serial(monkeypatch, explain_rows, model, X, explain)
+        inner, open_maps, deepest = limase.stripes._map_forked, [], []
+
+        def nesting(fn, items, workers):
+            open_maps.append(len(items))
+            deepest.append(len(open_maps))
+            try:
+                return inner(fn, items, workers)
+            finally:
+                open_maps.pop()
+
+        monkeypatch.setattr(limase.stripes, "_map_forked", nesting)
+        got = explain_rows(model, X, explain)
+        # row 0's 21 chunks fork, then the other 4 rows; the caller's stripe of
+        # those rows scores its chunks beside the pool's thread, so never forks
+        assert forked == [20, 4] and max(deepest) == 1
+        for a, b in zip(got, want, strict=True):
+            for name in ("phi", "base_value", "fx", "class_index"):
+                assert np.asarray(getattr(a, name)).tobytes() == \
+                    np.asarray(getattr(b, name)).tobytes()
 
 
 class TestForestRounds:
