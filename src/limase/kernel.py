@@ -132,7 +132,7 @@ def kernel_shap(
     predicted class at x).  An x that is not a row of model.d values
     raises ValueError, and a non-finite x or background raises DataError.
     Model scores that are not one finite value per row raise
-    ModelOutputError.
+    ModelOutputError, and any other failure of the model LimaseError.
     """
     started = time.perf_counter()
     x = check_row(x, model.d)
