@@ -366,6 +366,11 @@ class TestForestShap:
         with pytest.raises(ConfigError):
             forest_shap(reg_forest, np.zeros(3), class_index=0)
 
+    def test_empty_forest_rejected(self):
+        # forest_shap has no check of its own: an empty forest cannot be built
+        with pytest.raises(DataError, match="at least one tree"):
+            forest_shap(ForestModel(trees=[], task=Task.regression(), d=2), np.zeros(2))
+
 
 class TestExplanationRecord:
     def test_json_dict_field_set(self):
