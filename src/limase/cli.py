@@ -41,7 +41,7 @@ from .models import (
     training_score,
 )
 from .pipeline import LimaseConfig, LimaseResult, explain_rows, limase_rows
-from .shapley import ShapExplanation, forest_shap, tree_shap
+from .shapley import ShapExplanation, build_forest_boxes, forest_shap, tree_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
 from .viz import build_force_plot, build_summary_plot, render_svg
@@ -277,6 +277,8 @@ def _explain_rows(args, data: Dataset, model,
             def explain(i, row):
                 return tree_shap(model.tree, row)
         elif isinstance(model, ForestModel):
+            build_forest_boxes(model, data.rows[indices], args.class_index)
+
             def explain(i, row):
                 return forest_shap(model, row, args.class_index)
         else:

@@ -58,8 +58,11 @@ class ForestModel(BlackBoxModel):
     probability vector.
 
     The trees are stacked once, when the forest is built, class-major
-    (see class_span), so one walk scores every output.  leaf_boxes holds
-    each output's leaf boxes for forest_shap, built on first use.
+    (see class_span), so one walk scores every output; a walk of many
+    rows forks its row blocks over every CPU when that saves time (see
+    trees.predict_stack), with the same scores.  leaf_boxes holds
+    each output's leaf boxes for forest_shap, kept by
+    shapley.forest_leaf_boxes.
     """
 
     trees: list[DecisionTree]

@@ -283,12 +283,43 @@ def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     )
 
 
+def forest_leaf_boxes(forest, output: int) -> tuple[np.ndarray, ...]:
+    """The output's leaf boxes (see _leaf_boxes), each leaf's value divided by its trees.
+
+    The boxes do not depend on x, so each output's are built on first use
+    and kept in forest.leaf_boxes; this is the one reader and writer of
+    that cache.
+    """
+    boxes = forest.leaf_boxes.get(output)
+    if boxes is None:
+        first, stop = forest.class_span(output)
+        feature, lo, hi, z, value = _leaf_boxes(forest.stack, first, stop)
+        boxes = forest.leaf_boxes[output] = (feature, lo, hi, z, value / (stop - first))
+    return boxes
+
+
+def build_forest_boxes(forest, X: np.ndarray, class_index: int | None = None) -> None:
+    """Build the leaf boxes that forest_shap(forest, x, class_index) needs for each row x of X.
+
+    Those are class_index's, output 0's for regression, or else those of
+    the rows' predicted classes, read from one predict call.  A batch
+    that calls this first times its row 0 without the one-time build,
+    and forked workers inherit every output the rows explain.
+    """
+    forest.task.check_class_index(class_index)
+    if class_index is not None or not forest.task.is_classification:
+        outputs = [class_index or 0]
+    else:
+        outputs = np.unique(np.argmax(forest.predict(X).values, axis=1)).tolist()
+    for output in outputs:
+        forest_leaf_boxes(forest, output)
+
+
 def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapExplanation:
     """Shapley values of the forest's mean tree game (Shapley linearity).
 
     All explained trees go through one leaf-box pass, each leaf's value
-    divided by the number of trees; the boxes do not depend on x, so each
-    output's are built once per forest and kept in forest.leaf_boxes.
+    divided by the number of trees (forest_leaf_boxes).
     For classification the explained scalar is the selected class's
     pre-normalization score (mean of that class's trees); default is the
     model's predicted class at x.
@@ -300,11 +331,7 @@ def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapEx
         class_index = forest.predicted_class(x)
     output = 0 if class_index is None else class_index
     first, stop = forest.class_span(output)
-    boxes = forest.leaf_boxes.get(output)
-    if boxes is None:
-        feature, lo, hi, z, value = _leaf_boxes(forest.stack, first, stop)
-        boxes = forest.leaf_boxes[output] = (feature, lo, hi, z, value / (stop - first))
-    phi, fx = _box_shap(boxes, x)
+    phi, fx = _box_shap(forest_leaf_boxes(forest, output), x)
     base = float(np.mean(forest.stack.value[forest.stack.start[first:stop]]))
     elapsed = (time.perf_counter() - start) * 1000.0
     return ShapExplanation(

@@ -1,8 +1,9 @@
 """One stripe map: independent items run on every CPU, in the caller and in forked workers.
 
-Three loops use it: the rows of a batch of any explainer on an
-in-process model, the coalition chunks of kernel_shap and the training
-rounds of a forest.
+Four loops use it: the rows of a batch of any explainer on an
+in-process model, the coalition chunks of kernel_shap, the training
+rounds of a forest and the row blocks of a stacked forest walk
+(trees.predict_stack).
 Each item keeps its own seed and its own model calls, so the outputs are
 those of the serial loop bit for bit; only where an item runs changes.
 
@@ -15,7 +16,9 @@ more than a few fast items.  The first stripe runs in the caller, the
 others in processes forked from it,
 which return their results pickled.  Nothing forks off Linux, inside a
 forked worker, or when the caller has more than one live thread (a fork
-could copy a lock another thread holds).
+could copy a lock another thread holds).  So a loop inside another
+loop's item, such as the walk of a batch row's scoring call, forks only
+in the caller's first item, before any pool is open.
 
 BLAS threads are read once, when this module loads, as OpenBLAS reads
 them (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
@@ -48,7 +51,10 @@ from .core import LimaseError
 # against forked, forking paid from an estimate of about 15 ms for limase
 # batch rows of a [64, 64] MLP (6 ms saved at 28 ms estimated) and about
 # 24 ms for kernel_shap chunks of 16,300 rows on that MLP (6-14 ms saved at
-# 34-36 ms, 6-12 ms lost at 12 ms); this floor sits above both.
+# 34-36 ms, 6-12 ms lost at 12 ms); this floor sits above both.  Walk
+# blocks of a 150-tree forest (109 rows each) break even near it: 3 ms
+# lost to 8 ms saved at 25-33 ms estimated (4k-8k rows), 30 ms saved at
+# 58 ms (12.5k rows) and 82 ms at 164 ms (25k rows).
 _MIN_SAVING_S = 0.03
 
 

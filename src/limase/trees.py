@@ -31,6 +31,7 @@ from functools import cached_property
 import numpy as np
 
 from .core import ConfigError, DataError, RandomStream
+from .stripes import stripe_map
 
 LEAF = -1
 
@@ -392,28 +393,38 @@ def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndar
     predictions would: tree after tree for several rows, pairwise for one
     row.  So no block after the first holds a single row, and scores equal
     that per-tree mean bit for bit.
+
+    The blocks are independent, so they go through stripes.stripe_map:
+    block 0 is walked and timed in the caller, the rest fork over every
+    CPU when that time says striping saves time, and each block's scores
+    are written into the result here.  Where a block runs does not change
+    its scores.
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != stack.d:
         raise ValueError(f"expected (n, {stack.d}) matrix, got shape {X.shape}")
-    n, d, n_trees = X.shape[0], stack.d, stack.n_trees
+    n, d, n_trees, depth = X.shape[0], stack.d, stack.n_trees, stack.depth
     flat, feature, threshold = X.ravel(), stack.feature, stack.threshold
     child, value = stack.child.ravel(), stack.value
-    out = np.empty((n, n_groups))
     step = max(2, _BLOCK_PAIRS // max(1, n_trees))
     stops = list(range(step, n, step)) + [n] if n else []
     if len(stops) > 1 and stops[-1] - stops[-2] == 1:
         del stops[-2]
-    begin = 0
-    for stop in stops:
+    blocks = list(zip([0] + stops[:-1], stops))
+
+    def walk(block: tuple[int, int]) -> np.ndarray:
+        begin, stop = block
         base = np.tile(np.arange(begin * d, stop * d, d), n_trees)
         node = np.repeat(stack.start[:-1], stop - begin)
-        for _ in range(stack.depth):
+        for _ in range(depth):
             goes_left = flat.take(base + feature.take(node)) <= threshold.take(node)
             node = child.take(2 * node + goes_left)
         leaves = value.take(node).reshape(n_groups, n_trees // n_groups, stop - begin)
-        out[begin:stop] = leaves.mean(axis=1).T
-        begin = stop
+        return leaves.mean(axis=1).T
+
+    out = np.empty((n, n_groups))
+    for (begin, stop), scores in zip(blocks, stripe_map(walk, blocks)):
+        out[begin:stop] = scores
     return out
 
 

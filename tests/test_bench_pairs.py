@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py's verdicts and summary, on synthetic runs."""
+"""tools/bench_pairs.py's verdicts and summary, on synthetic runs, and its argument checks."""
 import importlib.util
 from pathlib import Path
 
@@ -67,3 +67,38 @@ def test_summary_has_a_verdict_per_metric():
     assert out["verdicts"]["rows_per_s"]["verdict"] == "worse"
     assert out["verdicts"]["setup_s"]["verdict"] == "within"
     assert out["change_better"]["rows_per_s"] == "0 of 10"
+
+
+class TestArguments:
+    """Mistakes in the arguments exit 2 before any checkout or run."""
+
+    @pytest.fixture(autouse=True)
+    def nothing_runs(self, monkeypatch):
+        monkeypatch.chdir(TOOL.parents[1])  # where BENCHMARK.json is
+
+        def refuse(*args):
+            raise AssertionError("ran before checking its arguments")
+
+        monkeypatch.setattr(bench_pairs, "export", refuse)
+        monkeypatch.setattr(bench_pairs, "run", refuse)
+
+    @pytest.mark.parametrize("pairs, claim, message", [
+        (["mlp-global=4"], "forest-cls:kernelshap_rows_per_s", "'forest-cls' has no --pairs"),
+        (["forest-cls=4"], "forest-cls:models.predict_ms",
+         "'models.predict_ms' is not an end-to-end metric"),
+        (["forest-cls=4"], "forest-cls", "'' is not an end-to-end metric"),
+        (["forest-cls=4", "mlp-globl=4"], "forest-cls:rows_per_s", "--pairs mlp-globl=4"),
+        (["forest-cls"], "forest-cls:rows_per_s", "--pairs forest-cls:"),
+        (["forest-cls=0"], "forest-cls:rows_per_s", "--pairs forest-cls=0"),
+    ], ids=["claim-without-pairs", "per-layer-claim", "claim-without-metric",
+            "unknown-workload", "no-count", "zero-count"])
+    def test_rejected_at_once(self, tmp_path, capsys, pairs, claim, message):
+        out = tmp_path / "BENCH.json"
+        argv = ["--parent", "HEAD", "--first-seed", "1", "--claim", claim, "--out", str(out)]
+        for spec in pairs:
+            argv += ["--pairs", spec]
+        with pytest.raises(SystemExit) as exited:
+            bench_pairs.main(argv)
+        assert exited.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

@@ -8,9 +8,19 @@ import numpy as np
 import pytest
 
 import limase.cli
+import limase.shapley
 from limase.cli import main
-from limase.core import DataError, Dataset, RandomStream, Task, compute_feature_meta, write_csv
+from limase.core import (
+    DataError,
+    Dataset,
+    RandomStream,
+    Task,
+    compute_feature_meta,
+    load_csv,
+    write_csv,
+)
 from limase.external import ExternalModel
+from limase.models import load_model
 
 from conftest import make_classification_dataset, make_regression_dataset
 
@@ -301,6 +311,46 @@ class TestGlobal:
         assert f"explanation failed for dataset row {failed}: " in err
         assert message in err
         assert not (tmp_path / "out" / "matrix.json").exists()
+
+    @pytest.mark.parametrize("task, flags, outputs", [
+        ("classification", (), None),  # the rows' predicted classes
+        ("classification", ("--class", 1), [1]),
+        ("regression", (), [0]),
+    ], ids=["predicted-classes", "class-index", "regression"])
+    def test_forest_boxes_built_before_row_0(self, reg_csv, cls_csv, tmp_path, monkeypatch,
+                                             task, flags, outputs):
+        csv, target = (cls_csv, "label") if task == "classification" else (reg_csv, "y")
+        assert run("train", "--data", csv, "--target", target, "--task", task,
+                   "--model", "forest", "--n-trees", 8, "--out", tmp_path / "m") == 0
+        args = ("global", "--data", csv, "--target", target, "--task", task,
+                "--model", tmp_path / "m" / "model.json", "--explainer", "treeshap",
+                "--count", 12, "--seed", 4, "--out", tmp_path / "g", *flags)
+        with monkeypatch.context() as m:  # each row builds what it lacks
+            m.setattr(limase.cli, "build_forest_boxes", lambda *a: None)
+            assert run(*args) == 0
+        lazy = (tmp_path / "g" / "matrix.json").read_bytes()
+        boxes, runner, events = limase.shapley._leaf_boxes, limase.cli.explain_rows, []
+
+        def building(stack, first, stop):
+            events.append(("boxes", first // (stop - first)))
+            return boxes(stack, first, stop)
+
+        def running(*a):
+            events.append(("rows", None))
+            return runner(*a)
+
+        monkeypatch.setattr(limase.shapley, "_leaf_boxes", building)
+        monkeypatch.setattr(limase.cli, "explain_rows", running)
+        assert run(*args) == 0
+        payload = json.loads((tmp_path / "g" / "matrix.json").read_text())
+        if outputs is None:
+            model = load_model(tmp_path / "m" / "model.json")
+            data = load_csv(csv, target, task)
+            outputs = sorted({model.predicted_class(data.rows[i]) for i in payload["indices"]})
+            assert len(outputs) > 1
+        # once per output, before the rows run; no row builds any
+        assert events == [("boxes", output) for output in outputs] + [("rows", None)]
+        assert (tmp_path / "g" / "matrix.json").read_bytes() == lazy
 
 
 class TestSp:

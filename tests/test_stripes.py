@@ -1,9 +1,10 @@
-"""The stripe map's edge rules, and its kernel chunks, kernel rows and forest rounds in forked workers."""
+"""The stripe map's edge rules, and its kernel chunks, kernel rows, forest rounds and walk blocks in forked workers."""
 import multiprocessing
 import os
 import sys
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +24,12 @@ from limase.core import (
 from limase.external import attach_external
 from limase.kernel import kernel_shap
 from limase.models import fit_random_forest
-from limase.pipeline import explain_rows
+from limase.pipeline import LimaseConfig, explain_rows, limase_explain_batch
 from limase.stripes import stripe_map
-from limase.trees import TreeParams
+from limase.trees import _BLOCK_PAIRS, TreeParams, predict_batch
 
 from conftest import make_classification_dataset, make_regression_dataset, random_mlp
+from test_models import block_sizes, reference_scores, reference_walk, tiny_dataset
 
 CONSTANT_SERVER = [sys.executable,
                    str(Path(__file__).parent / "fixtures" / "server_constant.py")]
@@ -298,3 +300,90 @@ class TestForestRounds:
         with pytest.raises(ModelOutputError, match="round failed"):
             fit_random_forest(data, 6, TreeParams(max_depth=3), RandomStream(13))
         assert forked == [5]
+
+
+
+class TestWalkBlocks:
+    """A stacked forest walk's row blocks, as the items of one stripe map."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_forked_scores_equal_reference_walk(self, forked, monkeypatch, k):
+        data = (make_classification_dataset(21, 300, 4, k) if k
+                else tiny_dataset(Task.regression(), n=300, d=4))
+        forest = fit_random_forest(data, 40, TreeParams(max_depth=5), RandomStream(4))
+        tree = forest.trees[0]
+        # a worker even for a lone block: the tail blocks run there, the caller's stripe is empty
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 2)
+        for n_trees, walk, reference in (
+                (len(forest.trees), forest.raw_scores, lambda X: reference_scores(forest, X)),
+                (1, lambda X: predict_batch(tree, X), lambda X: reference_walk(tree, X))):
+            step = max(2, _BLOCK_PAIRS // n_trees)
+            for n in block_sizes(n_trees):
+                X = RandomStream(n).normal_matrix(n, 4)
+                forked.clear()
+                assert walk(X).tobytes() == reference(X).tobytes(), n
+                # block 0 in the caller; a single-row tail joins the block before it
+                assert forked == ([] if n == 0 else [1] if n >= step + 2 else [0]), n
+
+    def test_one_chunk_kernel_call_equals_serial_bytes(self, forked, monkeypatch):
+        # every mask in one chunk, as on forest-cls: the chunk's walk is what forks
+        data = make_classification_dataset(31, 300, 10, 3)
+        forest = fit_random_forest(data, 30, TreeParams(max_depth=5), RandomStream(3))
+        x, bg = data.rows[0], data.rows[1:11]
+        want = serial(monkeypatch, kernel_shap, forest, x, bg, 600, RandomStream(4))
+        forked.clear()
+        got = kernel_shap(forest, x, bg, 600, RandomStream(4))
+        assert len(forked) == 1 and forked[0] > 10  # the chunk's blocks beyond block 0
+        for name in ("phi", "base_value", "fx", "class_index"):
+            assert np.asarray(getattr(got, name)).tobytes() == \
+                np.asarray(getattr(want, name)).tobytes()
+
+    def test_limase_scoring_walk_stays_in_caller(self, forked, monkeypatch):
+        # the forest-cls shape: 150 trees at d=10, so 1001 rows are 10 blocks of about 0.5 ms
+        data = make_classification_dataset(23, 300, 10, 3)
+        forest = fit_random_forest(data, 50, TreeParams(max_depth=6), RandomStream(5))
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
+        forked.clear()
+        forest.predict(RandomStream(24).normal_matrix(1001, 10))
+        assert forked == []
+
+    def test_no_walk_forks_inside_forked_rows(self, forked, monkeypatch):
+        data = make_classification_dataset(12, 200, 5, 3)
+        forest = fit_random_forest(data, 40, TreeParams(max_depth=4), RandomStream(13))
+        cfg = LimaseConfig(n_samples=300, seed=2)  # 301 rows: 3 blocks of 120 trees
+        want = serial(monkeypatch, limase_explain_batch, forest, data.rows[:5],
+                      data.features, cfg)
+        inner, caller, open_maps = limase.stripes._map_forked, os.getpid(), []
+
+        def nesting(fn, items, workers):
+            # raised in a worker, this fails the batch, as its row's error is no LimaseError
+            assert os.getpid() == caller and not open_maps, "a nested fork"
+            open_maps.append(len(items))
+            try:
+                return inner(fn, items, workers)
+            finally:
+                open_maps.pop()
+
+        monkeypatch.setattr(limase.stripes, "_map_forked", nesting)
+        forked.clear()
+        got = limase_explain_batch(forest, data.rows[:5], data.features, cfg)
+        assert forked == [2, 4]  # row 0's walk, then the other 4 rows
+        for a, b in zip(got, want, strict=True):
+            for name in ("phi", "base_value", "fx", "class_index"):
+                assert np.asarray(getattr(a.explanation, name)).tobytes() == \
+                    np.asarray(getattr(b.explanation, name)).tobytes()
+
+    def test_forked_walk_memory_is_bounded_by_blocks(self, forked):
+        # as test_models' unforked case: 150 trees over 40k rows, an unblocked walk 48 MB
+        data = make_classification_dataset(23, 300, 10, 3)
+        forest = fit_random_forest(data, 50, TreeParams(max_depth=6), RandomStream(5))
+        X = RandomStream(24).normal_matrix(40_000, 10)
+        forked.clear()
+        tracemalloc.start()
+        try:
+            forest.predict(X)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert forked == [366]  # 367 blocks of at most 109 rows
+        assert peak < 12e6

@@ -15,7 +15,9 @@ per end-to-end metric, how many pairs the change won, by the directions
 in BENCHMARK.json, and a verdict per metric against its bound there:
 within, worse, or unresolved when the parent's runs spread too widely
 to tell and the change's runs do not all read better than all of the
-parent's.  Run it from the root of a checkout.
+parent's.  Run it from the root of a checkout.  An unknown workload, a
+claim on a workload without pairs or on a metric that is not end to end
+exits 2 before anything runs.
 """
 import argparse
 import json
@@ -140,19 +142,31 @@ def main(argv: list[str]) -> None:
     seconds = bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
-    claim_workload, claim_metric = args.claim.split(":")
+    workloads = [w["name"] for w in bench["workloads"]]
+    pairs = []
+    for spec in args.pairs:
+        workload, _, count = spec.partition("=")
+        if workload not in workloads or not count.isdigit() or int(count) < 1:
+            p.error(f"--pairs {spec}: expected WORKLOAD=COUNT, a workload of "
+                    f"BENCHMARK.json ({', '.join(workloads)}) and a count of at least 1")
+        pairs.append((workload, int(count)))
+    claim_workload, _, claim_metric = args.claim.partition(":")
+    if claim_workload not in dict(pairs):
+        p.error(f"--claim {args.claim}: workload {claim_workload!r} has no --pairs")
+    if claim_metric not in better:
+        p.error(f"--claim {args.claim}: {claim_metric!r} is not an end-to-end metric "
+                f"of BENCHMARK.json ({', '.join(better)})")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
         roots = {"parent": Path(work, "parent"), "change": Path(work, "change")}
         shas = {side: export(getattr(args, side), root) for side, root in roots.items()}
         runs, summary = [], {}
-        for spec in args.pairs:
-            workload, count = spec.split("=")
+        for workload, count in pairs:
             done = []
-            for i in range(int(count)):
+            for i in range(count):
                 done += pair(roots, workload, args.first_seed + i, i % 2 == 0, seconds, 0)
             runs += done
             summary[workload] = summarize(done, better, bounds)
-        traced_seed = args.first_seed + max(int(s.split("=")[1]) for s in args.pairs)
+        traced_seed = args.first_seed + max(count for _, count in pairs)
         traced = pair(roots, claim_workload, traced_seed, True, seconds, 1)
         smoke = [run(side, roots[side], w["name"], 1, 3, 1)
                  for w in bench["workloads"] for side in ("parent", "change")]
