@@ -267,8 +267,9 @@ def _explain_rows(args, data: Dataset, model,
     """Explain the dataset rows at indices with the configured explainer, by explain_rows.
 
     The i-th row gets child seed i.  limase gives LimaseResults, treeshap
-    and kernelshap ShapExplanations.  The first failed row fails the
-    call with a LimaseError naming its dataset row.
+    and kernelshap ShapExplanations.  A forest's treeshap rows find every
+    class they explain with its leaf boxes built.  The first failed row
+    fails the call with a LimaseError naming its dataset row.
     """
     if args.explainer == "limase":
         explain = limase_rows(model, data.features, _limase_config(args))

@@ -13,12 +13,12 @@ two workers (usable CPUs // BLAS threads, at most one per item) and the
 first item's time, taken for every item beyond the longest stripe, says
 striping would save at least _MIN_SAVING_S of wall time; a fork costs
 more than a few fast items.  The first stripe runs in the caller, the
-others in processes forked from it,
-which return their results pickled.  Nothing forks off Linux, inside a
-forked worker, or when the caller has more than one live thread (a fork
-could copy a lock another thread holds).  So a loop inside another
-loop's item, such as the walk of a batch row's scoring call, forks only
-in the caller's first item, before any pool is open.
+others in processes forked from it, which return their results pickled
+through pipes.  Nothing forks off Linux, inside a forked worker, while
+the caller's workers run, or when the caller has more than one live
+thread (a fork could copy a lock another thread holds).  So a loop
+inside another loop's item, such as the walk of a batch row's scoring
+call, forks only in the caller's first item, before any worker runs.
 
 BLAS threads are read once, when this module loads, as OpenBLAS reads
 them (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
@@ -30,14 +30,14 @@ RUSAGE_SELF peak.
 """
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
+import signal
 import sys
 import threading
 import time
 from collections.abc import Callable, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from typing import BinaryIO
 
 import numpy as np
 
@@ -45,16 +45,18 @@ from .core import LimaseError
 
 # Least wall time, in seconds, that striping must be estimated to save
 # before items are forked.  The estimate takes the first item's time for
-# every item beyond the longest stripe.  Pool start and shutdown (6-10 ms)
-# and worker items a little slower than the caller's make the real saving
-# fall short of it.  Measured on a 2-vCPU VM with one BLAS thread, serial
-# against forked, forking paid from an estimate of about 15 ms for limase
-# batch rows of a [64, 64] MLP (6 ms saved at 28 ms estimated) and about
-# 24 ms for kernel_shap chunks of 16,300 rows on that MLP (6-14 ms saved at
-# 34-36 ms, 6-12 ms lost at 12 ms); this floor sits above both.  Walk
-# blocks of a 150-tree forest (109 rows each) break even near it: 3 ms
-# lost to 8 ms saved at 25-33 ms estimated (4k-8k rows), 30 ms saved at
-# 58 ms (12.5k rows) and 82 ms at 164 ms (25k rows).
+# every item beyond the longest stripe.  Forking, the reply and reaping
+# (about 10 ms with one worker, a 32 MB caller and 57 small results) and
+# worker items a little slower than the caller's make the real saving fall
+# short of it.  Measured on a 2-vCPU VM with one BLAS thread, serial against
+# forked through a process pool that cost about 7 ms more per call, forking
+# paid from an estimate of about 15 ms for limase batch rows of a [64, 64]
+# MLP (6 ms saved at 28 ms estimated) and about 24 ms for kernel_shap chunks
+# of 16,300 rows on that MLP (6-14 ms saved at 34-36 ms, 6-12 ms lost at
+# 12 ms); this floor sits above both.  Walk blocks of a 150-tree forest
+# (109 rows each), forked as here, saved 2 ms at 24 ms estimated (4k rows),
+# 13 ms at 27 ms (6k), 23 ms at 49 ms (8k), 44 ms at 80 ms (12.5k) and
+# 76 ms at 151 ms (25k).
 _MIN_SAVING_S = 0.03
 
 
@@ -89,7 +91,7 @@ def _blas_threads() -> int:
 
 _BLAS_THREADS = _blas_threads()  # numpy is loaded by now; later changes are not seen
 
-_in_worker = False  # set in a forked worker, which never forks again
+_striping = False  # set in a forked worker, and in the caller while its workers run
 
 
 def _fork_workers(items: int) -> int:
@@ -98,7 +100,7 @@ def _fork_workers(items: int) -> int:
     Each worker's BLAS threads get CPUs of their own, and each worker
     has at least one item.
     """
-    if _in_worker or sys.platform != "linux" or threading.active_count() > 1:
+    if _striping or sys.platform != "linux" or threading.active_count() > 1:
         return 1
     return min(_usable_cpus() // _BLAS_THREADS, items)
 
@@ -126,47 +128,85 @@ def stripe_map(fn: Callable, items: Sequence) -> list:
 
 
 def _map_forked(fn: Callable, items: Sequence, workers: int) -> list:
-    """items in contiguous stripes: the first in the caller, the rest in forks.
+    """items in contiguous stripes: the first in the caller, each other one in a forked child.
 
-    A forked worker inherits fn and items, and with them the model and
-    its inputs; only stripe bounds go to it, and only results come back.
-    A fork-context pool forks all its workers before its manager thread
-    starts (CPython gh-90622), so each fork copies a one-thread process.
+    The caller forks every child from its one thread, then runs the first
+    stripe and reads the others' replies in order.  While they run,
+    _striping keeps any nested stripe map in its own process.  A child
+    that exits without a reply fails the call; a child whose reply is not
+    read, because the call failed first, is killed, and every child is
+    reaped before the call returns.
     """
+    global _striping
     n = len(items)
     bounds = [k * n // workers for k in range(workers + 1)]
-    with ProcessPoolExecutor(workers - 1, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_adopt, initargs=(fn, items)) as pool:
-        stripes = [pool.submit(_run_stripe, first, last)
-                   for first, last in zip(bounds[1:-1], bounds[2:])]
+    children, read = [], 0
+    _striping = True
+    try:
+        for first, last in zip(bounds[1:-1], bounds[2:]):
+            children.append(_fork_stripe(fn, items[first:last]))
         out = [fn(item) for item in items[:bounds[1]]]
-        for stripe in stripes:
-            outcomes, raised = stripe.result()
+        for _, reply in children:
+            outcomes, raised = _read_reply(reply)
+            read += 1
             out += [_relink(outcome, causes) for outcome, causes in outcomes]
             if raised is not None:
                 raise _relink(*raised)
+    finally:
+        _striping = False
+        for k, (pid, reply) in enumerate(children):
+            reply.close()
+            if k >= read:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     return out
 
 
-_forked_fn = None  # fn and items of the stripe map a forked worker serves
-_forked_items = ()
+def _fork_stripe(fn: Callable, stripe: Sequence) -> tuple[int, BinaryIO]:
+    """Fork a child that runs fn over stripe; return its pid and the pipe of its reply.
+
+    The child inherits fn and stripe, and with them the model and its
+    inputs, so only its outcomes cross the pipe, as one pickle.  It
+    leaves by os._exit, so none of the caller's cleanup runs in it.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to be had: the pipe goes with it
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_end)
+            reply = pickle.dumps(_run_stripe(fn, stripe))
+            with open(write_end, "wb") as pipe:
+                pipe.write(reply)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_end)
+    return pid, open(read_end, "rb")
 
 
-def _adopt(fn: Callable, items: Sequence) -> None:
-    global _forked_fn, _forked_items, _in_worker
-    _forked_fn, _forked_items, _in_worker = fn, items, True
+def _read_reply(reply: BinaryIO) -> tuple[list[tuple], tuple | None]:
+    try:
+        return pickle.loads(reply.read())
+    except (EOFError, pickle.UnpicklingError) as e:  # the child died before its reply was out
+        raise LimaseError("a forked worker exited without its results") from e
 
 
-def _run_stripe(first: int, last: int) -> tuple[list[tuple], tuple | None]:
+def _run_stripe(fn: Callable, stripe: Sequence) -> tuple[list[tuple], tuple | None]:
     """In a forked worker: each item's outcome with the __cause__ chain pickle drops.
 
     The stripe stops at the first exception, which comes back beside
     the outcomes before it, so the caller raises it in order.
     """
     outcomes = []
-    for item in _forked_items[first:last]:
+    for item in stripe:
         try:
-            outcome = _forked_fn(item)
+            outcome = fn(item)
         except Exception as e:
             return outcomes, (_portable(e), _portable_causes(e))
         outcomes.append((outcome, _portable_causes(outcome)))
@@ -192,7 +232,7 @@ def _portable_causes(outcome) -> list[BaseException]:
     """An error's __cause__ chain, cut before the first link that fails a pickle round trip.
 
     A cause comes from the black box and can be of any class; one that
-    cannot be rebuilt from its pickle would break the whole pool.
+    cannot be rebuilt from its pickle would lose the whole reply.
     """
     chain = []
     cause = outcome.__cause__ if isinstance(outcome, BaseException) else None

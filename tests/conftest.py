@@ -1,6 +1,7 @@
 """Shared builders: random trees with consistent covers and synthetic data."""
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 
 import numpy as np
@@ -124,3 +125,12 @@ def random_mlp(seed: int, d: int, hidden: list[int], task: Task = Task.regressio
     weights = [rng.normal_matrix(a, b) * np.sqrt(2.0 / a) for a, b in zip(sizes, sizes[1:])]
     biases = [0.1 * rng.normal(b) for b in sizes[1:]]
     return MlpModel(weights=weights, biases=biases, task=task)
+
+
+def no_child_processes() -> bool:
+    """Whether this process has no child left, running or exited and not reaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False

@@ -1,5 +1,4 @@
 """Local surrogate pipeline: sampling, weighting, fitting, explaining."""
-import multiprocessing
 import os
 import sys
 import threading
@@ -39,7 +38,7 @@ from limase.pipeline import (
 from limase.shapley import tree_conditional_value
 from limase.trees import TreeParams, fit_tree, predict_batch
 
-from conftest import make_classification_dataset, make_regression_dataset
+from conftest import make_classification_dataset, make_regression_dataset, no_child_processes
 
 STUMP_SERVER = [sys.executable, str(Path(__file__).parent / "fixtures" / "server_stump.py")]
 
@@ -637,7 +636,7 @@ class TestForkedBatch:
                 for name in ("feature", "threshold", "child", "cover", "value"):
                     assert np.array_equal(getattr(result.surrogate, name),
                                           getattr(single.surrogate, name), equal_nan=True)
-        assert multiprocessing.active_children() == []
+        assert no_child_processes()
 
     @pytest.mark.parametrize("make_model, bad_row", [
         (lambda: FlakyModel(2), [1000.0, 0.0]),
@@ -657,7 +656,7 @@ class TestForkedBatch:
                 assert _chain(a) == _chain(b)  # types, messages and causes
             else:
                 assert np.array_equal(a.explanation.phi, b.explanation.phi)
-        assert multiprocessing.active_children() == []
+        assert no_child_processes()
 
     def test_cause_that_pickle_cannot_rebuild_is_cut(self, monkeypatch):
         rows = RandomStream(13).normal_matrix(30, 2)
@@ -688,7 +687,7 @@ class TestForkedBatch:
         X[7, 0] = 1000.0  # in the last stripe, which a worker runs
         with pytest.raises(KeyError, match="not a LimaseError"):
             limase_explain_batch(model, X, reg_data.features, LimaseConfig(n_samples=50))
-        assert multiprocessing.active_children() == []
+        assert no_child_processes()
 
     def test_rows_stay_in_caller(self, reg_data, monkeypatch):
         model = fit_random_forest(reg_data, 3, TreeParams(max_depth=3), RandomStream(0))
@@ -753,7 +752,7 @@ class TestForkedBatch:
         batch = limase_explain_batch(model, reg_data.rows[:6], reg_data.features, cfg)
         assert seen == [os.getpid()] * 3  # row 0 and the caller's stripe of the other five
         assert [r.pid == os.getpid() for r in batch] == [True] * 3 + [False] * 3
-        assert multiprocessing.active_children() == []
+        assert no_child_processes()
 
 
 class TestSigmaSweep:

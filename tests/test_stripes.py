@@ -1,5 +1,4 @@
 """The stripe map's edge rules, and its kernel chunks, kernel rows, forest rounds and walk blocks in forked workers."""
-import multiprocessing
 import os
 import sys
 import threading
@@ -28,7 +27,12 @@ from limase.pipeline import LimaseConfig, explain_rows, limase_explain_batch
 from limase.stripes import stripe_map
 from limase.trees import _BLOCK_PAIRS, TreeParams, predict_batch
 
-from conftest import make_classification_dataset, make_regression_dataset, random_mlp
+from conftest import (
+    make_classification_dataset,
+    make_regression_dataset,
+    no_child_processes,
+    random_mlp,
+)
 from test_models import block_sizes, reference_scores, reference_walk, tiny_dataset
 
 CONSTANT_SERVER = [sys.executable,
@@ -97,7 +101,7 @@ def forked(monkeypatch):
 
     monkeypatch.setattr(limase.stripes, "_map_forked", spy)
     yield calls
-    assert multiprocessing.active_children() == []
+    assert no_child_processes()
 
 
 def serial(monkeypatch, fn, *args, **kwargs):
@@ -121,7 +125,7 @@ class TestStripeMap:
         outer = stripe_map(inner_pids, range(3))
         assert forked == [3, 2]  # item 0's inner map, then the outer one
         assert outer[0][:2] == [os.getpid()] * 2 and os.getpid() not in outer[0][2:]
-        assert outer[1] == [os.getpid()] * 4  # beside the outer pool's thread
+        assert outer[1] == [os.getpid()] * 4  # beside the outer map's running worker
         assert len(set(outer[2])) == 1 and os.getpid() not in outer[2]  # stayed in its worker
 
     def test_first_item_timed_in_caller(self, forked, monkeypatch):
@@ -163,7 +167,33 @@ class TestStripeMap:
             stripe_map(failing, range(8))
         assert type(caught.value) is LimaseError
         assert "7: no pickle" in str(caught.value)
-        assert stripe_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the pool was not broken
+        assert stripe_map(lambda i: i, range(4)) == [0, 1, 2, 3]  # the next map still forks
+
+    def test_failed_call_kills_running_workers(self, forked):
+        caller = os.getpid()
+
+        def item(i):
+            if os.getpid() != caller:
+                time.sleep(60)
+            if i == 1:
+                raise ValueError("the caller's stripe failed")
+            return i
+
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="caller's stripe failed"):
+            stripe_map(item, range(4))  # item 1 in the caller, items 2-3 in a worker
+        assert time.perf_counter() - started < 30  # the sleeping worker was not waited for
+
+    def test_worker_that_exits_without_results_fails_the_call(self, forked):
+        caller = os.getpid()
+
+        def item(i):
+            if os.getpid() != caller:
+                os._exit(3)
+            return i
+
+        with pytest.raises(LimaseError, match="exited without its results"):
+            stripe_map(item, range(4))
 
     def test_blas_threads_read_as_openblas_reads_them(self, monkeypatch):
         monkeypatch.setattr(np, "show_config", lambda mode: {
@@ -264,7 +294,7 @@ class TestKernelRows:
         monkeypatch.setattr(limase.stripes, "_map_forked", nesting)
         got = explain_rows(model, X, explain)
         # row 0's 21 chunks fork, then the other 4 rows; the caller's stripe of
-        # those rows scores its chunks beside the pool's thread, so never forks
+        # those rows scores its chunks beside the running worker, so never forks
         assert forked == [20, 4] and max(deepest) == 1
         for a, b in zip(got, want, strict=True):
             for name in ("phi", "base_value", "fx", "class_index"):
