@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -41,7 +42,7 @@ from .models import (
     training_score,
 )
 from .pipeline import LimaseConfig, LimaseResult, explain_rows, limase_rows
-from .shapley import ShapExplanation, build_forest_boxes, forest_shap, tree_shap
+from .shapley import ShapExplanation, forest_shap
 from .sp import ExplanationMatrix, sp_explain
 from .trees import TreeParams, fit_tree
 from .viz import build_force_plot, build_summary_plot, render_svg
@@ -158,6 +159,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     for name in ("count", "background", "budget"):
         if getattr(args, name) < 1:
             raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
+    for action in _subparser_for(parser, args.command)._actions:
+        # the config echo of every artifact holds each value, and JSON has no NaN or infinity
+        value = getattr(args, action.dest) if action.type is float else None
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{action.option_strings[0]} ({action.dest} in a config file) "
+                              f"must be finite, got {value}")
     return args
 
 
@@ -267,23 +274,18 @@ def _explain_rows(args, data: Dataset, model,
     """Explain the dataset rows at indices with the configured explainer, by explain_rows.
 
     The i-th row gets child seed i.  limase gives LimaseResults, treeshap
-    and kernelshap ShapExplanations.  A forest's treeshap rows find every
-    class they explain with its leaf boxes built.  The first failed row
+    and kernelshap ShapExplanations.  treeshap rows of a tree or forest
+    read the leaf boxes the model built with itself.  The first failed row
     fails the call with a LimaseError naming its dataset row.
     """
     if args.explainer == "limase":
         explain = limase_rows(model, data.features, _limase_config(args))
     elif args.explainer == "treeshap":
-        if isinstance(model, TreeModel):
-            def explain(i, row):
-                return tree_shap(model.tree, row)
-        elif isinstance(model, ForestModel):
-            build_forest_boxes(model, data.rows[indices], args.class_index)
-
-            def explain(i, row):
-                return forest_shap(model, row, args.class_index)
-        else:
+        if not isinstance(model, (TreeModel, ForestModel)):
             raise ConfigError("--explainer treeshap requires a tree or forest model")
+
+        def explain(i, row):
+            return forest_shap(model, row, args.class_index)
     else:
         budget = _parse_kernel_budget(args.kernel_budget)
         background = _background_rows(args, data)

@@ -3,7 +3,9 @@
 Forests are built from the same regression trees the surrogate uses;
 classification is handled as per-class probability trees whose averaged
 scores are renormalized, which keeps a single tree type and lets the tree
-explainer run directly on any forest.  The MLP is deliberately minimal:
+explainer run directly on any forest.  A tree or forest model builds each
+output's leaf boxes for that explainer (shapley.forest_shap) when it is
+built, so no explained row builds any.  The MLP is deliberately minimal:
 rectifier hidden layers, softmax/identity output, plain mini-batch SGD.
 """
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .core import (
     RandomStream,
     Task,
 )
+from .shapley import _leaf_boxes
 from .stripes import stripe_map
 from .trees import (
     DecisionTree,
@@ -37,12 +40,17 @@ from .trees import (
 
 
 class TreeModel(BlackBoxModel):
-    """A single regression tree exposed through the black-box interface."""
+    """A single regression tree exposed through the black-box interface.
+
+    To forest_shap it is a one-tree regression forest: boxes holds its
+    leaf boxes (see ForestModel), built with the model.
+    """
 
     def __init__(self, tree: DecisionTree):
         self.tree = tree
         self.task = Task.regression()
         self.d = tree.d
+        self.boxes = [_leaf_boxes(tree, 0, 1)]
 
     def predict(self, X: np.ndarray) -> ModelOutput:
         return ModelOutput(predict_batch(self.tree, np.asarray(X, dtype=float))[:, None])
@@ -60,16 +68,16 @@ class ForestModel(BlackBoxModel):
     The trees are stacked once, when the forest is built, class-major
     (see class_span), so one walk scores every output; a walk of many
     rows forks its row blocks over every CPU when that saves time (see
-    trees.predict_stack), with the same scores.  leaf_boxes holds
-    each output's leaf boxes for forest_shap, kept by
-    shapley.forest_leaf_boxes.
+    trees.predict_stack), with the same scores.  boxes[c] holds output
+    c's leaf boxes and base value for forest_shap, built from the stack
+    at the same time (see shapley._leaf_boxes).
     """
 
     trees: list[DecisionTree]
     task: Task
     d: int
     stack: TreeStack = field(init=False, repr=False, compare=False)
-    leaf_boxes: dict = field(init=False, repr=False, compare=False, default_factory=dict)
+    boxes: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.trees:
@@ -82,6 +90,8 @@ class ForestModel(BlackBoxModel):
                             f"{self.n_outputs} trees, got {len(self.trees)}")
         self.stack = stack_trees(
             [t for c in range(self.n_outputs) for t in self.class_trees(c)], self.d)
+        self.boxes = [_leaf_boxes(self.stack, *self.class_span(c))
+                      for c in range(self.n_outputs)]
 
     @property
     def n_outputs(self) -> int:
@@ -111,9 +121,6 @@ class ForestModel(BlackBoxModel):
             with np.errstate(invalid="ignore", divide="ignore"):
                 scores = np.where(totals > 0, scores / totals, uniform)
         return ModelOutput(scores)
-
-    def predicted_class(self, x: np.ndarray) -> int:
-        return int(np.argmax(self.predict(np.asarray(x, dtype=float)[None, :]).values[0]))
 
 
 def fit_random_forest(
@@ -183,9 +190,11 @@ class MlpModel(BlackBoxModel):
         for w_in, w_out in zip(self.weights[:-1], self.weights[1:]):
             if w_in.shape[1] != w_out.shape[0]:
                 raise ValueError("consecutive layer dimensions do not match")
-        for w, b in zip(self.weights, self.biases):
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape[1] != b.shape[0]:
                 raise ValueError("bias length must match layer width")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise DataError(f"MLP layer {i} has non-finite weights or biases")
         self.d = self.weights[0].shape[0]
 
     def _forward(self, X: np.ndarray, inputs: list[np.ndarray] | None = None) -> np.ndarray:
@@ -271,10 +280,14 @@ def fit_mlp(
 ) -> MlpModel:
     """Mini-batch gradient descent; deterministic given the stream.
 
-    Returns the trained model regardless of achieved loss.
+    Returns the trained model regardless of achieved loss, unless its
+    weights stop being finite: that raises ConfigError at the end of the
+    epoch in which they did.
     """
     if epochs < 1:
         raise ConfigError("epochs must be >= 1")
+    if not 0 < learning_rate < math.inf:  # NaN fails this too
+        raise ConfigError(f"learning_rate must be positive and finite, got {learning_rate}")
     if any(h < 1 for h in hidden):
         raise ConfigError("hidden widths must be >= 1")
     n, d = data.rows.shape
@@ -288,14 +301,18 @@ def fit_mlp(
     model = MlpModel(weights=weights, biases=biases, task=data.task)
     X, y = data.rows, data.target
     order = np.arange(n)
-    for _ in range(epochs):
+    for epoch in range(epochs):
         rng.shuffle(order)
-        for start in range(0, n, _TRAIN_BATCH_ROWS):
-            batch = order[start : start + _TRAIN_BATCH_ROWS]
-            _, gw, gb = mlp_loss_and_gradients(model, X[batch], y[batch])
-            for i in range(len(model.weights)):
-                model.weights[i] -= learning_rate * gw[i]
-                model.biases[i] -= learning_rate * gb[i]
+        with np.errstate(over="ignore", invalid="ignore"):  # divergence is checked below
+            for start in range(0, n, _TRAIN_BATCH_ROWS):
+                batch = order[start : start + _TRAIN_BATCH_ROWS]
+                _, gw, gb = mlp_loss_and_gradients(model, X[batch], y[batch])
+                for i in range(len(model.weights)):
+                    model.weights[i] -= learning_rate * gw[i]
+                    model.biases[i] -= learning_rate * gb[i]
+        if not all(np.all(np.isfinite(a)) for a in model.weights + model.biases):
+            raise ConfigError(f"MLP training diverged in epoch {epoch + 1} of {epochs}: "
+                              f"its weights are no longer finite; lower the learning rate")
     return model
 
 

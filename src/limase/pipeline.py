@@ -49,8 +49,8 @@ class LimaseConfig:
     def __post_init__(self):
         if self.n_samples < 10:
             raise ConfigError(f"n_samples must be >= 10, got {self.n_samples}")
-        if not self.sigma > 0:
-            raise ConfigError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < np.inf:  # NaN fails this too
+            raise ConfigError(f"sigma must be positive and finite, got {self.sigma}")
 
 
 @dataclass
@@ -273,14 +273,12 @@ def sigma_sweep(
     """
     if not sigmas:
         raise ConfigError("sigmas must be non-empty")
-    if any(not s > 0 for s in sigmas):
-        raise ConfigError("all sigma values must be positive")
+    configs = [replace(config, sigma=float(s)) for s in sigmas]  # each checks its sigma
     rows, targets, class_index = _score(model, x, features, config)
     out = []
-    for s in sigmas:
+    for cfg in configs:
         started = time.perf_counter()
-        cfg = replace(config, sigma=float(s))
         result = _fit(rows[0], rows, targets, class_index, features, cfg)
         result.explanation.elapsed_ms = (time.perf_counter() - started) * 1000.0
-        out.append((float(s), result))
+        out.append((cfg.sigma, result))
     return out

@@ -15,11 +15,15 @@ Three routes to the same numbers, used to cross-check each other:
   leaf gives every feature's Shapley value, for all leaves of all
   explained trees in one vectorized pass.  The oracles above share no
   code with this kernel.
+
+tree_shap builds a tree's leaf boxes on each call, for a surrogate that
+is explained once.  A TreeModel or ForestModel builds each output's boxes
+when it is built, and forest_shap, the one explainer of both, reads them.
 """
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 from typing import Callable, Iterable
@@ -171,16 +175,18 @@ def enumerate_tree_values(tree: DecisionTree, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple[np.ndarray, ...]:
-    """Every leaf of the stack's trees first to stop - 1 as a box.
+def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple:
+    """The mean game of the stack's trees first to stop - 1, as leaf boxes.
 
     A box has one slot per distinct feature on the leaf's path.  All
     leaves walk up to their roots together, one vectorized step per
-    level.  Returns (feature, lo, hi, z, value): the splits on the path
-    of leaf l that test feature[l, j] send x there iff lo[l, j] < x <=
-    hi[l, j], and their cover ratios multiply to z[l, j].  A leaf with
-    fewer distinct features than the widest is padded with null players:
-    feature d, an unbounded interval and z = 1.
+    level.  Returns (feature, lo, hi, z, value, base): the splits on the
+    path of leaf l that test feature[l, j] send x there iff lo[l, j] < x
+    <= hi[l, j], and their cover ratios multiply to z[l, j]; value[l] is
+    the leaf's value divided by the number of trees, and base is the mean
+    of the trees' root values.  A leaf with fewer distinct features than
+    the widest is padded with null players: feature d, an unbounded
+    interval and z = 1.
     """
     span, d = slice(int(stack.start[first]), int(stack.start[stop])), stack.d
     feature, threshold = stack.feature[span], stack.threshold[span]
@@ -223,10 +229,11 @@ def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple[np.ndarray, ..
     boxes = (np.full(shape, d), np.full(shape, -np.inf), np.full(shape, np.inf), np.ones(shape))
     for box, slots in zip(boxes, (f, lo, hi, z)):
         box[leaf, slot] = slots
-    return boxes + (value[leaves],)
+    base = float(np.mean(stack.value[stack.start[first:stop]]))
+    return boxes + (value[leaves] / (stop - first), base)
 
 
-def _box_shap(boxes: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray, float]:
+def _box_shap(boxes: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
     """phi and the model value at x of the sum of the leaf games in boxes.
 
     With o_j = 1 when x lies in slot j's interval, leaf l is the product
@@ -237,7 +244,7 @@ def _box_shap(boxes: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray,
     slot i's factor comes out by synthetic division when o_i = 1 (no
     division, and stable as z_i <= 1) and by dividing by z_i when o_i = 0.
     """
-    feature, lo, hi, z, value = boxes
+    feature, lo, hi, z, value, _ = boxes
     d = x.size
     xs = np.append(x, 0.0)[feature]  # padded slots test 0 against (-inf, inf]
     inside = (xs > lo) & (xs <= hi)
@@ -262,79 +269,43 @@ def _box_shap(boxes: tuple[np.ndarray, ...], x: np.ndarray) -> tuple[np.ndarray,
     return phi, fx
 
 
+def _explanation(boxes: tuple, x: np.ndarray, start: float,
+                 class_index: int | None = None) -> ShapExplanation:
+    """The treeshap explanation of the boxes' game at x, timed from start."""
+    phi, fx = _box_shap(boxes, x)
+    elapsed = (time.perf_counter() - start) * 1000.0
+    return ShapExplanation(
+        base_value=boxes[-1], phi=phi, fx=fx, instance=x.copy(),
+        explainer="treeshap", elapsed_ms=elapsed, class_index=class_index,
+    )
+
+
 def tree_shap(tree: DecisionTree, x: np.ndarray) -> ShapExplanation:
     """Exact Shapley values of the tree's conditional value function at x.
 
     Identical to shapley_brute_force over tree_conditional_value, but in
     time polynomial in leaves x depth^2 rather than exponential in d.
-    Features never split on receive an exact zero.
+    Features never split on receive an exact zero.  The tree's leaf boxes
+    are built on each call.
     """
     x = check_row(x, tree.d)
     start = time.perf_counter()
-    phi, fx = _box_shap(_leaf_boxes(tree, 0, 1), x)
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ShapExplanation(
-        base_value=float(tree.value[0]),
-        phi=phi,
-        fx=fx,
-        instance=x.copy(),
-        explainer="treeshap",
-        elapsed_ms=elapsed,
-    )
+    return _explanation(_leaf_boxes(tree, 0, 1), x, start)
 
 
-def forest_leaf_boxes(forest, output: int) -> tuple[np.ndarray, ...]:
-    """The output's leaf boxes (see _leaf_boxes), each leaf's value divided by its trees.
+def forest_shap(model, x: np.ndarray, class_index: int | None = None) -> ShapExplanation:
+    """Shapley values of a tree model's mean tree game (Shapley linearity).
 
-    The boxes do not depend on x, so each output's are built on first use
-    and kept in forest.leaf_boxes; this is the one reader and writer of
-    that cache.
-    """
-    boxes = forest.leaf_boxes.get(output)
-    if boxes is None:
-        first, stop = forest.class_span(output)
-        feature, lo, hi, z, value = _leaf_boxes(forest.stack, first, stop)
-        boxes = forest.leaf_boxes[output] = (feature, lo, hi, z, value / (stop - first))
-    return boxes
-
-
-def build_forest_boxes(forest, X: np.ndarray, class_index: int | None = None) -> None:
-    """Build the leaf boxes that forest_shap(forest, x, class_index) needs for each row x of X.
-
-    Those are class_index's, output 0's for regression, or else those of
-    the rows' predicted classes, read from one predict call.  A batch
-    that calls this first times its row 0 without the one-time build,
-    and forked workers inherit every output the rows explain.
-    """
-    forest.task.check_class_index(class_index)
-    if class_index is not None or not forest.task.is_classification:
-        outputs = [class_index or 0]
-    else:
-        outputs = np.unique(np.argmax(forest.predict(X).values, axis=1)).tolist()
-    for output in outputs:
-        forest_leaf_boxes(forest, output)
-
-
-def forest_shap(forest, x: np.ndarray, class_index: int | None = None) -> ShapExplanation:
-    """Shapley values of the forest's mean tree game (Shapley linearity).
-
-    All explained trees go through one leaf-box pass, each leaf's value
-    divided by the number of trees (forest_leaf_boxes).
+    model is a ForestModel, or a TreeModel as a one-tree regression
+    forest; either holds each output's leaf boxes, built with the model
+    (model.boxes), so a row costs one pass of the polynomial kernel.
     For classification the explained scalar is the selected class's
-    pre-normalization score (mean of that class's trees); default is the
-    model's predicted class at x.
+    pre-normalization score (mean of that class's trees); the default is
+    the class predict_scalar_and_class picks at x.
     """
-    x = check_row(x, forest.d)
+    x = check_row(x, model.d)
     start = time.perf_counter()
-    forest.task.check_class_index(class_index)
-    if forest.task.is_classification and class_index is None:
-        class_index = forest.predicted_class(x)
-    output = 0 if class_index is None else class_index
-    first, stop = forest.class_span(output)
-    phi, fx = _box_shap(forest_leaf_boxes(forest, output), x)
-    base = float(np.mean(forest.stack.value[forest.stack.start[first:stop]]))
-    elapsed = (time.perf_counter() - start) * 1000.0
-    return ShapExplanation(
-        base_value=base, phi=phi, fx=fx, instance=x.copy(),
-        explainer="treeshap", elapsed_ms=elapsed, class_index=class_index,
-    )
+    model.task.check_class_index(class_index)
+    if model.task.is_classification and class_index is None:
+        class_index = model.predict_scalar_and_class(x[None, :])[1]
+    return _explanation(model.boxes[class_index or 0], x, start, class_index)

@@ -52,8 +52,9 @@ class TreeParams:
     def __post_init__(self):
         if self.max_depth < 1:
             raise ConfigError("max_depth must be >= 1")
-        if not self.min_samples_leaf >= 1:  # NaN fails this too
-            raise ConfigError("min_samples_leaf must be >= 1")
+        if not 1 <= self.min_samples_leaf < np.inf:  # NaN fails this too
+            raise ConfigError(f"min_samples_leaf must be finite and >= 1, "
+                              f"got {self.min_samples_leaf}")
         if not 0.0 <= self.min_weight_fraction_leaf < 1.0:
             raise ConfigError("min_weight_fraction_leaf must be in [0, 1)")
 

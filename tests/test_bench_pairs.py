@@ -1,5 +1,6 @@
 """tools/bench_pairs.py's verdicts and summary, on synthetic runs, and its argument checks."""
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -51,15 +52,25 @@ class TestVerdict:
         assert verdict([0.0] * 4, [-0.1] * 4, "higher", 0.05)["verdict"] == "worse"
 
 
-def test_summary_has_a_verdict_per_metric():
-    def runs(side, values):
-        return [{"side": side, "seed": 201 + i,
-                 "result": {"metrics": {"rows_per_s": {"value": v},
-                                        "setup_s": {"value": 1.0}}}}
-                for i, v in enumerate(values)]
+BETTER = {"rows_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
+BOUNDS = {"rows_per_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15}
 
-    better = {"rows_per_s": "higher", "setup_s": "lower", "peak_rss_mb": "lower"}
-    bounds = {"rows_per_s": 0.25, "setup_s": 0.25, "peak_rss_mb": 0.15}
+
+def runs(side, values, first_seed=201):
+    """Synthetic runs reading rows_per_s and setup_s; a None value is a failed run."""
+    return [{"side": side, "seed": first_seed + i, "exit": 1 if v is None else 0,
+             "result": None if v is None else
+             {"correct": True, "metrics": {"rows_per_s": {"value": v},
+                                           "setup_s": {"value": 1.0}}}}
+            for i, v in enumerate(values)]
+
+
+def interleave(parent, change):
+    return [r for pair in zip(parent, change) for r in pair]
+
+
+def test_summary_has_a_verdict_per_metric():
+    better, bounds = BETTER, BOUNDS
     parent, change = runs("parent", STEADY), runs("change", shifted(STEADY, 0.5))
     out = bench_pairs.summarize([r for pair in zip(parent, change) for r in pair],
                                 better, bounds)
@@ -67,6 +78,85 @@ def test_summary_has_a_verdict_per_metric():
     assert out["verdicts"]["rows_per_s"]["verdict"] == "worse"
     assert out["verdicts"]["setup_s"]["verdict"] == "within"
     assert out["change_better"]["rows_per_s"] == "0 of 10"
+
+
+class TestFailedRuns:
+    def test_verdict_of_a_failed_run(self):
+        assert verdict(STEADY, STEADY[:-1] + [float("nan")], "higher", 0.25)["verdict"] \
+            == "failed"
+        assert verdict([float("nan")] + STEADY[1:], STEADY, "lower", 0.25)["verdict"] \
+            == "failed"
+
+    def test_first_parent_run_failed(self):
+        out = bench_pairs.summarize(
+            interleave(runs("parent", [None] + STEADY[1:]), runs("change", STEADY)),
+            BETTER, BOUNDS)
+        assert out["failed_runs"] == {"parent": 1, "change": 0}
+        assert {m: v["verdict"] for m, v in out["verdicts"].items()} \
+            == {"rows_per_s": "failed", "setup_s": "failed"}
+        assert out["parent"]["rows_per_s"]["median"] == 100.0  # of the nine that read it
+        assert out["change_better"]["rows_per_s"] == "0 of 10"
+
+    def test_failed_change_run_is_never_within(self):
+        out = bench_pairs.summarize(
+            interleave(runs("parent", STEADY), runs("change", STEADY[:4] + [None] + STEADY[5:])),
+            BETTER, BOUNDS)
+        assert out["failed_runs"] == {"parent": 0, "change": 1}
+        assert out["verdicts"]["rows_per_s"]["verdict"] == "failed"
+        claim = bench_pairs.claim_report({"w": out}, "w", "rows_per_s", "higher")
+        assert claim == {"metric": "rows_per_s on w", "verdict": "failed", "met": False}
+
+    def test_every_run_failed(self):
+        out = bench_pairs.summarize(
+            interleave(runs("parent", [None] * 3), runs("change", [None] * 3)), BETTER, BOUNDS)
+        assert out["failed_runs"] == {"parent": 3, "change": 3}
+        assert out["verdicts"] == {} and out["parent"] == {} and out["change"] == {}
+        claim = bench_pairs.claim_report({"w": out}, "w", "rows_per_s", "higher")
+        assert claim["verdict"] == "failed" and not claim["met"]
+
+
+class TestReport:
+    """main's report, with each checkout and run replaced by a synthetic one."""
+
+    @pytest.fixture
+    def report(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(TOOL.parents[1])  # where BENCHMARK.json is
+        calls = []
+
+        def fake_run(side, root, workload, seed, seconds, trace):
+            calls.append((side, workload, seed, trace))
+            failed = (side, seed) == ("parent", 11) and workload == "forest-cls"
+            [r] = runs(side, [None if failed else 100.0 + seed % 3], seed)
+            return {**r, "workload": workload, "phi_digest": "d", "absent_layers": [],
+                    "env": {}}
+
+        monkeypatch.setattr(bench_pairs, "export", lambda rev, dest: rev)
+        monkeypatch.setattr(bench_pairs, "run", fake_run)
+
+        def made(*argv):
+            out = tmp_path / "BENCH.json"
+            bench_pairs.main(["--parent", "p", "--change", "c", "--first-seed", "11",
+                              "--out", str(out), *argv])
+            return json.loads(out.read_text()), calls
+
+        return made
+
+    def test_no_claim(self, report):
+        got, calls = report("--pairs", "forest-cls=4", "--pairs", "mlp-global=2")
+        assert got["claim"] is None
+        # the traced pair runs on the first --pairs workload, after the largest count
+        assert [c for c in calls if c[3] == 1 and c[2] != 1] \
+            == [("parent", "forest-cls", 15, 1), ("change", "forest-cls", 15, 1)]
+        summary = got["summary"]
+        assert summary["forest-cls"]["failed_runs"] == {"parent": 1, "change": 0}
+        assert summary["mlp-global"]["failed_runs"] == {"parent": 0, "change": 0}
+        assert got["not_within"] == ["forest-cls:rows_per_s failed", "forest-cls:setup_s failed"]
+        assert got["all_correct"] is False
+
+    def test_claim_on_a_failed_metric_is_not_met(self, report):
+        got, _ = report("--pairs", "forest-cls=2", "--claim", "forest-cls:rows_per_s")
+        assert got["claim"] == {"metric": "rows_per_s on forest-cls", "verdict": "failed",
+                                "met": False}
 
 
 class TestArguments:

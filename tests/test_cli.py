@@ -1,5 +1,6 @@
 """Command-line workflows end to end, in process."""
 import json
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import limase.cli
+import limase.models
 import limase.shapley
 from limase.cli import main
 from limase.core import (
@@ -20,7 +22,6 @@ from limase.core import (
     write_csv,
 )
 from limase.external import ExternalModel
-from limase.models import load_model
 
 from conftest import make_classification_dataset, make_regression_dataset
 
@@ -312,45 +313,43 @@ class TestGlobal:
         assert message in err
         assert not (tmp_path / "out" / "matrix.json").exists()
 
-    @pytest.mark.parametrize("task, flags, outputs", [
-        ("classification", (), None),  # the rows' predicted classes
-        ("classification", ("--class", 1), [1]),
-        ("regression", (), [0]),
-    ], ids=["predicted-classes", "class-index", "regression"])
+    @pytest.mark.parametrize("task, model, flags", [
+        ("classification", "forest", ()),  # the rows' predicted classes
+        ("classification", "forest", ("--class", 1)),
+        ("regression", "forest", ()),
+        ("regression", "tree", ()),  # a one-tree regression forest
+    ], ids=["predicted-classes", "class-index", "regression", "tree"])
     def test_forest_boxes_built_before_row_0(self, reg_csv, cls_csv, tmp_path, monkeypatch,
-                                             task, flags, outputs):
+                                             task, model, flags):
         csv, target = (cls_csv, "label") if task == "classification" else (reg_csv, "y")
         assert run("train", "--data", csv, "--target", target, "--task", task,
-                   "--model", "forest", "--n-trees", 8, "--out", tmp_path / "m") == 0
-        args = ("global", "--data", csv, "--target", target, "--task", task,
-                "--model", tmp_path / "m" / "model.json", "--explainer", "treeshap",
-                "--count", 12, "--seed", 4, "--out", tmp_path / "g", *flags)
-        with monkeypatch.context() as m:  # each row builds what it lacks
-            m.setattr(limase.cli, "build_forest_boxes", lambda *a: None)
-            assert run(*args) == 0
-        lazy = (tmp_path / "g" / "matrix.json").read_bytes()
+                   "--model", model, "--n-trees", 8, "--out", tmp_path / "m") == 0
         boxes, runner, events = limase.shapley._leaf_boxes, limase.cli.explain_rows, []
 
         def building(stack, first, stop):
-            events.append(("boxes", first // (stop - first)))
+            events.append("boxes")
             return boxes(stack, first, stop)
 
+        def refusing(*args):
+            raise AssertionError("a row built leaf boxes")
+
         def running(*a):
-            events.append(("rows", None))
+            events.append("rows")
+            monkeypatch.setattr(limase.models, "_leaf_boxes", refusing)
+            monkeypatch.setattr(limase.shapley, "_leaf_boxes", refusing)
             return runner(*a)
 
+        monkeypatch.setattr(limase.models, "_leaf_boxes", building)
         monkeypatch.setattr(limase.shapley, "_leaf_boxes", building)
         monkeypatch.setattr(limase.cli, "explain_rows", running)
-        assert run(*args) == 0
+        assert run("global", "--data", csv, "--target", target, "--task", task,
+                   "--model", tmp_path / "m" / "model.json", "--explainer", "treeshap",
+                   "--count", 12, "--seed", 4, "--out", tmp_path / "g", *flags) == 0
+        # loading the model built every output's boxes; no row built any
+        outputs = load_csv(csv, target, task).task.n_outputs
+        assert events == ["boxes"] * outputs + ["rows"]
         payload = json.loads((tmp_path / "g" / "matrix.json").read_text())
-        if outputs is None:
-            model = load_model(tmp_path / "m" / "model.json")
-            data = load_csv(csv, target, task)
-            outputs = sorted({model.predicted_class(data.rows[i]) for i in payload["indices"]})
-            assert len(outputs) > 1
-        # once per output, before the rows run; no row builds any
-        assert events == [("boxes", output) for output in outputs] + [("rows", None)]
-        assert (tmp_path / "g" / "matrix.json").read_bytes() == lazy
+        assert len(set(map(tuple, payload["phi"]))) > 1
 
 
 class TestSp:
@@ -464,6 +463,55 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
 
+def strict_json(path: Path) -> dict:
+    """The JSON in path, refusing NaN and infinities as strict parsers do."""
+    def refuse(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+class TestStrictJson:
+    """No artifact holds NaN or an infinity."""
+
+    @pytest.mark.parametrize("command, flags", [
+        ("explain", ("--sigma", "inf")),
+        ("explain", ("--sigma", "inf", "--explainer", "treeshap", "--model", "forest")),
+        ("train", ("--min-samples-leaf", "inf")),
+        ("train", ("--learning-rate", "nan")),
+        ("train", ("--learning-rate", "inf")),
+        ("global", ("--learning-rate", "inf", "--model", "forest")),
+        ("train", ("--learning-rate", 0)),
+        ("train", ("--learning-rate", 1e6)),  # the weights diverge
+    ], ids=["sigma", "unused-sigma", "leaf-minimum", "nan-rate", "inf-rate", "unused-rate",
+            "zero-rate", "diverging-rate"])
+    def test_rejected_options_exit_2(self, reg_csv, tmp_path, capsys, command, flags):
+        code = run(command, "--data", reg_csv, "--target", "y", "--model", "mlp",
+                   "--epochs", 2, "--count", 3, *flags, "--out", tmp_path / "out")
+        assert code == 2
+        # the option as the CLI (learning-rate), fit_mlp (learning_rate) or its advice spells it
+        assert re.search(flags[0][2:].replace("-", "[-_ ]"), capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command, flags, artifact", [
+        ("train", ("--model", "mlp"), "model.json"),
+        ("train", ("--model", "forest"), "model.json"),
+        ("train", ("--model", "tree"), "model.json"),
+        ("explain", ("--explainer", "limase"), "explanation.json"),
+        ("explain", ("--explainer", "treeshap", "--model", "forest"), "explanation.json"),
+        ("explain", ("--explainer", "kernelshap", "--kernel-budget", "exact"),
+         "explanation.json"),
+        ("global", ("--count", 3), "matrix.json"),
+        ("sp", ("--count", 4, "--budget", 2), "sp.json"),
+        ("bench", (), "bench.json"),
+    ])
+    def test_artifacts_parse_strictly(self, reg_csv, tmp_path, command, flags, artifact):
+        assert run(command, "--data", reg_csv, "--target", "y", "--model", "mlp",
+                   "--hidden", 4, "--epochs", 2, "--n-trees", 4, "--n-samples", 20,
+                   *flags, "--out", tmp_path) == 0
+        assert strict_json(tmp_path / artifact)["config"]["command"] == command
+
+
 class TestBenchValidation:
     def test_needs_enough_rows(self, tmp_path, capsys):
         rng = RandomStream(65)
@@ -557,3 +605,11 @@ class TestConfigFile:
         assert run("explain", "--data", reg_csv, "--target", "y",
                    "--config", cfg) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_non_finite_value_rejected(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("sigma = inf\n")
+        assert run("explain", "--data", reg_csv, "--target", "y", "--explainer", "treeshap",
+                   "--config", cfg, "--out", tmp_path / "out") == 2
+        assert "sigma in a config file) must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()

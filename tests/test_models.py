@@ -124,10 +124,13 @@ class TestForest:
             fit_random_forest(reg_data, 0, TreeParams(), RandomStream(0))
 
     def test_predicted_class(self, cls_data):
+        # with no class given, predict_scalar_and_class scores the class predicted for row 0
         forest = fit_random_forest(cls_data, 10, TreeParams(max_depth=4), RandomStream(1))
-        x = cls_data.rows[0]
-        probs = forest.predict(x[None, :]).values[0]
-        assert forest.predicted_class(x) == int(np.argmax(probs))
+        X = cls_data.rows[:5]
+        probs = forest.predict(X).values
+        scores, class_index = forest.predict_scalar_and_class(X)
+        assert class_index == int(np.argmax(probs[0]))
+        assert np.array_equal(scores, probs[:, class_index])
 
 
 def reference_walk(tree, X):
@@ -295,6 +298,17 @@ class TestMlp:
         with pytest.raises(ConfigError):
             fit_mlp(cls_data, [0], epochs=1, learning_rate=0.1, rng=RandomStream(0))
 
+    @pytest.mark.parametrize("rate", [NAN, float("inf"), 0.0, -0.1])
+    def test_learning_rate_must_be_positive_and_finite(self, cls_data, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be positive and finite"):
+            fit_mlp(cls_data, [4], epochs=1, learning_rate=rate, rng=RandomStream(0))
+
+    @pytest.mark.parametrize("kind", ["regression", "classification"])
+    def test_diverged_training_raises(self, kind, reg_data, cls_data):
+        data = reg_data if kind == "regression" else cls_data
+        with pytest.raises(ConfigError, match=r"diverged in epoch [123] of 3"):
+            fit_mlp(data, [8], epochs=3, learning_rate=1e6, rng=RandomStream(0))
+
     def test_deterministic_training(self, reg_data):
         a = fit_mlp(reg_data, [6], epochs=3, learning_rate=0.01, rng=RandomStream(7))
         b = fit_mlp(reg_data, [6], epochs=3, learning_rate=0.01, rng=RandomStream(7))
@@ -448,6 +462,21 @@ class TestSerialization:
         back = load_model(tmp_path / "m.json")
         probe = RandomStream(3).normal_matrix(10, reg_data.d)
         assert np.array_equal(back.predict(probe).values, model.predict(probe).values)
+
+    @pytest.mark.parametrize("layer, part", [(0, "weights"), (1, "biases")])
+    def test_non_finite_mlp_rejected(self, tmp_path, reg_data, layer, part):
+        model = fit_mlp(reg_data, [5], epochs=1, learning_rate=0.01, rng=RandomStream(2))
+        path = tmp_path / "m.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        row = payload[part][layer]
+        if part == "weights":
+            row = row[0]
+        row[0] = NAN
+        path.write_text(json.dumps(payload))
+        with pytest.raises(DataError, match=re.escape(f"cannot load model {path}: MLP layer "
+                                                      f"{layer} has non-finite")):
+            load_model(path)
 
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "m.json"

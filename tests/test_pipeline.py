@@ -161,6 +161,9 @@ class TestConfig:
             LimaseConfig(n_samples=9)
         with pytest.raises(ConfigError):
             LimaseConfig(sigma=0.0)
+        for sigma in (float("inf"), float("nan")):
+            with pytest.raises(ConfigError, match="sigma must be positive and finite"):
+                LimaseConfig(sigma=sigma)
 
 
 class TestSampleAround:
@@ -346,7 +349,7 @@ class TestLimaseExplain:
         assert result.explanation.class_index == 2
         default = limase_explain(model, x, cls_data.features,
                                  LimaseConfig(n_samples=200, seed=7))
-        assert default.explanation.class_index == model.predicted_class(x)
+        assert default.explanation.class_index == np.argmax(model.predict(x[None, :]).values[0])
 
     def test_classification_row_calls_the_model_once(self, cls_data, monkeypatch):
         forest = fit_random_forest(cls_data, 4, TreeParams(max_depth=3), RandomStream(1))
@@ -356,7 +359,7 @@ class TestLimaseExplain:
         x = cls_data.rows[0]
         result = limase_explain(model, x, cls_data.features, cfg)
         assert model.calls == 1
-        assert result.explanation.class_index == forest.predicted_class(x)
+        assert result.explanation.class_index == np.argmax(forest.predict(x[None, :]).values[0])
         limase_explain_batch(model, cls_data.rows[:3], cls_data.features, cfg)
         assert model.calls == 4
 
@@ -821,3 +824,6 @@ class TestSigmaSweep:
         with pytest.raises(ConfigError):
             sigma_sweep(model, reg_data.rows[0], reg_data.features, LimaseConfig(),
                         [1.0, -1.0])
+        with pytest.raises(ConfigError, match="finite"):
+            sigma_sweep(model, reg_data.rows[0], reg_data.features, LimaseConfig(),
+                        [1.0, float("inf")])

@@ -2,8 +2,9 @@
 import numpy as np
 import pytest
 
+import limase.shapley
 from limase.core import ConfigError, DataError, RandomStream, Task
-from limase.models import ForestModel, fit_random_forest
+from limase.models import ForestModel, TreeModel, fit_random_forest, load_model, save_model
 from limase.shapley import (
     enumerate_tree_values,
     forest_shap,
@@ -266,6 +267,10 @@ class TestConsistency:
         assert verified >= 50
 
 
+def refuse_to_build(*args):
+    raise AssertionError("a row built leaf boxes")
+
+
 class TestForestShap:
     def test_singleton_forest_equals_tree_shap(self):
         tree = random_tree(RandomStream(9), d=3, max_depth=3)
@@ -330,31 +335,59 @@ class TestForestShap:
         forest = fit_random_forest(data, 6, TreeParams(max_depth=4), RandomStream(0))
         x = data.rows[3]
         exp = forest_shap(forest, x)
-        assert exp.class_index == forest.predicted_class(x)
+        assert exp.class_index == int(np.argmax(forest.predict(x[None, :]).values[0]))
+
+    def test_tree_model_matches_brute_force_and_tree_shap(self):
+        rng = RandomStream(22)
+        tree = random_tree(rng, d=5, max_depth=5)
+        model = TreeModel(tree)  # a one-tree regression forest
+        for i in range(4):
+            x = rng.child(i).normal(5)
+            exp = forest_shap(model, x)
+            table = enumerate_tree_values(tree, x)
+            assert np.max(np.abs(exp.phi - shapley_brute_force(lambda m: table[m], 5))) <= 1e-9
+            # its leaf values are divided by one tree, which is exact
+            direct = tree_shap(tree, x)
+            assert np.array_equal(exp.phi, direct.phi)
+            assert (exp.base_value, exp.fx, exp.class_index) == (direct.base_value, direct.fx, None)
+
+    def test_tree_models_hold_their_boxes_when_built(self, tmp_path):
+        data = make_classification_dataset(23, 150, 4, 3)
+        forest = fit_random_forest(data, 4, TreeParams(max_depth=3), RandomStream(0))
+        save_model(forest, tmp_path / "forest.json")
+        tree = random_tree(RandomStream(24), d=4, max_depth=4)
+        models = [forest, load_model(tmp_path / "forest.json"), TreeModel(tree)]
+        for model, stack, spans in zip(models, [forest.stack, forest.stack, tree],
+                                       [[(0, 4), (4, 8), (8, 12)]] * 2 + [[(0, 1)]]):
+            assert len(model.boxes) == len(spans)
+            for boxes, (first, stop) in zip(model.boxes, spans):
+                want = limase.shapley._leaf_boxes(stack, first, stop)
+                assert all(np.array_equal(a, b) for a, b in zip(boxes, want))
+                assert boxes[-1] == np.mean(stack.value[stack.start[first:stop]])
 
     @pytest.mark.parametrize("class_index", [None, 0, 2])
-    def test_prebuilt_boxes_match_brute_force(self, class_index):
+    def test_prebuilt_boxes_match_brute_force(self, monkeypatch, class_index):
         data = make_classification_dataset(20, 200, 5, 3)
         forest = fit_random_forest(data, 5, TreeParams(max_depth=4), RandomStream(0))
-        for x in data.rows[:4]:  # the first row builds its class's boxes, the rest reuse them
+        monkeypatch.setattr(limase.shapley, "_leaf_boxes", refuse_to_build)
+        for x in data.rows[:4]:  # every class's boxes were built with the forest
             exp = forest_shap(forest, x, class_index)
             trees = forest.class_trees(exp.class_index)
             table = np.mean([enumerate_tree_values(t, x) for t in trees], axis=0)
             want = shapley_brute_force(lambda m: table[m], 5)
             assert np.max(np.abs(exp.phi - want)) <= 1e-12
             assert exp.fx == pytest.approx(table[-1], abs=1e-12)
-        assert class_index is None or set(forest.leaf_boxes) == {class_index}
 
-    def test_regression_boxes_reused_across_rows(self):
+    def test_regression_boxes_reused_across_rows(self, monkeypatch):
         rng = RandomStream(21)
         trees = [random_tree(rng.child(t), d=4, max_depth=4) for t in range(6)]
         forest = ForestModel(trees=trees, task=Task.regression(), d=4)
+        monkeypatch.setattr(limase.shapley, "_leaf_boxes", refuse_to_build)
         for i in range(3):
             x = rng.child(10 + i).normal(4)
             table = np.mean([enumerate_tree_values(t, x) for t in trees], axis=0)
             want = shapley_brute_force(lambda m: table[m], 4)
             assert np.max(np.abs(forest_shap(forest, x).phi - want)) <= 1e-12
-        assert list(forest.leaf_boxes) == [0]
 
     def test_class_index_errors(self):
         data = make_classification_dataset(17, 100, 3, 3)

@@ -262,6 +262,8 @@ class TestFitTreeErrors:
             TreeParams(min_samples_leaf=0)
         with pytest.raises(ConfigError, match="min_samples_leaf"):
             TreeParams(min_samples_leaf=float("nan"))
+        with pytest.raises(ConfigError, match="min_samples_leaf must be finite"):
+            TreeParams(min_samples_leaf=float("inf"))
         with pytest.raises(ConfigError):
             TreeParams(min_weight_fraction_leaf=1.0)
 

@@ -9,18 +9,22 @@ directory, and every run is `python3 perfbench/run.py` from that checkout,
 for the run_seconds that BENCHMARK.json sets.
 Pair i of a workload runs both sides on seed first-seed + i, the parent
 first when i is even. After the pairs come one traced pair on the claimed
-workload and one `--seed 1 --seconds 3 --trace 1` smoke run of every
-workload on each side.  summary holds each side's median and quartiles
-per end-to-end metric, how many pairs the change won, by the directions
-in BENCHMARK.json, and a verdict per metric against its bound there:
-within, worse, or unresolved when the parent's runs spread too widely
-to tell and the change's runs do not all read better than all of the
-parent's.  Run it from the root of a checkout.  An unknown workload, a
-claim on a workload without pairs or on a metric that is not end to end
-exits 2 before anything runs.
+workload (the first --pairs workload when there is no --claim) and one
+`--seed 1 --seconds 3 --trace 1` smoke run of every workload on each
+side.  summary holds, per workload, how many runs of each side failed
+(gave no result line), each side's median and quartiles per end-to-end
+metric over the runs that read it, how many pairs the change won, by the
+directions in BENCHMARK.json, and a verdict per metric against its bound
+there: failed when a run of either side did not read it, unresolved when
+the parent's runs spread too widely to tell and the change's runs do not
+all read better than all of the parent's, else worse or within.  Without
+--claim the report's claim is null.  Run it from the root of a checkout.
+An unknown workload, a claim on a workload without pairs or on a metric
+that is not end to end exits 2 before anything runs.
 """
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -31,9 +35,10 @@ RUN = "python3 perfbench/run.py --workload {workload} --seed {seed} --seconds {s
 NOTE = ("Untraced result lines (the last stdout line of each run) for the parent commit and "
         "the change, each side run from its own git archive checkout. Pairs alternate which "
         "side runs first. phi_digest is from the info line of the same run. summary holds each "
-        "side's median and quartiles per metric, how many pairs the change won and a verdict "
-        "against the metric's bound (within, worse or unresolved). traced is "
-        "one --trace 1 pair on the claimed workload; smoke is the --seed 1 --seconds 3 "
+        "side's failed runs, its median and quartiles per metric, how many pairs the change "
+        "won and a verdict against the metric's bound (within, worse, unresolved or failed). "
+        "traced is one --trace 1 pair on the claimed workload, or on the first paired "
+        "workload when nothing is claimed; smoke is the --seed 1 --seconds 3 "
         "--trace 1 run of every workload on both sides.")
 
 
@@ -52,7 +57,8 @@ def run(side: str, root: Path, workload: str, seed: int, seconds: float, trace: 
     proc = subprocess.run(cmd.split(), cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     info = next((json.loads(l)["info"] for l in lines if l.startswith('{"info"')), {})
-    result = json.loads(lines[-1]) if lines and lines[-1].startswith("{") else None
+    # a run that fails before its end prints no result line
+    result = json.loads(lines[-1]) if lines and lines[-1].startswith('{"correct"') else None
     print(f"{side} {workload} seed {seed}: exit {proc.returncode}", file=sys.stderr, flush=True)
     return {"side": side, "workload": workload, "seed": seed, "exit": proc.returncode,
             "phi_digest": info.get("phi_digest"), "absent_layers": info.get("absent_layers"),
@@ -70,7 +76,9 @@ def pair(roots: dict, workload: str, seed: int, parent_first: bool, seconds: flo
 
 
 def metric(r: dict, name: str) -> float:
-    return r["result"]["metrics"][name]["value"] if r["result"] else float("nan")
+    """The run's value of the metric, NaN when the run failed or did not read it."""
+    read = r["result"]["metrics"].get(name) if r["result"] else None
+    return read["value"] if read else math.nan
 
 
 def same_digests(runs: list[dict]) -> bool:
@@ -86,8 +94,11 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
     median.  The verdict is "unresolved" when that spread exceeds the
     bound and not every run of the change reads better than every run of
     the parent, else "worse" when the median moved the wrong way by more
-    than the bound, else "within".
+    than the bound, else "within".  A NaN value, from a run that failed,
+    makes it "failed".
     """
+    if not all(math.isfinite(v) for v in parent + change):
+        return {"verdict": "failed", "change": None, "parent_spread": None, "bound": bound}
     sign = 1 if better == "higher" else -1
     p_median, c_median = statistics.median(parent), statistics.median(change)
     q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive") if len(parent) > 1 \
@@ -106,18 +117,23 @@ def verdict(parent: list[float], change: list[float], better: str, bound: float)
             "bound": bound}
 
 
+def quartiles(values: list[float]) -> dict | None:
+    """The median and quartiles of the finite values, None when there are none."""
+    v = [x for x in values if math.isfinite(x)]
+    if not v:
+        return None
+    q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
+    return {"median": round(statistics.median(v), 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
 def summarize(runs: list[dict], better: dict, bounds: dict) -> dict:
     sides = {s: [r for r in runs if r["side"] == s] for s in ("parent", "change")}
-    names = [m for m in better if m in sides["parent"][0]["result"]["metrics"]]
+    names = [m for m in better if any(math.isfinite(metric(r, m)) for r in runs)]
     out = {"pairs": len(sides["parent"]),
-           "seeds": f"{sides['parent'][0]['seed']}-{sides['parent'][-1]['seed']}"}
+           "seeds": f"{sides['parent'][0]['seed']}-{sides['parent'][-1]['seed']}",
+           "failed_runs": {side: sum(not r["result"] for r in rs) for side, rs in sides.items()}}
     for side, rs in sides.items():
-        out[side] = {}
-        for m in names:
-            v = [metric(r, m) for r in rs]
-            q1, _, q3 = statistics.quantiles(v, n=4, method="inclusive") if len(v) > 1 else v * 3
-            out[side][m] = {"median": round(statistics.median(v), 4),
-                            "q1": round(q1, 4), "q3": round(q3, 4)}
+        out[side] = {m: quartiles([metric(r, m) for r in rs]) for m in names}
     sign = {m: 1 if better[m] == "higher" else -1 for m in names}
     out["change_better"] = {
         m: f"{sum(sign[m] * (metric(c, m) - metric(p, m)) > 0 for p, c in zip(sides['parent'], sides['change']))} of {out['pairs']}"
@@ -129,13 +145,41 @@ def summarize(runs: list[dict], better: dict, bounds: dict) -> dict:
     return out
 
 
+def claim_report(summary: dict, workload: str, name: str, better: str) -> dict:
+    """The claimed metric's medians and whether the claim is met.
+
+    It is met when the change won at least 9 in 10 pairs and its median
+    beat the parent's by more than the parent's quartile spread; never
+    when a run failed to read the metric.
+    """
+    claimed = summary[workload]
+    metric_name = f"{name} on {workload}"
+    if claimed["verdicts"].get(name, {"verdict": "failed"})["verdict"] == "failed":
+        return {"metric": metric_name, "verdict": "failed", "met": False}
+    parent_q = claimed["parent"][name]
+    parent_median, change_median = parent_q["median"], claimed["change"][name]["median"]
+    wins = int(claimed["change_better"][name].split()[0])
+    sign = 1 if better == "higher" else -1
+    spread = parent_q["q3"] - parent_q["q1"]
+    return {
+        "metric": metric_name,
+        "parent_median": parent_median,
+        "change_median": change_median,
+        "ratio": round(change_median / parent_median, 3) if parent_median else None,
+        "change_better": claimed["change_better"][name],
+        "parent_quartile_spread": round(spread, 4),
+        "met": 10 * wins >= 9 * claimed["pairs"]
+        and sign * (change_median - parent_median) > spread,
+    }
+
+
 def main(argv: list[str]) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True)
     p.add_argument("--change", default="HEAD")
     p.add_argument("--pairs", action="append", required=True, help="WORKLOAD=COUNT")
     p.add_argument("--first-seed", type=int, required=True)
-    p.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    p.add_argument("--claim", help="WORKLOAD:METRIC the change claims to improve")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     bench = json.loads(Path("BENCHMARK.json").read_text())
@@ -150,10 +194,10 @@ def main(argv: list[str]) -> None:
             p.error(f"--pairs {spec}: expected WORKLOAD=COUNT, a workload of "
                     f"BENCHMARK.json ({', '.join(workloads)}) and a count of at least 1")
         pairs.append((workload, int(count)))
-    claim_workload, _, claim_metric = args.claim.partition(":")
+    claim_workload, _, claim_metric = (args.claim or pairs[0][0]).partition(":")
     if claim_workload not in dict(pairs):
         p.error(f"--claim {args.claim}: workload {claim_workload!r} has no --pairs")
-    if claim_metric not in better:
+    if args.claim and claim_metric not in better:
         p.error(f"--claim {args.claim}: {claim_metric!r} is not an end-to-end metric "
                 f"of BENCHMARK.json ({', '.join(better)})")
     with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
@@ -171,12 +215,6 @@ def main(argv: list[str]) -> None:
         smoke = [run(side, roots[side], w["name"], 1, 3, 1)
                  for w in bench["workloads"] for side in ("parent", "change")]
 
-    claimed = summary[claim_workload]
-    parent_q = claimed["parent"][claim_metric]
-    parent_median, change_median = parent_q["median"], claimed["change"][claim_metric]["median"]
-    wins = int(claimed["change_better"][claim_metric].split()[0])
-    sign = 1 if better[claim_metric] == "higher" else -1
-    spread = parent_q["q3"] - parent_q["q1"]
     report = {
         "command": RUN.format(workload="<workload>", seed="<seed>", seconds=seconds, trace=0),
         "traced_command": RUN.format(workload=claim_workload, seed=traced_seed,
@@ -186,16 +224,8 @@ def main(argv: list[str]) -> None:
         "env": smoke[0]["env"],
         "parent": shas["parent"],
         "change": shas["change"],
-        "claim": {
-            "metric": f"{claim_metric} on {claim_workload}",
-            "parent_median": parent_median,
-            "change_median": change_median,
-            "ratio": round(change_median / parent_median, 3) if parent_median else None,
-            "change_better": claimed["change_better"][claim_metric],
-            "parent_quartile_spread": round(spread, 4),
-            "met": 10 * wins >= 9 * claimed["pairs"]
-            and sign * (change_median - parent_median) > spread,
-        },
+        "claim": claim_report(summary, claim_workload, claim_metric, better[claim_metric])
+        if args.claim else None,
         "summary": summary,
         "not_within": sorted(f"{w}:{m} {v['verdict']}" for w, ws in summary.items()
                              for m, v in ws["verdicts"].items() if v["verdict"] != "within"),
