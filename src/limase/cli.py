@@ -8,6 +8,8 @@ normalized to null so reruns with the same seed are byte-identical;
 real wall times go to stdout (and to bench.json, which is a timing
 report by definition).  The rows of every explainer run through
 pipeline.explain_rows, and the first failed row fails the command.
+A float option that is NaN or infinite exits 2 whether or not the
+command uses it, since every artifact echoes it and JSON has neither.
 """
 from __future__ import annotations
 
