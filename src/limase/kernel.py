@@ -12,7 +12,6 @@ which is exactly the expense the surrogate approach avoids.
 """
 from __future__ import annotations
 
-import bisect
 import math
 import numbers
 import time
@@ -29,11 +28,6 @@ EXACT_MAX_FEATURES = 16
 # composites at d=30).  Each mask's background rows stay in one call, so a
 # coalition's value is always one call's mean.
 _CHUNK_ROWS = 1 << 14
-
-
-def _masks_matrix(masks: np.ndarray, d: int) -> np.ndarray:
-    """Bitmask integers -> boolean matrix, column j = membership of feature j."""
-    return (masks[:, None] >> np.arange(d)) & 1 == 1
 
 
 def _coalition_values(
@@ -63,37 +57,41 @@ def _coalition_values(
 
 def _kernel_weights(sizes: np.ndarray, d: int) -> np.ndarray:
     """Shapley kernel pi(s) = (d-1) / (C(d,s) * s * (d-s)) for 0 < s < d."""
-    combs = np.array([math.comb(d, int(s)) for s in sizes], dtype=float)
+    combs = np.array([math.comb(d, k) for k in range(d + 1)], dtype=float)[sizes]
     return (d - 1) / (combs * sizes * (d - sizes))
 
 
 def _sample_masks(d: int, budget: int, rng: RandomStream) -> tuple[np.ndarray, np.ndarray]:
-    """Paired coalition sampling; returns unique masks and their multiplicities.
+    """Paired coalition sampling; returns unique coalitions and their multiplicities.
 
     Subset sizes follow p(s) proportional to 1/(s*(d-s)), the Shapley kernel
     times the number of subsets of that size, so duplicate counts serve as
-    the regression weights.  Each draw adds the subset and its complement.
+    the regression weights.  ceil(budget/2) subsets are drawn at once: one
+    uniform per size, and a row of d uniforms whose s smallest pick the
+    members.  The complements of the first budget//2 of them follow, so an
+    odd budget leaves the last draw unpaired.  The unique rows come back as
+    a boolean (m, d) matrix in ascending order of their bitmask
+    sum(2**j for j in S), with their counts as float weights.
     """
     sizes = np.arange(1, d)
     p = 1.0 / (sizes * (d - sizes))
     p /= p.sum()
-    cumulative = np.cumsum(p).tolist()
-    full = (1 << d) - 1
-    counts: dict[int, int] = {}
-    drawn = 0
-    while drawn < budget:
-        u = float(rng.uniform(1)[0])
-        s = min(bisect.bisect_right(cumulative, u), d - 2) + 1
-        mask = 0
-        for i in rng.choice(d, size=s, replace=False).tolist():
-            mask |= 1 << i
-        counts[mask] = counts.get(mask, 0) + 1
-        drawn += 1
-        if drawn < budget:
-            counts[full ^ mask] = counts.get(full ^ mask, 0) + 1
-            drawn += 1
-    keys = sorted(counts)
-    return np.array(keys, dtype=np.int64), np.array([counts[m] for m in keys], dtype=float)
+    draws = -(-budget // 2)
+    s = np.minimum(np.searchsorted(np.cumsum(p), rng.uniform(draws), side="right"), d - 2) + 1
+    ranked = np.argsort(rng.uniform(draws * d).reshape(draws, d), axis=1)
+    member = np.empty((budget, d), dtype=bool)
+    # member[i, ranked[i, k]] = k < s[i], written through the flat view
+    flat = ranked + np.arange(0, draws * d, d)[:, None]
+    member.reshape(-1)[flat.ravel()] = (np.arange(d) < s[:, None]).ravel()
+    np.logical_not(member[: budget // 2], out=member[draws:])
+    # byte k holds features 8k..8k+7, feature 8k in bit 0: sorting on the
+    # last byte first sorts the rows by bitmask; the sort is stable, so
+    # each run of equal rows starts at its first draw
+    packed = np.packbits(member, axis=1, bitorder="little")
+    order = np.lexsort(packed.T)
+    packed = packed[order]
+    first = np.flatnonzero(np.append(True, np.any(packed[1:] != packed[:-1], axis=1)))
+    return member[order[first]], np.diff(first, append=budget).astype(float)
 
 
 def _solve_constrained(
@@ -165,12 +163,11 @@ def kernel_shap(
         phi = np.array([fx - base])
     else:
         if budget == "exact":
-            masks = np.arange(1, (1 << d) - 1, dtype=np.int64)
-            member = _masks_matrix(masks, d)
+            masks = np.arange(1, (1 << d) - 1)
+            member = (masks[:, None] >> np.arange(d)) & 1 == 1
             weights = _kernel_weights(member.sum(axis=1), d)
         else:
-            masks, weights = _sample_masks(d, budget, rng)
-            member = _masks_matrix(masks, d)
+            member, weights = _sample_masks(d, budget, rng)
         values = _coalition_values(model, x, background, member, class_index)
         phi = _solve_constrained(member, weights, values, base, fx)
 

@@ -1,6 +1,11 @@
 """tools/bench_pairs.py's verdicts and summary, on synthetic runs, and its argument checks."""
 import importlib.util
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -192,3 +197,43 @@ class TestArguments:
         assert exited.value.code == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+STUB_RUN = """\
+import os, sys, time
+open(os.environ["STUB_STARTED"], "w").close()
+time.sleep(60)
+"""
+
+
+def test_sigterm_removes_the_checkouts(tmp_path):
+    """A run stopped with SIGTERM leaves no bench_pairs-* directory behind."""
+    repo, tmp = tmp_path / "repo", tmp_path / "tmp"
+    (repo / "perfbench").mkdir(parents=True)
+    tmp.mkdir()
+    (repo / "perfbench" / "run.py").write_text(STUB_RUN)
+    (repo / "BENCHMARK.json").write_text(json.dumps({
+        "run_seconds": 1, "workloads": [{"name": "stub"}],
+        "end_to_end": [{"name": "rows_per_s", "better": "higher", "bound": 0.25}]}))
+    git = ["git", "-c", "user.name=stub", "-c", "user.email=stub@example.com"]
+    for cmd in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", "stub"]):
+        subprocess.run(git + cmd, cwd=repo, check=True, capture_output=True)
+    started = tmp_path / "started"
+    env = {**os.environ, "TMPDIR": str(tmp), "STUB_STARTED": str(started)}
+    proc = subprocess.Popen(
+        [sys.executable, str(TOOL), "--parent", "HEAD", "--pairs", "stub=1",
+         "--first-seed", "1", "--out", str(tmp_path / "BENCH.json")],
+        cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 30
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert started.exists(), "the stub run never started"
+        assert [p.name[:12] for p in tmp.iterdir()] == ["bench_pairs-"]
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=30) == 128 + signal.SIGTERM
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    assert list(tmp.iterdir()) == []
+    assert not (tmp_path / "BENCH.json").exists()

@@ -146,6 +146,18 @@ class TestExplain:
         gap = record["base_value"] + sum(record["phi"]) - record["fx"]
         assert abs(gap) <= 1e-6 * max(1.0, abs(record["fx"]))
 
+    def test_kernelshap_sampled_on_70_columns(self, tmp_path):
+        # more features than an int64 bitmask holds
+        path = tmp_path / "wide.csv"
+        write_csv(make_regression_dataset(63, 80, 70), path, target_column="y")
+        code = run("explain", "--data", path, "--target", "y", "--n-trees", 5,
+                   "--explainer", "kernelshap", "--out", tmp_path)
+        assert code == 0
+        record = json.loads((tmp_path / "explanation.json").read_text())
+        assert len(record["phi"]) == 70 and all(np.isfinite(record["phi"]))
+        gap = record["base_value"] + sum(record["phi"]) - record["fx"]
+        assert abs(gap) <= 1e-6 * max(1.0, abs(record["fx"]))
+
     def test_treeshap_on_mlp_rejected(self, reg_csv, capsys):
         code = run("explain", "--data", reg_csv, "--target", "y", "--model", "mlp",
                    "--epochs", 2, "--explainer", "treeshap")

@@ -1,4 +1,5 @@
 """Kernel estimator vs the brute-force interventional oracle."""
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,7 @@ from limase.core import (
     RandomStream,
     Task,
 )
-from limase.kernel import _sample_masks, kernel_shap
+from limase.kernel import _kernel_weights, _sample_masks, kernel_shap
 from limase.models import fit_mlp, fit_random_forest
 from limase.shapley import shapley_brute_force
 from limase.trees import TreeParams
@@ -81,32 +82,6 @@ class LoudModel(BlackBoxModel):
         if X[:, 0].max() > self.threshold:
             out[:] = 0.7
         return ModelOutput(out)
-
-
-def reference_sample_masks(d, budget, rng):
-    """The coalition sampler as first written: searchsorted and a per-bit loop."""
-    sizes = np.arange(1, d)
-    p = 1.0 / (sizes * (d - sizes))
-    p /= p.sum()
-    cumulative = np.cumsum(p)
-    counts = {}
-    drawn = 0
-    while drawn < budget:
-        u = rng.uniform(1)[0]
-        s = int(sizes[min(int(np.searchsorted(cumulative, u, side="right")), d - 2)])
-        chosen = rng.choice(d, size=s, replace=False)
-        mask = 0
-        for i in chosen:
-            mask |= 1 << int(i)
-        full = (1 << d) - 1
-        counts[mask] = counts.get(mask, 0) + 1
-        drawn += 1
-        if drawn < budget:
-            counts[full ^ mask] = counts.get(full ^ mask, 0) + 1
-            drawn += 1
-    masks = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[int(m)] for m in masks], dtype=float)
-    return masks, weights
 
 
 def interventional_oracle(model, x, background, d, class_index=None):
@@ -301,15 +276,87 @@ class TestDeterminism:
         assert got.tobytes() == want.tobytes()
 
 
+def bitmasks(member):
+    """Each row's coalition as the integer sum(2**j for j in S)."""
+    return [sum(1 << j for j in np.flatnonzero(row).tolist()) for row in member]
+
+
 class TestSampleMasks:
-    @pytest.mark.parametrize("d", [2, 3, 7, 30, 40])
-    def test_equals_reference_sampler(self, d):
-        for seed in range(5):
-            budget = 2 * d + 2 + 97 * seed
-            got = _sample_masks(d, budget, RandomStream(seed))
-            want = reference_sample_masks(d, budget, RandomStream(seed))
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and np.array_equal(g, w)
+    """The paired-sampling contract of _sample_masks, not its stream."""
+
+    CASES = [(d, 2 * d + 2 + 97 * k) for d in (2, 3, 7, 30, 40, 64, 70) for k in range(3)]
+
+    @pytest.mark.parametrize("d, budget", CASES + [(d, b + 1) for d, b in CASES])
+    def test_contract(self, d, budget):
+        member, weights = _sample_masks(d, budget, RandomStream(budget))
+        assert member.dtype == bool and member.shape == (weights.size, d)
+        assert weights.dtype == float and np.all(weights >= 1)
+        assert weights.sum() == budget
+        sizes = member.sum(axis=1)
+        assert np.all((sizes > 0) & (sizes < d))
+        keys = bitmasks(member)
+        assert keys == sorted(set(keys))  # unique rows in ascending bitmask order
+        count = dict(zip(keys, weights.tolist()))
+        full = (1 << d) - 1
+        unpaired = sum(max(c - count.get(full ^ k, 0), 0) for k, c in count.items())
+        assert unpaired == budget % 2  # an odd budget's last draw has no complement
+
+    def test_same_seed_same_bytes(self):
+        for d in (3, 10, 70):
+            a = _sample_masks(d, 999, RandomStream(5))
+            b = _sample_masks(d, 999, RandomStream(5))
+            assert all(x.tobytes() == y.tobytes() for x, y in zip(a, b))
+            c = _sample_masks(d, 999, RandomStream(6))
+            assert any(x.tobytes() != y.tobytes() for x, y in zip(a, c))
+
+    def test_smallest_games(self):
+        # d=2: every draw is {0} or {1}, paired with the other
+        member, weights = _sample_masks(2, 7, RandomStream(0))
+        assert member.tolist() == [[True, False], [False, True]]
+        assert sorted(weights.tolist()) == [3.0, 4.0]
+        # d=3: six coalitions of size 1 or 2, all drawn at this budget
+        member, weights = _sample_masks(3, 400, RandomStream(1))
+        assert bitmasks(member) == [1, 2, 3, 4, 5, 6] and weights.sum() == 400
+
+    def test_size_distribution(self):
+        d, budget = 10, 200_000
+        member, weights = _sample_masks(d, budget, RandomStream(11))
+        s = np.arange(1, d)
+        p = 1.0 / (s * (d - s))
+        p /= p.sum()
+        # sizes s and d-s come in complement pairs, so their shares are equal
+        share = np.bincount(member.sum(axis=1), weights=weights, minlength=d)[1:] / budget
+        assert np.max(np.abs(share - p)) <= 0.002
+        # within a size every subset is equally likely: each feature in about s/d of them
+        for k in (1, 3, 5):
+            rows = member.sum(axis=1) == k
+            freq = (member[rows] * weights[rows, None]).sum(axis=0) / weights[rows].sum()
+            assert np.max(np.abs(freq - k / d)) <= 0.02
+
+
+class TestExactWeights:
+    @pytest.mark.parametrize("d", range(2, 17))
+    def test_table_equals_per_mask_comb(self, d):
+        masks = np.arange(1, (1 << d) - 1)
+        sizes = ((masks[:, None] >> np.arange(d)) & 1).sum(axis=1)
+        combs = np.array([math.comb(d, int(k)) for k in sizes], dtype=float)
+        want = (d - 1) / (combs * sizes * (d - sizes))
+        assert _kernel_weights(sizes, d).tobytes() == want.tobytes()
+
+
+class TestWideRows:
+    """Sampled mode has no cap on d: coalitions are rows of booleans, not integers."""
+
+    @pytest.mark.parametrize("d", [64, 70])
+    def test_linear_model_recovered(self, d):
+        rng = RandomStream(d)
+        w = rng.normal(d)
+        model = LinearModel(w)
+        x, bg = rng.normal(d), rng.normal_matrix(4, d)
+        exp = kernel_shap(model, x, bg, 2048, RandomStream(1))
+        assert np.all(np.isfinite(exp.phi))
+        assert abs(exp.efficiency_gap()) <= 1e-6 * max(1.0, abs(exp.fx))
+        assert np.allclose(exp.phi, w * (x - bg.mean(axis=0)), atol=1e-8)
 
 
 class TestChunks:

@@ -252,8 +252,8 @@ class TestKernelChunks:
         # at budget 2048 score every mask in one chunk
         for d, n_bg in ((10, 20), (30, 5)):
             data = RandomStream(d).normal_matrix(n_bg + 1, d)
-            masks, _ = limase.kernel._sample_masks(d, 2048, RandomStream(0))
-            assert masks.size <= limase.kernel._CHUNK_ROWS // n_bg
+            member, _ = limase.kernel._sample_masks(d, 2048, RandomStream(0))
+            assert member.shape[0] <= limase.kernel._CHUNK_ROWS // n_bg
             kernel_shap(LinearModel(np.ones(d)), data[0], data[1:], 2048, RandomStream(0))
         assert forked == []
 

@@ -20,11 +20,13 @@ the parent's runs spread too widely to tell and the change's runs do not
 all read better than all of the parent's, else worse or within.  Without
 --claim the report's claim is null.  Run it from the root of a checkout.
 An unknown workload, a claim on a workload without pairs or on a metric
-that is not end to end exits 2 before anything runs.
+that is not end to end exits 2 before anything runs.  SIGTERM stops a
+run with exit 143 after removing both checkouts.
 """
 import argparse
 import json
 import math
+import signal
 import statistics
 import subprocess
 import sys
@@ -173,6 +175,11 @@ def claim_report(summary: dict, workload: str, name: str, better: str) -> dict:
     }
 
 
+def stop(signum, frame):
+    """SIGTERM's handler in main: exit through the with blocks, which remove the checkouts."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv: list[str]) -> None:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--parent", required=True)
@@ -200,20 +207,24 @@ def main(argv: list[str]) -> None:
     if args.claim and claim_metric not in better:
         p.error(f"--claim {args.claim}: {claim_metric!r} is not an end-to-end metric "
                 f"of BENCHMARK.json ({', '.join(better)})")
-    with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
-        roots = {"parent": Path(work, "parent"), "change": Path(work, "change")}
-        shas = {side: export(getattr(args, side), root) for side, root in roots.items()}
-        runs, summary = [], {}
-        for workload, count in pairs:
-            done = []
-            for i in range(count):
-                done += pair(roots, workload, args.first_seed + i, i % 2 == 0, seconds, 0)
-            runs += done
-            summary[workload] = summarize(done, better, bounds)
-        traced_seed = args.first_seed + max(count for _, count in pairs)
-        traced = pair(roots, claim_workload, traced_seed, True, seconds, 1)
-        smoke = [run(side, roots[side], w["name"], 1, 3, 1)
-                 for w in bench["workloads"] for side in ("parent", "change")]
+    previous = signal.signal(signal.SIGTERM, stop)
+    try:
+        with tempfile.TemporaryDirectory(prefix="bench_pairs-") as work:
+            roots = {"parent": Path(work, "parent"), "change": Path(work, "change")}
+            shas = {side: export(getattr(args, side), root) for side, root in roots.items()}
+            runs, summary = [], {}
+            for workload, count in pairs:
+                done = []
+                for i in range(count):
+                    done += pair(roots, workload, args.first_seed + i, i % 2 == 0, seconds, 0)
+                runs += done
+                summary[workload] = summarize(done, better, bounds)
+            traced_seed = args.first_seed + max(count for _, count in pairs)
+            traced = pair(roots, claim_workload, traced_seed, True, seconds, 1)
+            smoke = [run(side, roots[side], w["name"], 1, 3, 1)
+                     for w in bench["workloads"] for side in ("parent", "change")]
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
     report = {
         "command": RUN.format(workload="<workload>", seed="<seed>", seconds=seconds, trace=0),
