@@ -84,9 +84,8 @@ def _sample_masks(d: int, budget: int, rng: RandomStream) -> tuple[np.ndarray, n
     flat = ranked + np.arange(0, draws * d, d)[:, None]
     member.reshape(-1)[flat.ravel()] = (np.arange(d) < s[:, None]).ravel()
     np.logical_not(member[: budget // 2], out=member[draws:])
-    # byte k holds features 8k..8k+7, feature 8k in bit 0: sorting on the
-    # last byte first sorts the rows by bitmask; the sort is stable, so
-    # each run of equal rows starts at its first draw
+    # byte k holds features 8k..8k+7, feature 8k in bit 0, so sorting on
+    # the last byte first sorts the rows by bitmask
     packed = np.packbits(member, axis=1, bitorder="little")
     order = np.lexsort(packed.T)
     packed = packed[order]
