@@ -33,7 +33,7 @@ from .core import (
     load_csv,
 )
 from .external import attach_external
-from .kernel import kernel_shap
+from .kernel import check_budget, kernel_shap
 from .models import (
     ForestModel,
     TreeModel,
@@ -215,6 +215,22 @@ def _parse_kernel_budget(value: str) -> int | str:
         raise ConfigError(f"--kernel-budget must be an integer or 'exact', got {value!r}") from None
 
 
+def _check_explainer(args, data: Dataset) -> None:
+    """ConfigError for args.explainer's options that cannot run on data.
+
+    Called before the model is trained or attached, so a usage error
+    costs no model.  A model file is checked once it loads, in
+    _explain_rows.
+    """
+    if args.explainer == "limase":
+        _limase_config(args)
+    elif args.explainer == "treeshap":
+        if args.model == "mlp" or args.model.startswith("external:"):
+            raise ConfigError("--explainer treeshap requires a tree or forest model")
+    else:
+        check_budget(_parse_kernel_budget(args.kernel_budget), data.d)
+
+
 def _train_model(kind: str, data: Dataset, args):
     params = _tree_params(args)
     if kind == "tree":
@@ -334,6 +350,7 @@ def cmd_explain(args) -> int:
     data.task.check_class_index(args.class_index)
     if not 0 <= args.instance < data.n:
         raise ConfigError(f"--instance {args.instance} out of range for {data.n} rows")
+    _check_explainer(args, data)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         [result] = _explain_rows(args, data, model, [args.instance])
@@ -358,6 +375,7 @@ def cmd_global(args) -> int:
     if args.count > data.n:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
     indices = _sample_indices(args, data, args.count)
+    _check_explainer(args, data)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         explanations = [_shap(r) for r in _explain_rows(args, data, model, indices)]
@@ -389,6 +407,7 @@ def cmd_sp(args) -> int:
     data.task.check_class_index(args.class_index)
     count = min(args.count, data.n)
     indices = _sample_indices(args, data, count)
+    _check_explainer(args, data)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         pick, matrix, _ = sp_explain(model, data, indices, _limase_config(args), args.budget)
@@ -420,6 +439,10 @@ def cmd_bench(args) -> int:
     kernel_args = argparse.Namespace(**{**vars(args), "explainer": "kernelshap",
                                         "kernel_budget": str(BENCH_KERNEL_BUDGET),
                                         "background": BENCH_BACKGROUND_ROWS})
+    if args.model in ("tree", "forest"):
+        raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
+    _check_explainer(limase_args, data)
+    _check_explainer(kernel_args, data)
 
     def timed(run_args, rows: list[int]) -> float:
         started = time.perf_counter()

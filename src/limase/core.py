@@ -163,12 +163,12 @@ class ModelOutput:
     def __post_init__(self):
         object.__setattr__(self, "values", np.atleast_2d(np.asarray(self.values, dtype=float)))
 
-    def check_probabilities(self, atol: float = 1e-6) -> None:
-        """ModelOutputError unless every row is a probability vector."""
+    def check_probabilities(self) -> None:
+        """ModelOutputError unless every row is a probability vector, to 1e-6."""
         v = self.values
-        if not np.all((v >= -atol) & (v <= 1 + atol)):
+        if not np.all((v >= -1e-6) & (v <= 1 + 1e-6)):
             raise ModelOutputError("probabilities must be finite and in [0, 1]")
-        if not np.allclose(v.sum(axis=1), 1.0, atol=atol):
+        if not np.allclose(v.sum(axis=1), 1.0, atol=1e-6):
             raise ModelOutputError("probability rows must sum to 1")
 
 
@@ -261,11 +261,14 @@ class RandomStream:
 
     The draw sequence is a pure function of the seed; drawing n values in
     one call or several yields the same sequence.  Never share a stream
-    between workers; use :meth:`child` to split.
+    between workers; use :meth:`child` to split.  A negative seed raises
+    ConfigError.
     """
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
 
     def child(self, index: int) -> "RandomStream":
@@ -320,7 +323,8 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     All cells must parse as finite numbers; row order is preserved.
     `task` may be a Task or the strings "classification" / "regression";
     for the former string the class count is inferred from the labels.
-    A file that cannot be opened or is not UTF-8 raises DataError naming it.
+    A byte-order mark at the start of the file is skipped.  A file that
+    cannot be opened or is not UTF-8 raises DataError naming it.
 
     The file is read once, a whole record at a time.  A record that fails
     (wrong length, a cell float() rejects, a non-finite sum) is parsed
@@ -337,7 +341,7 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
             raise ConfigError(f"unknown task kind: {task!r}")
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        fh = path.open(newline="", encoding="utf-8-sig")
     except OSError as e:
         raise DataError(f"cannot read data file {path}: {e.strerror or e}") from e
     try:

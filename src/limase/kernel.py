@@ -100,16 +100,30 @@ def _solve_constrained(
 
     The last feature's coefficient is substituted out; the reduced system
     is solved by scaled lstsq, and phi_last recovered from the constraint.
+    Needs d >= 2: kernel_shap answers d = 1 itself.
     """
-    d = member.shape[1]
-    if d == 1:
-        return np.array([fx - base])
     gap = fx - base
     y = values - base - member[:, -1] * gap
     X = member[:, :-1].astype(float) - member[:, -1:].astype(float)
     sw = np.sqrt(weights)
     phi_head, *_ = np.linalg.lstsq(X * sw[:, None], y * sw, rcond=None)
     return np.append(phi_head, gap - phi_head.sum())
+
+
+def check_budget(budget: int | str, d: int) -> int | str:
+    """budget as kernel_shap takes it for d features; ConfigError if it cannot run."""
+    if budget == "exact":
+        if d > EXACT_MAX_FEATURES:
+            raise ConfigError(
+                f"exact enumeration supports at most {EXACT_MAX_FEATURES} features, got {d}"
+            )
+        return budget
+    if isinstance(budget, numbers.Integral) and not isinstance(budget, bool):
+        budget = int(budget)  # NumPy's integers too
+        if budget < 2 * d + 2:
+            raise ConfigError(f"budget {budget} too small; need at least {2 * d + 2}")
+        return budget
+    raise ConfigError(f"budget must be a positive integer or 'exact', got {budget!r}")
 
 
 def kernel_shap(
@@ -128,8 +142,10 @@ def kernel_shap(
     explains the probability of class_index (default: the model's
     predicted class at x).  An x that is not a row of model.d values
     raises ValueError, and a non-finite x or background raises DataError.
-    Model scores that are not one finite value per row raise
-    ModelOutputError, and any other failure of the model LimaseError.
+    A budget that cannot run on d features raises ConfigError
+    (check_budget) before the model is called.  Model scores that are not
+    one finite value per row raise ModelOutputError, and any other failure
+    of the model LimaseError.
     """
     started = time.perf_counter()
     x = check_row(x, model.d)
@@ -141,21 +157,10 @@ def kernel_shap(
         raise DataError(f"background has {background.shape[1]} columns, expected {d}")
     if not np.all(np.isfinite(background)):
         raise DataError("background must be finite")
+    budget = check_budget(budget, d)
     scores, class_index = model.predict_scalar_and_class(x[None, :], class_index)
     fx = float(scores[0])
     base = float(np.mean(model.predict_scalar(background, class_index)))
-
-    if budget == "exact":
-        if d > EXACT_MAX_FEATURES:
-            raise ConfigError(
-                f"exact enumeration supports at most {EXACT_MAX_FEATURES} features, got {d}"
-            )
-    elif isinstance(budget, numbers.Integral) and not isinstance(budget, bool):
-        budget = int(budget)  # NumPy's integers too
-        if budget < 2 * d + 2:
-            raise ConfigError(f"budget {budget} too small; need at least {2 * d + 2}")
-    else:
-        raise ConfigError(f"budget must be a positive integer or 'exact', got {budget!r}")
 
     if d == 1:
         # Only coalitions are {} and {0}; efficiency pins the answer.

@@ -129,7 +129,6 @@ def fit_random_forest(
     params: TreeParams,
     rng: RandomStream,
     *,
-    bootstrap: bool = True,
     mtry: int | None = None,
 ) -> ForestModel:
     """Fit a bagged forest: bootstrap resamples, sqrt(d) features per split.
@@ -138,8 +137,6 @@ def fit_random_forest(
     result is independent of fitting order, and the rounds go through
     stripes.stripe_map: round 0 is timed in the caller, and the rest fork
     over every CPU when that time says striping saves time.
-    bootstrap=False and mtry=d turn the randomness off (test hook / single
-    deterministic tree per round).
     """
     if n_trees < 1:
         raise ConfigError("n_trees must be >= 1")
@@ -156,10 +153,7 @@ def fit_random_forest(
 
     def fit_round(r: int) -> list[DecisionTree]:
         round_rng = rng.child(r)
-        if bootstrap:
-            counts = np.bincount(round_rng.integers(0, n, n), minlength=n).astype(float)
-        else:
-            counts = np.ones(n)
+        counts = np.bincount(round_rng.integers(0, n, n), minlength=n).astype(float)
         return [fit_tree(data.rows, targets[c], counts, params,
                          _feature_rng=round_rng.child(c), _mtry=mtry)
                 for c in range(k)]

@@ -47,7 +47,6 @@ class TreeParams:
 
     max_depth: int = 6
     min_samples_leaf: float = 5.0
-    min_weight_fraction_leaf: float = 0.0
 
     def __post_init__(self):
         if self.max_depth < 1:
@@ -55,8 +54,6 @@ class TreeParams:
         if not 1 <= self.min_samples_leaf < np.inf:  # NaN fails this too
             raise ConfigError(f"min_samples_leaf must be finite and >= 1, "
                               f"got {self.min_samples_leaf}")
-        if not 0.0 <= self.min_weight_fraction_leaf < 1.0:
-            raise ConfigError("min_weight_fraction_leaf must be in [0, 1)")
 
 
 @dataclass(eq=False)
@@ -110,9 +107,6 @@ class DecisionTree(TreeStack):
     def n_leaves(self) -> int:
         return int(np.count_nonzero(self.feature == LEAF))
 
-    def split_features(self) -> set[int]:
-        return set(self.feature[self.feature != LEAF].tolist())
-
     def to_dict(self) -> dict:
         # the JSON format names the children left and right, LEAF at leaves
         right, left = np.where((self.feature == LEAF)[:, None], LEAF, self.child).T
@@ -123,7 +117,6 @@ class DecisionTree(TreeStack):
             "params": {
                 "max_depth": self.params.max_depth,
                 "min_samples_leaf": self.params.min_samples_leaf,
-                "min_weight_fraction_leaf": self.params.min_weight_fraction_leaf,
             },
             "nodes": [
                 # leaf thresholds are NaN in memory; None keeps the JSON valid
@@ -141,7 +134,13 @@ class DecisionTree(TreeStack):
                  n["left"], n["right"], n["cover"], n["value"]) for n in data["nodes"]]
         if not rows:
             raise DataError("tree has no nodes")
-        tree = _from_rows(rows, int(data["d"]), TreeParams(**data["params"]))
+        params = dict(data["params"])
+        # older files hold min_weight_fraction_leaf; at 0.0 it never changed a fit
+        fraction = params.pop("min_weight_fraction_leaf", 0.0)
+        if fraction != 0.0:
+            raise DataError(f"min_weight_fraction_leaf {fraction!r} is not supported; "
+                            f"only 0.0 loads")
+        tree = _from_rows(rows, int(data["d"]), TreeParams(**params))
         # Preorder puts both children after their parent, so every walk ends;
         # the explainers divide by covers and sum values.
         left, right = np.array([row[2:4] for row in rows], dtype=np.intp).T
@@ -262,7 +261,7 @@ def fit_tree(
     """Grow a weighted CART regression tree.
 
     Zero-weight rows have no effect on the fit.  Recursion stops at
-    max_depth, at the leaf-weight minimums, at zero weighted variance, or
+    max_depth, at the leaf-weight minimum, at zero weighted variance, or
     when no split improves weighted SSE.  The private _feature_rng/_mtry
     hooks restrict each split search to a random feature subset (used by
     the random forest); without them the search is exhaustive.
@@ -297,9 +296,7 @@ def fit_tree(
 
     d = X.shape[1]
     Xt = np.ascontiguousarray(X.T)
-    total_w = float(w[live].sum())
-    min_leaf_w = max(float(params.min_samples_leaf),
-                     params.min_weight_fraction_leaf * total_w)
+    min_leaf_w = float(params.min_samples_leaf)
     # by row id: .real is w, .imag is w * (y - node value) of the node being split
     wc = w.astype(complex)
     root_rows, tied = _presort(Xt, live)

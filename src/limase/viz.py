@@ -38,25 +38,6 @@ class ForcePlotData:
     fx: float
     contributions: list[tuple[str, float, float]]
 
-    @property
-    def positive(self) -> list[tuple[str, float, float]]:
-        return [c for c in self.contributions if c[2] > 0]
-
-    @property
-    def negative(self) -> list[tuple[str, float, float]]:
-        return [c for c in self.contributions if c[2] < 0]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "base_value": self.base_value,
-            "fx": self.fx,
-            "contributions": [
-                {"name": n, "value": v, "phi": p} for n, v, p in self.contributions
-            ],
-            "positive": [n for n, _, _ in self.positive],
-            "negative": [n for n, _, _ in self.negative],
-        }
-
 
 @dataclass
 class SummaryPlotData:
@@ -93,17 +74,15 @@ def build_summary_plot(
     matrix: ExplanationMatrix,
     X: np.ndarray,
     features: list[FeatureMeta],
-    *,
-    max_features: int = MAX_SUMMARY_FEATURES,
 ) -> SummaryPlotData:
-    """Arrange a batch of explanations as per-feature value-colored strips."""
+    """Value-colored strips of the MAX_SUMMARY_FEATURES features of largest mean |phi|."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[0] != matrix.n:
         raise ValueError(f"matrix has {matrix.n} rows, X has {X.shape[0]}")
     if X.shape[1] != matrix.d or len(features) != matrix.d:
         raise ValueError("matrix, X and feature metadata disagree on the feature count")
     mean_abs = np.abs(matrix.S).mean(axis=0)
-    order = sorted(range(matrix.d), key=lambda j: (-mean_abs[j], j))[:max_features]
+    order = sorted(range(matrix.d), key=lambda j: (-mean_abs[j], j))[:MAX_SUMMARY_FEATURES]
     names, phis, colors = [], [], []
     for j in order:
         col = X[:, j]

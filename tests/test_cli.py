@@ -29,8 +29,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 # model.json's form of a one-leaf tree over 3 features
 LEAF_TREE_D3 = {"d": 3, "root": 0,
-                "params": {"max_depth": 1, "min_samples_leaf": 1.0,
-                           "min_weight_fraction_leaf": 0.0},
+                "params": {"max_depth": 1, "min_samples_leaf": 1.0},
                 "nodes": [{"feature": -1, "threshold": None, "left": -1, "right": -1,
                            "cover": 1.0, "value": 0.0}]}
 
@@ -128,6 +127,13 @@ class TestExplain:
         assert record["config"]["n_samples"] == 100
         assert len(record["phi"]) == 4
         assert (tmp_path / "force.svg").exists()
+
+    def test_negative_seed(self, reg_csv, tmp_path):
+        # rows draw from child seeds, which are never negative
+        code = run("explain", "--data", reg_csv, "--target", "y", "--model", "tree",
+                   "--n-samples", 50, "--seed", -1, "--out", tmp_path)
+        assert code == 0
+        assert json.loads((tmp_path / "explanation.json").read_text())["config"]["seed"] == -1
 
     def test_treeshap_on_forest(self, reg_csv, tmp_path):
         code = run("explain", "--data", reg_csv, "--target", "y",
@@ -456,6 +462,11 @@ class TestUsageErrors:
          "forest tree 0 has d=3, the forest d=4"),
         ('{"kind": "forest", "task": {"kind": "regression", "n_classes": null}, "d": 4, '
          '"trees": []}', "a forest needs at least one tree"),
+        # older files hold min_weight_fraction_leaf, and only 0.0 loads
+        (json.dumps({"kind": "tree", "tree": {
+            **LEAF_TREE_D3, "params": {"max_depth": 1, "min_samples_leaf": 1.0,
+                                       "min_weight_fraction_leaf": 0.05}}}),
+         "min_weight_fraction_leaf 0.05 is not supported"),
     ])
     def test_bad_model_file_named(self, reg_csv, tmp_path, capsys, text, cause):
         path = tmp_path / "model.json"
@@ -466,6 +477,55 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"error: cannot load model {path}: {cause}" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def no_model_built(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a model was trained or attached")
+
+        monkeypatch.setattr(limase.cli, "_train_model", refuse)
+        monkeypatch.setattr(limase.cli, "attach_external", refuse)
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("explain", ("--explainer", "kernelshap", "--kernel-budget", 5),
+         "budget 5 too small; need at least 10"),
+        ("global", ("--explainer", "kernelshap", "--kernel-budget", 5),
+         "budget 5 too small; need at least 10"),
+        ("explain", ("--explainer", "kernelshap", "--kernel-budget", "few"),
+         "--kernel-budget must be an integer or 'exact'"),
+        ("explain", ("--n-samples", 5), "n_samples must be >= 10"),
+        ("global", ("--sigma", -1), "sigma must be positive and finite"),
+        ("sp", ("--n-samples", 5), "n_samples must be >= 10"),
+        ("explain", ("--explainer", "treeshap"), "requires a tree or forest model"),
+        ("global", ("--explainer", "treeshap", "--model", "external:server"),
+         "requires a tree or forest model"),
+        ("explain", ("--explainer", "kernelshap", "--kernel-budget", 5,
+                     "--model", "external:server"), "budget 5 too small"),
+        ("bench", ("--model", "tree"), "non-tree black box"),
+        ("bench", ("--model", "forest"), "non-tree black box"),
+        ("bench", ("--n-samples", 5), "n_samples must be >= 10"),
+    ], ids=["explain-kernel-budget", "global-kernel-budget", "kernel-budget-word",
+            "n-samples", "sigma", "sp-n-samples", "treeshap-mlp", "treeshap-external",
+            "external-kernel-budget", "bench-tree", "bench-forest", "bench-n-samples"])
+    def test_explainer_options_rejected_before_any_model(
+            self, reg_csv, tmp_path, capsys, no_model_built, command, flags, message):
+        code = run(command, "--data", reg_csv, "--target", "y", "--model", "mlp", *flags,
+                   "--out", tmp_path / "out")
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_exact_budget_on_17_features_rejected_before_any_model(
+            self, tmp_path, capsys, no_model_built):
+        X = RandomStream(66).normal_matrix(20, 17)
+        csv = tmp_path / "wide.csv"
+        write_csv(Dataset(compute_feature_meta(X, [f"f{j}" for j in range(17)]), X,
+                          X[:, 0], Task.regression()), csv, target_column="y")
+        code = run("global", "--data", csv, "--target", "y", "--model", "mlp",
+                   "--explainer", "kernelshap", "--kernel-budget", "exact", "--count", 2)
+        assert code == 2
+        assert "exact enumeration supports at most 16 features, got 17" in \
+            capsys.readouterr().err
 
     def test_nan_leaf_minimum_rejected_before_training(self, reg_csv, tmp_path, capsys):
         code = run("train", "--data", reg_csv, "--target", "y", "--model", "tree",

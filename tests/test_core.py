@@ -88,6 +88,10 @@ class TestRandomStream:
         with pytest.raises(ValueError):
             RandomStream(0).normal(-1)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ConfigError, match="seed must be non-negative, got -1"):
+            RandomStream(-1)
+
 
 class TestFeatureMeta:
     def test_population_std(self):
@@ -200,6 +204,14 @@ class TestCsv:
         with pytest.raises(DataError, match="is not UTF-8 text") as err:
             load_csv(path, "y", "regression")
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("header", ["y,a,b", "a,y,b"])
+    def test_byte_order_mark_skipped(self, tmp_path, header):
+        path = tmp_path / "bom.csv"
+        path.write_text("\ufeff" + header + "\n1,2,3\n4,5,6\n", encoding="utf-8")
+        data = load_csv(path, "y", "regression")
+        assert data.feature_names == [h for h in header.split(",") if h != "y"]
+        assert data.target.tolist() == ([1.0, 4.0] if header[0] == "y" else [2.0, 5.0])
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"

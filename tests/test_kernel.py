@@ -198,15 +198,18 @@ class TestErrors:
             kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
                         np.zeros((3, 3)), "exact", RandomStream(0))
 
+    # a budget is rejected before x or the background is scored
     def test_budget_too_small(self):
+        model = CountingModel(LinearModel([1.0] * 4))
         with pytest.raises(ConfigError, match="too small"):
-            kernel_shap(LinearModel([1.0] * 4), np.zeros(4),
-                        np.zeros((2, 4)), 9, RandomStream(0))
+            kernel_shap(model, np.zeros(4), np.zeros((2, 4)), 9, RandomStream(0))
+        assert model.calls == 0
 
     def test_bad_budget_value(self):
+        model = CountingModel(LinearModel([1.0, 1.0]))
         with pytest.raises(ConfigError):
-            kernel_shap(LinearModel([1.0, 1.0]), np.zeros(2),
-                        np.zeros((1, 2)), "fast", RandomStream(0))
+            kernel_shap(model, np.zeros(2), np.zeros((1, 2)), "fast", RandomStream(0))
+        assert model.calls == 0
 
     @pytest.mark.parametrize("budget", [True, np.True_, 64.0, np.float64(64), "64"])
     def test_budget_must_be_an_integer(self, budget):
@@ -252,9 +255,10 @@ class TestErrors:
 
     def test_exact_limited_to_16_features(self):
         d = 17
+        model = CountingModel(LinearModel([1.0] * d))
         with pytest.raises(ConfigError, match="16"):
-            kernel_shap(LinearModel([1.0] * d), np.zeros(d),
-                        np.zeros((1, d)), "exact", RandomStream(0))
+            kernel_shap(model, np.zeros(d), np.zeros((1, d)), "exact", RandomStream(0))
+        assert model.calls == 0
 
 
 class TestDeterminism:

@@ -85,22 +85,27 @@ class TestForest:
         forest = fit_random_forest(data, 30, TreeParams(max_depth=6), RandomStream(2))
         assert training_score(forest, data) >= 0.9
 
-    def test_single_deterministic_tree_mode(self):
-        data = tiny_dataset(Task.regression())
-        forest = fit_random_forest(
-            data, 1, TreeParams(min_samples_leaf=1), RandomStream(0),
-            bootstrap=False, mtry=data.d,
-        )
-        direct = fit_tree(data.rows, data.target, np.ones(data.n),
-                          TreeParams(min_samples_leaf=1))
-        assert forest.trees[0].to_dict() == direct.to_dict()
+    def test_round_is_a_bootstrap_fit(self):
+        # round r fits on bootstrap counts from stream child r, and output c
+        # draws its features from that stream's child c
+        data = make_classification_dataset(3, 80, 4, 3)
+        params = TreeParams(max_depth=4, min_samples_leaf=1)
+        forest = fit_random_forest(data, 2, params, RandomStream(0), mtry=2)
+        for r in range(2):
+            round_rng = RandomStream(0).child(r)
+            counts = np.bincount(round_rng.integers(0, data.n, data.n), minlength=data.n)
+            for c in range(3):
+                direct = fit_tree(data.rows, (data.target == c).astype(float),
+                                  counts.astype(float), params,
+                                  _feature_rng=round_rng.child(c), _mtry=2)
+                assert forest.trees[3 * r + c].to_dict() == direct.to_dict()
 
     def test_constant_target_predicts_constant(self):
         rng = RandomStream(6)
         X = rng.normal_matrix(30, 2)
         y = np.full(30, 2.5)
         data = Dataset(compute_feature_meta(X, ["a", "b"]), X, y, Task.regression())
-        forest = fit_random_forest(data, 1, TreeParams(), RandomStream(0), bootstrap=False)
+        forest = fit_random_forest(data, 1, TreeParams(), RandomStream(0))
         assert np.all(forest.predict(X).values == 2.5)
 
     def test_same_seed_same_forest(self, reg_data):

@@ -286,7 +286,7 @@ class TestLimaseExplain:
         model = fit_random_forest(reg_data, 5, TreeParams(max_depth=4), RandomStream(0))
         result = limase_explain(model, reg_data.rows[1], reg_data.features,
                                 LimaseConfig(n_samples=200, seed=4))
-        used = result.surrogate.split_features()
+        used = set(result.surrogate.feature.tolist())  # leaves add LEAF, no feature
         for j in range(reg_data.d):
             if j not in used:
                 assert result.explanation.phi[j] == 0.0
@@ -375,6 +375,13 @@ class TestLimaseExplain:
             with pytest.raises(ConfigError, match="class_index"):
                 limase_explain_batch(model, data.rows[:3], data.features, cfg)
             assert model.calls == 0
+
+    def test_negative_seed_rejected_before_scoring(self, reg_data):
+        model = CountingModel(fit_random_forest(reg_data, 3, TreeParams(max_depth=3),
+                                                RandomStream(1)))
+        with pytest.raises(ConfigError, match="seed must be non-negative"):
+            limase_explain(model, reg_data.rows[0], reg_data.features, LimaseConfig(seed=-1))
+        assert model.calls == 0
 
     def test_prediction_failure_wrapped_with_context(self):
         rows = RandomStream(12).normal_matrix(40, 2)

@@ -120,7 +120,7 @@ class TestTreeShap:
     def test_missingness_is_bitwise_zero(self):
         # feature 3 never split on
         tree = random_tree(RandomStream(7), d=4, max_depth=4, allowed_features=[0, 1, 2])
-        assert 3 not in tree.split_features()
+        assert 3 not in tree.feature
         for seed in range(10):
             x = RandomStream(seed).normal(4)
             assert tree_shap(tree, x).phi[3] == 0.0

@@ -100,8 +100,7 @@ def reference_fit(X, y, w, params, feature_rng=None, mtry=None):
     """
     live = np.nonzero(w > 0)[0]
     d = X.shape[1]
-    min_leaf_w = max(float(params.min_samples_leaf),
-                     params.min_weight_fraction_leaf * float(w[live].sum()))
+    min_leaf_w = float(params.min_samples_leaf)
     nodes = []
 
     def best_split(u, idx, wsum, cols):
@@ -264,8 +263,6 @@ class TestFitTreeErrors:
             TreeParams(min_samples_leaf=float("nan"))
         with pytest.raises(ConfigError, match="min_samples_leaf must be finite"):
             TreeParams(min_samples_leaf=float("inf"))
-        with pytest.raises(ConfigError):
-            TreeParams(min_weight_fraction_leaf=1.0)
 
 
 class TestInvariants:
@@ -424,8 +421,9 @@ def reference_case(kind: str, seed: int):
     return X, y, w
 
 
-# (max_depth, min_samples_leaf, min_weight_fraction_leaf) per case seed
-REFERENCE_PARAMS = [(8, 1, 0.0), (8, 1, 0.0), (5, 3, 0.05), (8, 2, 0.0)]
+# (max_depth, min_samples_leaf) per case seed; seed 2's leaf minimum of 6
+# binds in every case: its smallest leaf weighs 6.0-6.3
+REFERENCE_PARAMS = [(8, 1), (8, 1), (5, 6), (8, 2)]
 
 
 class TestReferenceFit:
@@ -528,9 +526,17 @@ class TestSerialization:
         node = {"feature": LEAF, "threshold": None, "left": LEAF, "right": LEAF,
                 "cover": 1.0, "value": 2.0}
         node.update(fields)
-        return {"d": 1, "root": 0, "params": {"max_depth": 1, "min_samples_leaf": 1.0,
-                                              "min_weight_fraction_leaf": 0.0},
+        return {"d": 1, "root": 0, "params": {"max_depth": 1, "min_samples_leaf": 1.0},
                 "nodes": [node]}
+
+    def test_old_leaf_weight_fraction_key(self):
+        # files written while TreeParams had min_weight_fraction_leaf hold it
+        old = self._one_node()
+        old["params"]["min_weight_fraction_leaf"] = 0.0
+        assert DecisionTree.from_dict(old).to_dict() == self._one_node()
+        old["params"]["min_weight_fraction_leaf"] = 0.05
+        with pytest.raises(DataError, match="min_weight_fraction_leaf 0.05 is not supported"):
+            DecisionTree.from_dict(old)
 
     def test_child_cycle_rejected(self):
         # Loading this used to succeed, then predict_batch looped forever;

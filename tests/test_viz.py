@@ -10,6 +10,7 @@ from limase.sp import ExplanationMatrix
 from limase.viz import (
     FORCE_HEIGHT,
     FORCE_WIDTH,
+    MAX_SUMMARY_FEATURES,
     SUMMARY_MARGIN,
     SUMMARY_ROW,
     build_force_plot,
@@ -38,15 +39,13 @@ def meta(d):
 class TestForcePlot:
     def test_all_zero_phi(self):
         plot = build_force_plot(explanation([0.0, 0.0]), meta(2))
-        assert plot.positive == []
-        assert plot.negative == []
+        assert [phi for _, _, phi in plot.contributions] == [0.0, 0.0]
         assert plot.fx == plot.base_value
 
     def test_sorting_and_partition(self):
         plot = build_force_plot(explanation([3.0, -1.0, 0.0]), meta(3))
         assert [c[0] for c in plot.contributions] == ["f0", "f1", "f2"]
-        assert [c[0] for c in plot.positive] == ["f0"]
-        assert [c[0] for c in plot.negative] == ["f1"]
+        assert [c[2] for c in plot.contributions] == [3.0, -1.0, 0.0]
 
     def test_sorted_by_abs_phi(self):
         plot = build_force_plot(explanation([0.5, -2.0, 1.0]), meta(3))
@@ -72,12 +71,6 @@ class TestForcePlot:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             build_force_plot(explanation([1.0, -1.0]), meta(3))
-
-    def test_json_dict(self):
-        record = build_force_plot(explanation([2.0, -1.0]), meta(2)).to_json_dict()
-        assert record["positive"] == ["f0"]
-        assert record["negative"] == ["f1"]
-        assert record["contributions"][0]["phi"] == 2.0
 
 
 class TestSummaryPlot:
@@ -117,8 +110,10 @@ class TestSummaryPlot:
         matrix = ExplanationMatrix(S=S, indices=list(range(5)))
         names = [f"f{j}" for j in range(d)]
         features = compute_feature_meta(X, names)
-        assert len(build_summary_plot(matrix, X, features).names) == 15
-        assert len(build_summary_plot(matrix, X, features, max_features=d).names) == d
+        plot = build_summary_plot(matrix, X, features)
+        mean_abs = np.abs(S).mean(axis=0)
+        assert len(plot.names) == MAX_SUMMARY_FEATURES == 15
+        assert plot.names == [f"f{j}" for j in np.argsort(-mean_abs, kind="stable")[:15]]
 
     def test_misaligned_inputs(self):
         matrix = ExplanationMatrix(S=np.zeros((2, 2)), indices=[0, 1])
@@ -168,13 +163,14 @@ class TestRender:
         S, X = rng.normal_matrix(6, d), rng.normal_matrix(6, d)
         matrix = ExplanationMatrix(S=S, indices=list(range(6)))
         features = compute_feature_meta(X, [f"f{j}" for j in range(d)])
-        plot = build_summary_plot(matrix, X, features, max_features=d)
+        plot = build_summary_plot(matrix, X, features)
         path = render_svg(plot, tmp_path / "summary.svg")
         root = ET.parse(path).getroot()
-        assert root.get("height") == str(SUMMARY_ROW * d + SUMMARY_MARGIN)  # 680
+        # one row per drawn feature: the 15 of largest mean |phi|
+        assert root.get("height") == str(SUMMARY_ROW * MAX_SUMMARY_FEATURES + SUMMARY_MARGIN)
         labels = [el for el in root.iter() if el.tag.endswith("text")
                   and (el.text or "").startswith("f")]
-        assert len(labels) == d
+        assert len(labels) == MAX_SUMMARY_FEATURES
 
     def test_six_decimal_formatting(self, tmp_path):
         plot = build_force_plot(explanation([1.0 / 3.0, -1.0]), meta(2))
