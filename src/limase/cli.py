@@ -1,7 +1,8 @@
 """Command-line front end: inspect, train, explain, global, sp, bench.
 
-Every subcommand accepts the full option set, so one key=value config
-file can drive a whole workflow; explicit flags override file values.
+One parser takes the command and the full option set, in any order, so
+one key=value config file can drive a whole workflow; explicit flags
+override file values.
 All artifacts land under --out with fixed names and embed the resolved
 configuration.  Timing fields inside explain/global/sp artifacts are
 normalized to null so reruns with the same seed are byte-identical;
@@ -16,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -69,19 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="limase",
         description="Local surrogate-tree Shapley explanations for black-box models.",
+        epilog="commands:\n" + "\n".join(f"  {name:<9}{command.__doc__}"
+                                          for name, command in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("inspect", "print a dataset summary"),
-        ("train", "fit a model and write model.json"),
-        ("explain", "explain one instance (explanation.json + force.svg)"),
-        ("global", "explain many instances (matrix.json + summary.svg)"),
-        ("sp", "pick representative instances (sp.json + summary.svg)"),
-        ("bench", "time the surrogate pipeline against the kernel baseline"),
-    ):
-        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
-        _add_options(p)
+    parser.add_argument("command", choices=_COMMANDS)
+    _add_options(parser)
     return parser
 
 
@@ -122,7 +118,7 @@ def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into typed values using the option table."""
     actions = {action.dest: action for action in parser._actions if action.option_strings}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:
         raise ConfigError(f"cannot read config file {path}: {e.strerror or e}") from e
     values = {}
@@ -155,31 +151,18 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config:
         # file values become defaults, so a flag on the command line beats them
-        command_parser = _subparser_for(parser, args.command)
-        command_parser.set_defaults(**_load_config_file(args.config, command_parser))
+        parser.set_defaults(**_load_config_file(args.config, parser))
         args = parser.parse_args(argv)
     for name in ("count", "background", "budget"):
         if getattr(args, name) < 1:
             raise ConfigError(f"--{name} must be >= 1, got {getattr(args, name)}")
-    for action in _subparser_for(parser, args.command)._actions:
+    for action in parser._actions:
         # the config echo of every artifact holds each value, and JSON has no NaN or infinity
         value = getattr(args, action.dest) if action.type is float else None
         if value is not None and not math.isfinite(value):
             raise ConfigError(f"{action.option_strings[0]} ({action.dest} in a config file) "
                               f"must be finite, got {value}")
     return args
-
-
-def _subparser_for(parser: argparse.ArgumentParser, command: str) -> argparse.ArgumentParser:
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices[command]
-    raise AssertionError("subparsers not found")
-
-
-def _config_echo(args: argparse.Namespace) -> dict:
-    echo = {k: v for k, v in vars(args).items()}
-    return dict(sorted(echo.items()))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -215,22 +198,6 @@ def _parse_kernel_budget(value: str) -> int | str:
         raise ConfigError(f"--kernel-budget must be an integer or 'exact', got {value!r}") from None
 
 
-def _check_explainer(args, data: Dataset) -> None:
-    """ConfigError for args.explainer's options that cannot run on data.
-
-    Called before the model is trained or attached, so a usage error
-    costs no model.  A model file is checked once it loads, in
-    _explain_rows.
-    """
-    if args.explainer == "limase":
-        _limase_config(args)
-    elif args.explainer == "treeshap":
-        if args.model == "mlp" or args.model.startswith("external:"):
-            raise ConfigError("--explainer treeshap requires a tree or forest model")
-    else:
-        check_budget(_parse_kernel_budget(args.kernel_budget), data.d)
-
-
 def _train_model(kind: str, data: Dataset, args):
     params = _tree_params(args)
     if kind == "tree":
@@ -241,15 +208,14 @@ def _train_model(kind: str, data: Dataset, args):
     if kind == "forest":
         rng = RandomStream(child_seed(args.seed, _TRAIN_STREAM))
         return fit_random_forest(data, args.n_trees, params, rng)
-    if kind == "mlp":
-        try:
-            hidden = [int(h) for h in str(args.hidden).split(",") if h.strip()]
-        except ValueError:
-            raise ConfigError(f"--hidden must be comma-separated integers, "
-                              f"got {args.hidden!r}") from None
-        rng = RandomStream(child_seed(args.seed, _MLP_STREAM))
-        return fit_mlp(data, hidden, args.epochs, args.learning_rate, rng)
-    raise ConfigError(f"unknown model kind {kind!r}")
+    # kind is "mlp": both callers check it against _MODEL_KINDS
+    try:
+        hidden = [int(h) for h in str(args.hidden).split(",") if h.strip()]
+    except ValueError:
+        raise ConfigError(f"--hidden must be comma-separated integers, "
+                          f"got {args.hidden!r}") from None
+    rng = RandomStream(child_seed(args.seed, _MLP_STREAM))
+    return fit_mlp(data, hidden, args.epochs, args.learning_rate, rng)
 
 
 def _resolve_model(args, data: Dataset):
@@ -287,32 +253,45 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _explain_rows(args, data: Dataset, model,
-                  indices: list[int]) -> list[LimaseResult | ShapExplanation]:
-    """Explain the dataset rows at indices with the configured explainer, by explain_rows.
+def _explainer(args, data: Dataset):
+    """Check args.explainer's options against data; return explain(model, indices).
 
-    The i-th row gets child seed i.  limase gives LimaseResults, treeshap
+    Called before the model is trained or attached, so a usage error
+    costs no model; a model file is checked once it loads, when explain
+    runs.  explain runs the dataset rows at indices through explain_rows,
+    the i-th row with child seed i: limase gives LimaseResults, treeshap
     and kernelshap ShapExplanations.  treeshap rows of a tree or forest
-    read the leaf boxes the model built with itself.  The first failed row
-    fails the call with a LimaseError naming its dataset row.
+    read the leaf boxes the model built with itself.  The first failed
+    row fails the call with a LimaseError naming its dataset row.
     """
     if args.explainer == "limase":
-        explain = limase_rows(model, data.features, _limase_config(args))
-    elif args.explainer == "treeshap":
-        if not isinstance(model, (TreeModel, ForestModel)):
-            raise ConfigError("--explainer treeshap requires a tree or forest model")
+        config = _limase_config(args)
 
-        def explain(i, row):
-            return forest_shap(model, row, args.class_index)
+        def bind(model):
+            return limase_rows(model, data.features, config)
+    elif args.explainer == "treeshap":
+        needs_tree = "--explainer treeshap requires a tree or forest model"
+        if args.model == "mlp" or args.model.startswith("external:"):
+            raise ConfigError(needs_tree)
+
+        def bind(model):
+            if not isinstance(model, (TreeModel, ForestModel)):
+                raise ConfigError(needs_tree)
+            return lambda i, row: forest_shap(model, row, args.class_index)
     else:
-        budget = _parse_kernel_budget(args.kernel_budget)
+        budget = check_budget(_parse_kernel_budget(args.kernel_budget), data.d)
         background = _background_rows(args, data)
         seed = child_seed(args.seed, _KERNEL_STREAM)
 
-        def explain(i, row):
-            return kernel_shap(model, row, background, budget,
-                               RandomStream(child_seed(seed, i)), args.class_index)
-    return explain_rows(model, data.rows[indices], explain, indices)
+        def bind(model):
+            return lambda i, row: kernel_shap(model, row, background, budget,
+                                              RandomStream(child_seed(seed, i)),
+                                              args.class_index)
+
+    def explain(model, indices: list[int]) -> list[LimaseResult | ShapExplanation]:
+        return explain_rows(model, data.rows[indices], bind(model), indices)
+
+    return explain
 
 
 def _shap(result: LimaseResult | ShapExplanation) -> ShapExplanation:
@@ -320,23 +299,25 @@ def _shap(result: LimaseResult | ShapExplanation) -> ShapExplanation:
 
 
 def cmd_inspect(args) -> int:
+    """print a dataset summary"""
     data = _require_data(args)
     payload = dataset_summary(data)
-    payload["config"] = _config_echo(args)
+    payload["config"] = vars(args)
     print(json.dumps(payload, indent=2, sort_keys=True))
     return 0
 
 
 def cmd_train(args) -> int:
+    """fit a model and write model.json"""
     data = _require_data(args)
-    if args.model.startswith("external:") or args.model not in _MODEL_KINDS:
+    if args.model not in _MODEL_KINDS:
         raise ConfigError(f"train expects --model in {_MODEL_KINDS}, got {args.model!r}")
     model = _train_model(args.model, data, args)
     out = _out_dir(args)
     path = out / "model.json"
     save_model(model, path, data.feature_names)
     payload = json.loads(path.read_text(encoding="utf-8"))
-    payload["config"] = _config_echo(args)
+    payload["config"] = vars(args)
     _write_json(path, payload)
     score = training_score(model, data)
     metric = "accuracy" if data.task.is_classification else "r2"
@@ -346,18 +327,19 @@ def cmd_train(args) -> int:
 
 
 def cmd_explain(args) -> int:
+    """explain one instance (explanation.json + force.svg)"""
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     if not 0 <= args.instance < data.n:
         raise ConfigError(f"--instance {args.instance} out of range for {data.n} rows")
-    _check_explainer(args, data)
+    explain = _explainer(args, data)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
-        [result] = _explain_rows(args, data, model, [args.instance])
+        [result] = explain(model, [args.instance])
         elapsed = time.perf_counter() - started
     record = result.to_json_dict(data.feature_names)
     record["instance_index"] = args.instance
-    record["config"] = _config_echo(args)
+    record["config"] = vars(args)
     record["elapsed_ms"] = None
     out = _out_dir(args)
     _write_json(out / "explanation.json", record)
@@ -370,15 +352,16 @@ def cmd_explain(args) -> int:
 
 
 def cmd_global(args) -> int:
+    """explain many instances (matrix.json + summary.svg)"""
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     if args.count > data.n:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
     indices = _sample_indices(args, data, args.count)
-    _check_explainer(args, data)
+    explain = _explainer(args, data)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
-        explanations = [_shap(r) for r in _explain_rows(args, data, model, indices)]
+        explanations = [_shap(r) for r in explain(model, indices)]
     elapsed = time.perf_counter() - started
     matrix = ExplanationMatrix(S=np.vstack([e.phi for e in explanations]), indices=indices)
     payload = {
@@ -388,7 +371,7 @@ def cmd_global(args) -> int:
         "phi": [[float(v) for v in row] for row in matrix.S],
         "base_values": [float(e.base_value) for e in explanations],
         "fx": [float(e.fx) for e in explanations],
-        "config": _config_echo(args),
+        "config": vars(args),
         "elapsed_ms": None,
     }
     out = _out_dir(args)
@@ -401,22 +384,23 @@ def cmd_global(args) -> int:
 
 
 def cmd_sp(args) -> int:
+    """pick representative instances (sp.json + summary.svg)"""
     if args.explainer != "limase":
         raise ConfigError(f"sp explains with limase only, got --explainer {args.explainer}")
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     count = min(args.count, data.n)
     indices = _sample_indices(args, data, count)
-    _check_explainer(args, data)
+    config = _limase_config(args)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
-        pick, matrix, _ = sp_explain(model, data, indices, _limase_config(args), args.budget)
+        pick, matrix, _ = sp_explain(model, data, indices, config, args.budget)
     elapsed = time.perf_counter() - started
     picked_rows = [indices[p] for p in pick.selected]
     payload = pick.to_json_dict()
     payload["sample_indices"] = indices
     payload["selected_dataset_rows"] = picked_rows
-    payload["config"] = _config_echo(args)
+    payload["config"] = vars(args)
     payload["elapsed_ms"] = None
     out = _out_dir(args)
     _write_json(out / "sp.json", payload)
@@ -430,6 +414,7 @@ def cmd_sp(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    """time the surrogate pipeline against the kernel baseline"""
     data = _require_data(args)
     data.task.check_class_index(args.class_index)
     if data.n < BENCH_BATCH:
@@ -441,21 +426,21 @@ def cmd_bench(args) -> int:
                                         "background": BENCH_BACKGROUND_ROWS})
     if args.model in ("tree", "forest"):
         raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
-    _check_explainer(limase_args, data)
-    _check_explainer(kernel_args, data)
+    explain_limase = _explainer(limase_args, data)
+    explain_kernel = _explainer(kernel_args, data)
 
-    def timed(run_args, rows: list[int]) -> float:
+    def timed(explain, rows: list[int]) -> float:
         started = time.perf_counter()
-        _explain_rows(run_args, data, model, rows)
+        explain(model, rows)
         return time.perf_counter() - started
 
     with _resolve_model(args, data) as model:
         if isinstance(model, (TreeModel, ForestModel)):
             raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
-        limase_single = timed(limase_args, indices[:1])
-        limase_batch = timed(limase_args, indices)
-        kernel_single = timed(kernel_args, indices[:1])
-        kernel_batch = timed(kernel_args, indices)
+        limase_single = timed(explain_limase, indices[:1])
+        limase_batch = timed(explain_limase, indices)
+        kernel_single = timed(explain_kernel, indices[:1])
+        kernel_batch = timed(explain_kernel, indices)
 
     payload = {
         "n_rows": data.n,
@@ -470,7 +455,7 @@ def cmd_bench(args) -> int:
         "kernel_batch_s": kernel_batch,
         "speedup_single": kernel_single / limase_single,
         "speedup_batch": kernel_batch / limase_batch,
-        "config": _config_echo(args),
+        "config": vars(args),
     }
     out = _out_dir(args)
     _write_json(out / "bench.json", payload)
@@ -495,11 +480,29 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so no flush fails again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = parse_args(argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # so a closed stdout fails here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # stdout was closed (`limase inspect ... | head`); the artifacts are
+        # already written, so end quietly with the shell's code for SIGPIPE
+        _discard_stdout()
+        return 141
     except (ConfigError, DataError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

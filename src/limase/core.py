@@ -324,7 +324,8 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
     `task` may be a Task or the strings "classification" / "regression";
     for the former string the class count is inferred from the labels.
     A byte-order mark at the start of the file is skipped.  A file that
-    cannot be opened or is not UTF-8 raises DataError naming it.
+    cannot be opened or is not UTF-8, or whose header names a column
+    twice, raises DataError naming it.
 
     The file is read once, a whole record at a time.  A record that fails
     (wrong length, a cell float() rejects, a non-finite sum) is parsed
@@ -351,6 +352,10 @@ def load_csv(path: str | Path, target_column: str, task: Task | str) -> Dataset:
                 header = next(reader)
             except StopIteration:
                 raise DataError(f"empty file: {path}") from None
+            if len(set(header)) < len(header):
+                # feature names key every artifact, so two columns may not share one
+                name = next(h for i, h in enumerate(header) if h in header[:i])
+                raise DataError(f"column {name!r} appears more than once in the header of {path}")
             if target_column not in header:
                 raise DataError(f"missing target column {target_column!r} in {path}")
             t_idx = header.index(target_column)

@@ -1,6 +1,8 @@
 """Command-line workflows end to end, in process."""
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -62,6 +64,47 @@ def step_csv(tmp_path_factory):
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+class TestParser:
+    def test_options_before_command(self, reg_csv, tmp_path):
+        flags = ("--data", reg_csv, "--target", "y", "--model", "tree", "--n-samples", 50)
+        out = tmp_path / "out"
+        assert run("explain", *flags, "--out", out) == 0
+        after = (out / "explanation.json").read_bytes()
+        assert run(*flags, "explain", "--out", out) == 0
+        assert (out / "explanation.json").read_bytes() == after
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["-h"])
+        assert stop.value.code == 0
+        out = capsys.readouterr().out
+        for name, help_text in (
+            ("inspect", "print a dataset summary"),
+            ("train", "fit a model and write model.json"),
+            ("explain", "explain one instance (explanation.json + force.svg)"),
+            ("global", "explain many instances (matrix.json + summary.svg)"),
+            ("sp", "pick representative instances (sp.json + summary.svg)"),
+            ("bench", "time the surrogate pipeline against the kernel baseline"),
+        ):
+            assert re.search(rf"^ +{name} +{re.escape(help_text)}$", out, re.M), name
+
+    def test_closed_stdout_ends_quietly(self, reg_csv):
+        # 141 = 128 + SIGPIPE, what a shell shows for a tool stopped by a closed pipe
+        src = str(Path(limase.cli.__file__).parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "limase.cli", "inspect", "--data", reg_csv, "--target", "y"],
+                stdout=write_end, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": path},
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == b""
 
 
 class TestInspect:
@@ -677,6 +720,18 @@ class TestConfigFile:
         assert run("explain", "--data", reg_csv, "--target", "y",
                    "--config", cfg) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_byte_order_mark_skipped(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_text("\ufeffseed = 3\n", encoding="utf-8")
+        assert run("inspect", "--data", reg_csv, "--target", "y", "--config", cfg) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["seed"] == 3
+
+    def test_command_key_rejected(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed = 1\ncommand = explain\n")
+        assert run("inspect", "--data", reg_csv, "--target", "y", "--config", cfg) == 2
+        assert f"error: {cfg}:2: unknown option 'command'" in capsys.readouterr().err
 
     def test_non_finite_value_rejected(self, reg_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -213,6 +213,14 @@ class TestCsv:
         assert data.feature_names == [h for h in header.split(",") if h != "y"]
         assert data.target.tolist() == ([1.0, 4.0] if header[0] == "y" else [2.0, 5.0])
 
+    @pytest.mark.parametrize("header, name", [("y,a,y", "y"), ("a,a,y", "a")])
+    def test_repeated_header_name_rejected(self, tmp_path, header, name):
+        path = tmp_path / "dup.csv"
+        path.write_text(header + "\n1,2,3\n4,5,6\n")
+        with pytest.raises(DataError) as err:
+            load_csv(path, "y", "regression")
+        assert str(err.value) == f"column {name!r} appears more than once in the header of {path}"
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")
