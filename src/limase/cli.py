@@ -116,7 +116,9 @@ def _add_options(p: argparse.ArgumentParser) -> None:
 
 def _load_config_file(path: str, parser: argparse.ArgumentParser) -> dict:
     """Parse a key=value file into typed values using the option table."""
-    actions = {action.dest: action for action in parser._actions if action.option_strings}
+    # only options that store a value: -h has option strings too, but a help key is no option
+    actions = {action.dest: action for action in parser._actions
+               if action.option_strings and isinstance(action, argparse._StoreAction)}
     try:
         text = Path(path).read_text(encoding="utf-8-sig")
     except OSError as e:

@@ -39,9 +39,10 @@ def _coalition_values(
 ) -> np.ndarray:
     """v(S) for each mask row: mean model output over background composites.
 
-    The chunks go through stripes.stripe_map, which scores and times
-    chunk 0 in the caller and forks the rest when that time says
-    striping saves time.
+    The chunks go through stripes.stripe_map, which forks them when a
+    chunk's time says striping saves time: the chunk time of the last
+    call, or else chunk 0's, scored and timed in the caller before the
+    rest fork.
     """
     n_bg, d = background.shape
     per_mask = max(1, _CHUNK_ROWS // n_bg)

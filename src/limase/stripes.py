@@ -7,18 +7,29 @@ rounds of a forest and the row blocks of a stacked forest walk
 Each item keeps its own seed and its own model calls, so the outputs are
 those of the serial loop bit for bit; only where an item runs changes.
 
-The first item runs in the caller, which times it.  The other items are
-split into contiguous stripes, one per worker, when there are at least
-two workers (usable CPUs // BLAS threads, at most one per item) and the
-first item's time, taken for every item beyond the longest stripe, says
+Items are split into contiguous stripes, one per worker, when there are
+at least two workers (usable CPUs // BLAS threads, at most one per item)
+and an item time, taken for every item beyond the longest stripe, says
 striping would save at least _MIN_SAVING_S of wall time; a fork costs
-more than a few fast items.  The first stripe runs in the caller, the
-others in processes forked from it, which return their results pickled
-through pipes.  Nothing forks off Linux, inside a forked worker, while
-the caller's workers run, or when the caller has more than one live
-thread (a fork could copy a lock another thread holds).  So a loop
-inside another loop's item, such as the walk of a batch row's scoring
-call, forks only in the caller's first item, before any worker runs.
+more than a few fast items.  The item time is the one the loop measured
+last in this process: each loop is known by its function's code object,
+which every call of the loop's closure shares.  When there is one, the
+call splits all its items and forks before item 0, and the caller times
+the first item of its own stripe for the loop's next call.  When there
+is none (the loop's first call, or an fn with no __code__ such as a
+functools.partial), item 0 runs first in the caller, which times it, and
+only the other items are split.  A stale time costs at most one needless
+fork, after which the loop times itself again.
+
+The first stripe runs in the caller, the others in processes forked from
+it, which return their results pickled through pipes; a stripe whose
+fork fails runs in the caller, in its place.  Nothing forks off Linux,
+inside a forked worker, while the caller's workers run, or when the
+caller has more than one live thread (a fork could copy a lock another
+thread holds).  A call inside a forked worker, or beside running
+workers, neither uses nor keeps an item time.  So a loop inside another
+loop's item, such as the walk of a batch row's scoring call, forks only
+while no other workers run.
 
 BLAS threads are read once, when this module loads, as OpenBLAS reads
 them (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
@@ -37,6 +48,7 @@ import sys
 import threading
 import time
 from collections.abc import Callable, Sequence
+from types import CodeType
 from typing import BinaryIO
 
 import numpy as np
@@ -93,6 +105,8 @@ _BLAS_THREADS = _blas_threads()  # numpy is loaded by now; later changes are not
 
 _striping = False  # set in a forked worker, and in the caller while its workers run
 
+_item_s: dict[CodeType, float] = {}  # each loop's last measured item time, in seconds
+
 
 def _fork_workers(items: int) -> int:
     """Processes that could share `items` items; below 2 they stay in the caller.
@@ -108,74 +122,108 @@ def _fork_workers(items: int) -> int:
 def stripe_map(fn: Callable, items: Sequence) -> list:
     """[fn(item) for item in items], in stripes over forked workers when that saves time.
 
-    The first item runs in the caller, which times it and takes that time
-    for every other item; the workers are counted after it, since it may
-    have started a thread.  An exception that fn raises reaches the
-    caller with its type, at the first failing item in order; a worker's
-    exception that pickle cannot rebuild arrives as a LimaseError naming
-    its class.
+    With the item time the loop measured last, the call forks all items
+    at once when that time says striping pays; otherwise item 0 runs in
+    the caller, which times it and decides for the other items, counting
+    the workers after it, since it may have started a thread.  An
+    exception that fn raises reaches the caller with its type, at the
+    first failing item in order; a worker's exception that pickle cannot
+    rebuild arrives as a LimaseError naming its class.
     """
     if not len(items):
         return []
-    started = time.perf_counter()
-    first = fn(items[0])
-    item_s, rest = time.perf_counter() - started, items[1:]
+    loop = None if _striping else getattr(fn, "__code__", None)
+    if loop in _item_s:
+        workers = _fork_workers(len(items))
+        if _pays(_item_s[loop], len(items), workers):
+            return _map_forked(fn, items, workers, loop)
+    first, item_s = _timed(fn, items[0], loop)
+    rest = items[1:]
     workers = _fork_workers(len(rest))
-    longest = -(-len(rest) // max(workers, 1))  # items in the longest stripe
-    if workers >= 2 and item_s * (len(rest) - longest) >= _MIN_SAVING_S:
+    if _pays(item_s, len(rest), workers):
         return [first] + _map_forked(fn, rest, workers)
     return [first] + [fn(item) for item in rest]
 
 
-def _map_forked(fn: Callable, items: Sequence, workers: int) -> list:
+def _pays(item_s: float, items: int, workers: int) -> bool:
+    """Whether item_s for each item beyond the longest of workers' stripes reaches the floor."""
+    longest = -(-items // max(workers, 1))
+    return workers >= 2 and item_s * (items - longest) >= _MIN_SAVING_S
+
+
+def _timed(fn: Callable, item, loop: CodeType | None) -> tuple[object, float]:
+    """fn(item) and its time in seconds, kept as loop's item time unless loop is None."""
+    started = time.perf_counter()
+    out = fn(item)
+    item_s = time.perf_counter() - started
+    if loop is not None:
+        _item_s[loop] = item_s
+    return out, item_s
+
+
+def _map_forked(fn: Callable, items: Sequence, workers: int,
+                loop: CodeType | None = None) -> list:
     """items in contiguous stripes: the first in the caller, each other one in a forked child.
 
     The caller forks every child from its one thread, then runs the first
-    stripe and reads the others' replies in order.  While they run,
-    _striping keeps any nested stripe map in its own process.  A child
-    that exits without a reply fails the call; a child whose reply is not
-    read, because the call failed first, is killed, and every child is
-    reaped before the call returns.
+    stripe, timing its first item as loop's item time, and reads the
+    others' replies in order.  A stripe whose fork failed runs in the
+    caller when its turn comes.  While they run, _striping keeps any
+    nested stripe map in its own process.  A child that exits without a
+    reply fails the call; a child whose reply is not read, because the
+    call failed first, is killed, and every child is reaped before the
+    call returns.
     """
     global _striping
     n = len(items)
     bounds = [k * n // workers for k in range(workers + 1)]
-    children, read = [], 0
+    stripes, read = [], 0
     _striping = True
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
-            children.append(_fork_stripe(fn, items[first:last]))
-        out = [fn(item) for item in items[:bounds[1]]]
-        for _, reply in children:
-            outcomes, raised = _read_reply(reply)
-            read += 1
+            stripes.append((items[first:last], _fork_stripe(fn, items[first:last])))
+        out = [fn(item) if k else _timed(fn, item, loop)[0]
+               for k, item in enumerate(items[:bounds[1]])]
+        for k, (stripe, child) in enumerate(stripes):
+            if child is None:  # its fork failed
+                out += [fn(item) for item in stripe]
+                continue
+            outcomes, raised = _read_reply(child[1])
+            read = k + 1
             out += [_relink(outcome, causes) for outcome, causes in outcomes]
             if raised is not None:
                 raise _relink(*raised)
     finally:
         _striping = False
-        for k, (pid, reply) in enumerate(children):
-            reply.close()
-            if k >= read:
-                os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        for k, (_, child) in enumerate(stripes):
+            if child is not None:
+                pid, reply = child
+                reply.close()
+                if k >= read:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return out
 
 
-def _fork_stripe(fn: Callable, stripe: Sequence) -> tuple[int, BinaryIO]:
+def _fork_stripe(fn: Callable, stripe: Sequence) -> tuple[int, BinaryIO] | None:
     """Fork a child that runs fn over stripe; return its pid and the pipe of its reply.
 
     The child inherits fn and stripe, and with them the model and its
     inputs, so only its outcomes cross the pipe, as one pickle.  It
     leaves by os._exit, so none of the caller's cleanup runs in it.
+    Without a pipe or a process to be had (EMFILE, EAGAIN, ENOMEM) there
+    is no child, and None.
     """
-    read_end, write_end = os.pipe()
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
     try:
         pid = os.fork()
-    except OSError:  # no process to be had: the pipe goes with it
+    except OSError:  # the pipe goes with the process
         os.close(read_end)
         os.close(write_end)
-        raise
+        return None
     if pid == 0:
         status = 1
         try:

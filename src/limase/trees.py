@@ -392,11 +392,12 @@ def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndar
     row.  So no block after the first holds a single row, and scores equal
     that per-tree mean bit for bit.
 
-    The blocks are independent, so they go through stripes.stripe_map:
-    block 0 is walked and timed in the caller, the rest fork over every
-    CPU when that time says striping saves time, and each block's scores
-    are written into the result here.  Where a block runs does not change
-    its scores.
+    The blocks are independent, so they go through stripes.stripe_map,
+    which forks them over every CPU when a block's time says striping
+    saves time: the last walk's block time, or else block 0's, walked and
+    timed in the caller before the rest fork.  Each block's scores are
+    written into the result here; where a block runs does not change
+    them.
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != stack.d:

@@ -7,9 +7,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import limase.stripes
 from limase.core import Dataset, RandomStream, Task, compute_feature_meta
 from limase.models import MlpModel
 from limase.trees import LEAF, DecisionTree, TreeParams, _from_rows
+
+
+@pytest.fixture(autouse=True)
+def no_item_times():
+    """Each test starts with no loop's item time, so the tests run before it
+    cannot make a loop fork before its item 0."""
+    limase.stripes._item_s.clear()
 
 
 def tree_from_nodes(nodes: list, d: int, params: TreeParams) -> DecisionTree:

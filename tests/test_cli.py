@@ -733,6 +733,14 @@ class TestConfigFile:
         assert run("inspect", "--data", reg_csv, "--target", "y", "--config", cfg) == 2
         assert f"error: {cfg}:2: unknown option 'command'" in capsys.readouterr().err
 
+    def test_help_key_rejected(self, reg_csv, tmp_path, capsys):
+        cfg = tmp_path / "h.cfg"
+        cfg.write_text("help = 1\n")
+        assert run("inspect", "--data", reg_csv, "--target", "y", "--config", cfg) == 2
+        captured = capsys.readouterr()
+        assert f"error: {cfg}:1: unknown option 'help'" in captured.err
+        assert captured.out == ""
+
     def test_non_finite_value_rejected(self, reg_csv, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("sigma = inf\n")

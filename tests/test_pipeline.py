@@ -729,6 +729,7 @@ class TestForkedBatch:
                 return super().predict(X)
 
         rows = RandomStream(13).normal_matrix(8, 2)
+        limase.stripes._item_s.clear()  # a first call: row 0 runs before any fork
         try:
             seen.clear()
             limase_explain_batch(ThreadStartingModel(2), rows, meta_for(rows), cfg)

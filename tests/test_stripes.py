@@ -1,4 +1,6 @@
 """The stripe map's edge rules, and its kernel chunks, kernel rows, forest rounds and walk blocks in forked workers."""
+import errno
+import functools
 import os
 import sys
 import threading
@@ -95,9 +97,9 @@ def forked(monkeypatch):
     monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", 0.0)
     inner, calls = limase.stripes._map_forked, []
 
-    def spy(fn, items, workers):
+    def spy(fn, items, workers, *loop):
         calls.append(len(items))
-        return inner(fn, items, workers)
+        return inner(fn, items, workers, *loop)
 
     monkeypatch.setattr(limase.stripes, "_map_forked", spy)
     yield calls
@@ -105,8 +107,10 @@ def forked(monkeypatch):
 
 
 def serial(monkeypatch, fn, *args, **kwargs):
+    """fn's result with every item in the caller; it leaves no loop's item time behind."""
     with monkeypatch.context() as m:
         m.setattr(limase.stripes, "_fork_workers", lambda items: 1)
+        m.setattr(limase.stripes, "_item_s", {})
         return fn(*args, **kwargs)
 
 
@@ -212,6 +216,202 @@ class TestStripeMap:
         assert limase.stripes._blas_threads() == limase.stripes._usable_cpus()
 
 
+def phi_bytes(e) -> bytes:
+    return b"".join(np.asarray(getattr(e, name)).tobytes()
+                    for name in ("phi", "base_value", "fx", "class_index"))
+
+
+def kernel_chunks(monkeypatch):
+    model = random_mlp(3, 6, [16, 16])
+    data = RandomStream(4).normal_matrix(13, 6)
+    monkeypatch.setattr(limase.kernel, "_CHUNK_ROWS", 3 * 12 + 1)
+    return lambda: phi_bytes(kernel_shap(model, data[0], data[1:], 200, RandomStream(5)))
+
+
+def batch_rows(monkeypatch):
+    model = random_mlp(5, 4, [16, 16])
+    X = RandomStream(6).normal_matrix(8, 4)
+    features = make_regression_dataset(7, 50, 4).features
+    cfg = LimaseConfig(n_samples=100, seed=3)
+    return lambda: [phi_bytes(r.explanation)
+                    for r in limase_explain_batch(model, X, features, cfg)]
+
+
+def forest_rounds(monkeypatch):
+    data = make_classification_dataset(12, 200, 5, 3)
+    return lambda: [tree.to_dict() for tree in fit_random_forest(
+        data, 7, TreeParams(max_depth=4), RandomStream(13)).trees]
+
+
+def walk_blocks(monkeypatch):
+    forest = fit_random_forest(make_classification_dataset(21, 300, 4, 3), 40,
+                               TreeParams(max_depth=5), RandomStream(4))
+    X = RandomStream(8).normal_matrix(4 * (_BLOCK_PAIRS // 40) + 3, 4)
+    return lambda: forest.raw_scores(X).tobytes()
+
+
+class TestItemTimes:
+    """A loop's later calls fork before item 0 when its last measured item time says striping pays."""
+
+    def test_later_call_forks_first_in_even_stripes(self, forked, monkeypatch):
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
+
+        def slow(i):
+            time.sleep(MIN_SAVING_S)
+            return os.getpid()
+
+        first = stripe_map(slow, range(6))
+        assert forked == [5]  # item 0 ran and was timed in the caller
+        assert first[:3] == [os.getpid()] * 3 and os.getpid() not in first[3:]
+        later = stripe_map(slow, range(6))
+        assert forked == [5, 6]  # every item striped: 3 in the caller, 3 in a worker
+        assert later[:3] == [os.getpid()] * 3 and os.getpid() not in later[3:]
+        assert no_child_processes()
+
+    def test_first_call_and_partial_time_item_0_first(self, forked):
+        def offset_pid(offset, item):
+            return os.getpid() + offset
+
+        assert stripe_map(pid_of, range(6))[:3] == [os.getpid()] * 3
+        partial = functools.partial(offset_pid, 0)  # no __code__: no item time to keep
+        for _ in range(2):
+            pids = stripe_map(partial, range(6))
+            assert pids[:3] == [os.getpid()] * 3 and os.getpid() not in pids[3:]
+        assert forked == [5, 5, 5]
+        assert list(limase.stripes._item_s) == [pid_of.__code__]
+
+    def test_cheap_items_fork_first_at_most_once(self, forked, monkeypatch):
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
+        sleep_s = [MIN_SAVING_S]
+
+        def item(i):
+            time.sleep(sleep_s[0])
+            return i
+
+        assert stripe_map(item, range(6)) == list(range(6))
+        assert forked == [5]
+        sleep_s[0] = 0.0
+        for _ in range(3):
+            assert stripe_map(item, range(6)) == list(range(6))
+        assert forked == [5, 6]  # the stale time forked once; the caller's first item re-timed it
+        assert limase.stripes._item_s[item.__code__] < MIN_SAVING_S / 6
+
+    def test_nothing_kept_inside_a_forked_worker(self, forked, monkeypatch):
+        kept = []
+
+        class Kept(dict):
+            def __setitem__(self, loop, item_s):
+                kept.append((os.getpid(), loop.co_name))
+                super().__setitem__(loop, item_s)
+
+        monkeypatch.setattr(limase.stripes, "_item_s", Kept())
+
+        def inner(i):
+            return i
+
+        def outer(i):
+            stripe_map(inner, range(4))
+            return os.getpid(), list(kept)
+
+        caller = os.getpid()
+        for call in range(2):
+            got = stripe_map(outer, range(4))
+            assert got[0][0] == caller and got[-1][0] != caller
+            for _, seen in got:  # as each item's process saw the kept times
+                assert {pid for pid, _ in seen} <= {caller}
+        # call 0: item 0's inner map, then item 0; call 1 forks first and times
+        # item 0 beside the worker, where the inner maps keep nothing
+        assert kept == [(caller, "inner"), (caller, "outer"), (caller, "outer")]
+
+    @pytest.mark.parametrize("loop", [kernel_chunks, batch_rows, forest_rounds, walk_blocks],
+                             ids=["kernel-chunks", "batch-rows", "forest-rounds", "walk-blocks"])
+    def test_first_and_later_calls_equal_serial(self, forked, monkeypatch, loop):
+        run = loop(monkeypatch)
+        want = serial(monkeypatch, run)
+        forked.clear()
+        assert run() == want
+        items = forked[-1] + 1  # the loop's own map forks last, after item 0's nested maps
+        for _ in range(2):
+            forked.clear()
+            assert run() == want
+            assert forked == [items]  # every item, before item 0; nothing nested forks
+
+    def test_first_failing_item_raises_in_order_on_later_calls(self, forked):
+        def failing(i):
+            if i in (5, 6):
+                raise ModelOutputError(f"item {i}") from KeyError(i)
+            return i
+
+        for _ in range(2):
+            with pytest.raises(ModelOutputError, match="item 5") as caught:
+                stripe_map(failing, range(8))
+            assert isinstance(caught.value.__cause__, KeyError)
+        assert forked == [7, 8]
+
+        def failing_twice(i):
+            if i in (2, 6):
+                raise ValueError(f"item {i}")
+            return i
+
+        for _ in range(2):
+            with pytest.raises(ValueError, match="item 2"):  # the caller's own stripe
+                stripe_map(failing_twice, range(8))
+        assert forked[2:] == [7, 8]
+        assert no_child_processes()
+
+
+class TestFailedFork:
+    """A stripe whose fork fails runs in the caller, in its place."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """os.fork fails with EAGAIN for the call numbers in the returned set (all when empty)."""
+        real_fork, failing, made = os.fork, set(), []
+
+        def fork():
+            made.append(1)
+            if not failing or len(made) in failing:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        monkeypatch.setattr(limase.stripes.os, "fork", fork)
+        return failing
+
+    def test_stripes_run_in_the_caller_in_order(self, forked, forks):
+        for _ in range(2):  # item 0 first, then forked first
+            assert stripe_map(pid_of, range(6)) == [os.getpid()] * 6
+            assert stripe_map(lambda i: i * i, range(7)) == [i * i for i in range(7)]
+        assert forked == [5, 6, 6, 7]
+
+    def test_one_failed_fork_of_two(self, forked, forks, monkeypatch):
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 3)
+        forks.add(1)  # the second stripe's fork fails, the third's succeeds
+        pids = stripe_map(pid_of, range(9))
+        assert pids[:6] == [os.getpid()] * 6  # item 0, the caller's stripe, the failed one
+        assert os.getpid() not in pids[6:]
+        assert forked == [8]
+
+    def test_exceptions_keep_their_order(self, forked, forks, monkeypatch):
+        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 3)
+        forks.add(1)
+
+        def failing(i):
+            if i in (4, 7):  # the failed fork's stripe, then a worker's
+                raise ModelOutputError(f"item {i}") from KeyError(i)
+            return i
+
+        with pytest.raises(ModelOutputError, match="item 4") as caught:
+            stripe_map(failing, range(9))
+        assert isinstance(caught.value.__cause__, KeyError)
+        assert no_child_processes()
+
+    def test_batch_equals_serial_rows(self, forked, forks, monkeypatch):
+        run = batch_rows(monkeypatch)
+        want = serial(monkeypatch, run)
+        assert run() == want and run() == want
+        assert forked == [7, 8]
+
+
 class TestKernelChunks:
     @pytest.mark.parametrize("budget", ["exact", 200])
     def test_forked_chunks_equal_serial_bytes(self, forked, monkeypatch, budget):
@@ -283,11 +483,11 @@ class TestKernelRows:
         want = serial(monkeypatch, explain_rows, model, X, explain)
         inner, open_maps, deepest = limase.stripes._map_forked, [], []
 
-        def nesting(fn, items, workers):
+        def nesting(fn, items, workers, *loop):
             open_maps.append(len(items))
             deepest.append(len(open_maps))
             try:
-                return inner(fn, items, workers)
+                return inner(fn, items, workers, *loop)
             finally:
                 open_maps.pop()
 
@@ -351,9 +551,13 @@ class TestWalkBlocks:
             for n in block_sizes(n_trees):
                 X = RandomStream(n).normal_matrix(n, 4)
                 forked.clear()
+                limase.stripes._item_s.clear()
                 assert walk(X).tobytes() == reference(X).tobytes(), n
                 # block 0 in the caller; a single-row tail joins the block before it
                 assert forked == ([] if n == 0 else [1] if n >= step + 2 else [0]), n
+                # the next walk forks every block, block 0 too
+                assert walk(X).tobytes() == reference(X).tobytes(), n
+                assert forked[1:] == ([forked[0] + 1] if n else []), n
 
     def test_one_chunk_kernel_call_equals_serial_bytes(self, forked, monkeypatch):
         # every mask in one chunk, as on forest-cls: the chunk's walk is what forks
@@ -385,12 +589,12 @@ class TestWalkBlocks:
                       data.features, cfg)
         inner, caller, open_maps = limase.stripes._map_forked, os.getpid(), []
 
-        def nesting(fn, items, workers):
+        def nesting(fn, items, workers, *loop):
             # raised in a worker, this fails the batch, as its row's error is no LimaseError
             assert os.getpid() == caller and not open_maps, "a nested fork"
             open_maps.append(len(items))
             try:
-                return inner(fn, items, workers)
+                return inner(fn, items, workers, *loop)
             finally:
                 open_maps.pop()
 
