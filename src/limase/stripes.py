@@ -56,19 +56,20 @@ import numpy as np
 from .core import LimaseError
 
 # Least wall time, in seconds, that striping must be estimated to save
-# before items are forked.  The estimate takes the first item's time for
-# every item beyond the longest stripe.  Forking, the reply and reaping
-# (about 10 ms with one worker, a 32 MB caller and 57 small results) and
-# worker items a little slower than the caller's make the real saving fall
-# short of it.  Measured on a 2-vCPU VM with one BLAS thread, serial against
-# forked through a process pool that cost about 7 ms more per call, forking
-# paid from an estimate of about 15 ms for limase batch rows of a [64, 64]
-# MLP (6 ms saved at 28 ms estimated) and about 24 ms for kernel_shap chunks
-# of 16,300 rows on that MLP (6-14 ms saved at 34-36 ms, 6-12 ms lost at
-# 12 ms); this floor sits above both.  Walk blocks of a 150-tree forest
-# (109 rows each), forked as here, saved 2 ms at 24 ms estimated (4k rows),
-# 13 ms at 27 ms (6k), 23 ms at 49 ms (8k), 44 ms at 80 ms (12.5k) and
-# 76 ms at 151 ms (25k).
+# before items are forked.  The estimate takes an item time (see stripe_map)
+# for every item beyond the longest stripe.  Forking, the reply and reaping,
+# and worker items slower than the caller's, make the real saving fall short
+# of it.  Measured on a 2-vCPU VM with one BLAS thread, forking all items
+# before item 0 against the serial loop (medians of 25 alternating calls in
+# one process) on the benchmark's [64, 64] MLP at d=30: limase batch rows
+# of about 7 ms lost 10-12 ms at 7 ms estimated (2-3 rows), broke even at
+# 14-15 ms (4-5 rows) and saved 6-7 ms at 21-23 ms (6 rows), 17 ms at
+# 27-28 ms (8) and 25-30 ms at 42 ms (12); kernel_shap chunks of 16,300 rows
+# (about 7 ms) lost 1-6 ms at 6-7 ms (2-3 chunks), saved 2-6 ms at 12-17 ms
+# (4) and 14 ms at 33 ms (10).  Walk blocks of a 150-tree forest (109 rows
+# each), forked directly after block 0, saved 2 ms at 24 ms estimated (4k
+# rows), 13 ms at 27 ms (6k), 23 ms at 49 ms (8k), 44 ms at 80 ms (12.5k)
+# and 76 ms at 151 ms (25k).  This floor sits above every break-even.
 _MIN_SAVING_S = 0.03
 
 

@@ -314,7 +314,7 @@ class TestItemTimes:
             return os.getpid(), list(kept)
 
         caller = os.getpid()
-        for call in range(2):
+        for _ in range(2):
             got = stripe_map(outer, range(4))
             assert got[0][0] == caller and got[-1][0] != caller
             for _, seen in got:  # as each item's process saw the kept times
