@@ -168,6 +168,7 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _write_json(path: Path, payload: dict) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
@@ -250,8 +251,11 @@ def _sample_indices(args, data: Dataset, count: int) -> list[int]:
 
 
 def _out_dir(args) -> Path:
+    """args.out, checked before any model is built; writing an artifact makes the directory."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    file = next((p for p in (out, *out.parents) if p.exists() and not p.is_dir()), None)
+    if file is not None:
+        raise ConfigError(f"--out {args.out} cannot be a directory: {file} is a file")
     return out
 
 
@@ -314,8 +318,9 @@ def cmd_train(args) -> int:
     data = _require_data(args)
     if args.model not in _MODEL_KINDS:
         raise ConfigError(f"train expects --model in {_MODEL_KINDS}, got {args.model!r}")
-    model = _train_model(args.model, data, args)
     out = _out_dir(args)
+    model = _train_model(args.model, data, args)
+    out.mkdir(parents=True, exist_ok=True)
     path = out / "model.json"
     save_model(model, path, data.feature_names)
     payload = json.loads(path.read_text(encoding="utf-8"))
@@ -335,6 +340,7 @@ def cmd_explain(args) -> int:
     if not 0 <= args.instance < data.n:
         raise ConfigError(f"--instance {args.instance} out of range for {data.n} rows")
     explain = _explainer(args, data)
+    out = _out_dir(args)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         [result] = explain(model, [args.instance])
@@ -343,7 +349,6 @@ def cmd_explain(args) -> int:
     record["instance_index"] = args.instance
     record["config"] = vars(args)
     record["elapsed_ms"] = None
-    out = _out_dir(args)
     _write_json(out / "explanation.json", record)
     force = build_force_plot(_shap(result), data.features)
     render_svg(force, out / "force.svg")
@@ -361,6 +366,7 @@ def cmd_global(args) -> int:
         raise DataError(f"--count {args.count} exceeds the {data.n} dataset rows")
     indices = _sample_indices(args, data, args.count)
     explain = _explainer(args, data)
+    out = _out_dir(args)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         explanations = [_shap(r) for r in explain(model, indices)]
@@ -376,7 +382,6 @@ def cmd_global(args) -> int:
         "config": vars(args),
         "elapsed_ms": None,
     }
-    out = _out_dir(args)
     _write_json(out / "matrix.json", payload)
     summary = build_summary_plot(matrix, data.rows[indices], data.features)
     render_svg(summary, out / "summary.svg")
@@ -394,6 +399,7 @@ def cmd_sp(args) -> int:
     count = min(args.count, data.n)
     indices = _sample_indices(args, data, count)
     config = _limase_config(args)
+    out = _out_dir(args)
     with _resolve_model(args, data) as model:
         started = time.perf_counter()
         pick, matrix, _ = sp_explain(model, data, indices, config, args.budget)
@@ -404,7 +410,6 @@ def cmd_sp(args) -> int:
     payload["selected_dataset_rows"] = picked_rows
     payload["config"] = vars(args)
     payload["elapsed_ms"] = None
-    out = _out_dir(args)
     _write_json(out / "sp.json", payload)
     picked_matrix = ExplanationMatrix(S=matrix.S[pick.selected], indices=picked_rows)
     summary = build_summary_plot(picked_matrix, data.rows[picked_rows], data.features)
@@ -436,6 +441,7 @@ def cmd_bench(args) -> int:
         explain(model, rows)
         return time.perf_counter() - started
 
+    out = _out_dir(args)
     with _resolve_model(args, data) as model:
         if isinstance(model, (TreeModel, ForestModel)):
             raise ConfigError("bench compares against a non-tree black box; use mlp or external:")
@@ -459,7 +465,6 @@ def cmd_bench(args) -> int:
         "speedup_batch": kernel_batch / limase_batch,
         "config": vars(args),
     }
-    out = _out_dir(args)
     _write_json(out / "bench.json", payload)
     print(f"limase:  1 instance {limase_single:.3f} s, "
           f"{BENCH_BATCH} instances {limase_batch:.3f} s (N={args.n_samples})")

@@ -256,34 +256,29 @@ def attach_external(
 
     task may be a full Task (every hello field is verified against it) or
     just the kind string, in which case the class count is adopted from
-    the hello.  The purity check sends one probe batch twice and requires
-    bit-identical outputs; models that fail it cannot be explained here.
+    the hello; its d and k must be JSON integers.  The purity check sends
+    one probe batch twice and requires bit-identical outputs; models that
+    fail it cannot be explained here.
     """
     argv = shlex.split(command) if isinstance(command, str) else list(command)
-    expected_kind = task if isinstance(task, str) else task.kind
-    placeholder = Task.regression() if isinstance(task, str) else task
-    model = ExternalModel(argv, d, placeholder, timeout)
+    kind = task if isinstance(task, str) else task.kind
+    model = ExternalModel(argv, d, Task.regression(), timeout)  # the hello sets its task
     try:
         hello = model._wait_hello()
-        if hello.get("d") != d:
-            raise ProtocolError(f"external model declares d={hello.get('d')}, expected {d}")
-        if hello.get("task") != expected_kind:
+        declared_d, k = hello.get("d"), hello.get("k")
+        if type(declared_d) is not int or declared_d != d:  # not a bool or float either
+            raise ProtocolError(f"external model declares d={declared_d}, expected {d}")
+        if hello.get("task") != kind:
             raise ProtocolError(
-                f"external model declares task={hello.get('task')!r}, expected {expected_kind!r}"
+                f"external model declares task={hello.get('task')!r}, expected {kind!r}"
             )
-        k = hello.get("k")
-        if not isinstance(k, int) or k < 1:
+        if type(k) is not int or k < 1:
             raise ProtocolError(f"external model declares invalid k={k!r}")
-        if isinstance(task, Task):
-            if k != task.n_outputs:
-                raise ProtocolError(f"external model declares k={k}, expected {task.n_outputs}")
-            model.task = task
-        elif expected_kind == "classification":
-            model.task = Task.classification(k)
-        else:
-            if k != 1:
-                raise ProtocolError(f"regression model must declare k=1, got {k}")
-            model.task = Task.regression()
+        if isinstance(task, Task) and k != task.n_outputs:
+            raise ProtocolError(f"external model declares k={k}, expected {task.n_outputs}")
+        if kind == "regression" and k != 1:
+            raise ProtocolError(f"regression model must declare k=1, got {k}")
+        model.task = Task.classification(k) if kind == "classification" else Task.regression()
         probe = RandomStream(_PROBE_SEED).normal_matrix(_PROBE_ROWS, d)
         first = model.predict(probe).values
         second = model.predict(probe).values

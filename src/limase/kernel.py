@@ -40,9 +40,7 @@ def _coalition_values(
     """v(S) for each mask row: mean model output over background composites.
 
     The chunks go through stripes.stripe_map, which forks them when a
-    chunk's time says striping saves time: the chunk time of the last
-    call, or else chunk 0's, scored and timed in the caller before the
-    rest fork.
+    chunk time says striping saves time (see stripes).
     """
     n_bg, d = background.shape
     per_mask = max(1, _CHUNK_ROWS // n_bg)

@@ -135,9 +135,8 @@ def fit_random_forest(
 
     Every tree's stream is derived from (seed, round, output), so the
     result is independent of fitting order, and the rounds go through
-    stripes.stripe_map, which forks them over every CPU when a round's
-    time says striping saves time: the last fit's round time, or else
-    round 0's, timed in the caller before the rest fork.
+    stripes.stripe_map, which forks them over every CPU when a round
+    time says striping saves time (see stripes).
     """
     if n_trees < 1:
         raise ConfigError("n_trees must be >= 1")

@@ -232,10 +232,10 @@ def explain_rows(
       a thread waiting on the child's pipe releases the GIL, so one row's
       in-process work overlaps another row's round trip.
     - Any other model's rows go through stripes.stripe_map, which forks
-      stripes of them over every CPU when a row's time (the last batch's,
-      or else row 0's, timed in the caller first) says that saves time,
-      and otherwise runs them in order in the caller's thread.  A thread
-      pool would not help: in-process work contends for the GIL.
+      stripes of them over every CPU when a row time says that saves time
+      (see stripes), and otherwise runs them in order in the caller's
+      thread.  A thread pool would not help: in-process work contends
+      for the GIL.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
 

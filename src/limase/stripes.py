@@ -7,29 +7,35 @@ rounds of a forest and the row blocks of a stacked forest walk
 Each item keeps its own seed and its own model calls, so the outputs are
 those of the serial loop bit for bit; only where an item runs changes.
 
-Items are split into contiguous stripes, one per worker, when there are
-at least two workers (usable CPUs // BLAS threads, at most one per item)
-and an item time, taken for every item beyond the longest stripe, says
-striping would save at least _MIN_SAVING_S of wall time; a fork costs
-more than a few fast items.  The item time is the one the loop measured
-last in this process: each loop is known by its function's code object,
-which every call of the loop's closure shares.  When there is one, the
-call splits all its items and forks before item 0, and the caller times
-the first item of its own stripe for the loop's next call.  When there
-is none (the loop's first call, or an fn with no __code__ such as a
-functools.partial), item 0 runs first in the caller, which times it, and
-only the other items are split.  A stale time costs at most one needless
-fork, after which the loop times itself again.
+A call with fewer than two workers for its items (usable CPUs // BLAS
+threads, at most one per item) is the plain loop: it neither times its
+items nor keeps a time.  That is a call of one item, and any call off
+Linux, inside a forked worker, while the caller's workers run, or while
+the caller has more than one live thread (a fork could copy a lock
+another thread holds).  So a loop inside another loop's item, such as
+the walk of a batch row's scoring call, forks only while no other
+workers run.
+
+Any other call cuts its items once into contiguous stripes, one per
+worker, the caller's first and, when they do not divide evenly, longer
+than the others.  The stripes fork when an item time, taken for every
+item still to run beyond the longest stripe's, says striping would save
+at least _MIN_SAVING_S of wall time; a fork costs more than a few fast
+items.  The item time is the one the loop measured last in this process:
+each loop is known by its function's code object, which every call of
+the loop's closure shares.  When it says striping pays, the call forks
+before item 0, and the caller times item 0 for the loop's next call.
+Otherwise (and on the loop's first call, or for an fn with no __code__
+such as a functools.partial) item 0 runs first in the caller, which
+times it, and the call forks right after it when that time says
+striping pays.  A stale time costs at most one needless fork, after
+which the loop times itself again.
 
 The first stripe runs in the caller, the others in processes forked from
 it, which return their results pickled through pipes; a stripe whose
-fork fails runs in the caller, in its place.  Nothing forks off Linux,
-inside a forked worker, while the caller's workers run, or when the
-caller has more than one live thread (a fork could copy a lock another
-thread holds).  A call inside a forked worker, or beside running
-workers, neither uses nor keeps an item time.  So a loop inside another
-loop's item, such as the walk of a batch row's scoring call, forks only
-while no other workers run.
+fork fails runs in the caller, in its place.  Every outcome a worker
+sends, result or exception, takes the same step first: an exception
+that pickle cannot rebuild arrives as a LimaseError naming its class.
 
 BLAS threads are read once, when this module loads, as OpenBLAS reads
 them (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, else one per usable
@@ -56,10 +62,10 @@ import numpy as np
 from .core import LimaseError
 
 # Least wall time, in seconds, that striping must be estimated to save
-# before items are forked.  The estimate takes an item time (see stripe_map)
-# for every item beyond the longest stripe.  Forking, the reply and reaping,
-# and worker items slower than the caller's, make the real saving fall short
-# of it.  Measured on a 2-vCPU VM with one BLAS thread, forking all items
+# before items are forked.  The estimate (_saving_s) takes an item time for
+# every item still to run beyond the longest stripe's.  Forking, the reply
+# and reaping, and worker items slower than the caller's, make the real
+# saving fall short of it.  Measured on a 2-vCPU VM with one BLAS thread, forking all items
 # before item 0 against the serial loop (medians of 25 alternating calls in
 # one process) on the benchmark's [64, 64] MLP at d=30: limase batch rows
 # of about 7 ms lost 10-12 ms at 7 ms estimated (2-3 rows), broke even at
@@ -123,33 +129,44 @@ def _fork_workers(items: int) -> int:
 def stripe_map(fn: Callable, items: Sequence) -> list:
     """[fn(item) for item in items], in stripes over forked workers when that saves time.
 
-    With the item time the loop measured last, the call forks all items
-    at once when that time says striping pays; otherwise item 0 runs in
-    the caller, which times it and decides for the other items, counting
-    the workers after it, since it may have started a thread.  An
-    exception that fn raises reaches the caller with its type, at the
-    first failing item in order; a worker's exception that pickle cannot
-    rebuild arrives as a LimaseError naming its class.
+    With fewer than two workers for the items the call is that plain
+    loop.  Otherwise the items are cut once into contiguous stripes, the
+    caller's first and longest, and an item time decides whether the
+    other stripes fork before item 0 or right after it: the time the
+    loop kept from its last call, or else item 0's, run and timed in the
+    caller, which counts the workers again after it, since it may have
+    started a thread.  An exception that fn raises reaches the caller
+    with its type, at the first failing item in order.
     """
-    if not len(items):
-        return []
-    loop = None if _striping else getattr(fn, "__code__", None)
-    if loop in _item_s:
-        workers = _fork_workers(len(items))
-        if _pays(_item_s[loop], len(items), workers):
-            return _map_forked(fn, items, workers, loop)
-    first, item_s = _timed(fn, items[0], loop)
-    rest = items[1:]
-    workers = _fork_workers(len(rest))
-    if _pays(item_s, len(rest), workers):
-        return [first] + _map_forked(fn, rest, workers)
-    return [first] + [fn(item) for item in rest]
+    workers = _fork_workers(len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    bounds = _bounds(len(items), workers)
+    loop = getattr(fn, "__code__", None)
+    done = []
+    if loop not in _item_s or _saving_s(_item_s[loop], bounds, 0) < _MIN_SAVING_S:
+        first, item_s = _timed(fn, items[0], loop)
+        done = [first]
+        if _fork_workers(len(items)) < 2 or _saving_s(item_s, bounds, 1) < _MIN_SAVING_S:
+            return done + [fn(item) for item in items[1:]]
+    return _map_forked(fn, items, bounds, done, loop)
 
 
-def _pays(item_s: float, items: int, workers: int) -> bool:
-    """Whether item_s for each item beyond the longest of workers' stripes reaches the floor."""
-    longest = -(-items // max(workers, 1))
-    return workers >= 2 and item_s * (items - longest) >= _MIN_SAVING_S
+def _bounds(items: int, workers: int) -> list[int]:
+    """Where each of workers' contiguous stripes of items starts, and the last ends.
+
+    Ceil bounds: the caller's stripe, the first, is the longest.
+    """
+    return [-(-k * items // workers) for k in range(workers + 1)]
+
+
+def _saving_s(item_s: float, bounds: list[int], done: int) -> float:
+    """item_s for each item still to run beyond the longest stripe's: striping's estimated saving.
+
+    The stripes are cut by bounds; the first done items have run.
+    """
+    left = [last - max(first, done) for first, last in zip(bounds, bounds[1:])]
+    return item_s * (sum(left) - max(left))
 
 
 def _timed(fn: Callable, item, loop: CodeType | None) -> tuple[object, float]:
@@ -162,36 +179,35 @@ def _timed(fn: Callable, item, loop: CodeType | None) -> tuple[object, float]:
     return out, item_s
 
 
-def _map_forked(fn: Callable, items: Sequence, workers: int,
-                loop: CodeType | None = None) -> list:
-    """items in contiguous stripes: the first in the caller, each other one in a forked child.
+def _map_forked(fn: Callable, items: Sequence, bounds: list[int], done: list,
+                loop: CodeType | None) -> list:
+    """items in the stripes bounds cuts: the first in the caller, each other one in a forked child.
 
-    The caller forks every child from its one thread, then runs the first
-    stripe, timing its first item as loop's item time, and reads the
-    others' replies in order.  A stripe whose fork failed runs in the
-    caller when its turn comes.  While they run, _striping keeps any
-    nested stripe map in its own process.  A child that exits without a
-    reply fails the call; a child whose reply is not read, because the
-    call failed first, is killed, and every child is reaped before the
-    call returns.
+    The caller forks every child from its one thread, then runs the rest
+    of the first stripe after done, the results it already holds (with
+    none, it times item 0 as loop's item time), and reads the others'
+    replies in order.  A stripe whose fork failed runs in the caller
+    when its turn comes.  While they run, _striping keeps any nested
+    stripe map in its own process.  A child that exits without a reply
+    fails the call; a child whose reply is not read, because the call
+    failed first, is killed, and every child is reaped before the call
+    returns.
     """
     global _striping
-    n = len(items)
-    bounds = [k * n // workers for k in range(workers + 1)]
     stripes, read = [], 0
     _striping = True
     try:
         for first, last in zip(bounds[1:-1], bounds[2:]):
             stripes.append((items[first:last], _fork_stripe(fn, items[first:last])))
-        out = [fn(item) if k else _timed(fn, item, loop)[0]
-               for k, item in enumerate(items[:bounds[1]])]
+        out = done or [_timed(fn, items[0], loop)[0]]
+        out += [fn(item) for item in items[len(out):bounds[1]]]
         for k, (stripe, child) in enumerate(stripes):
             if child is None:  # its fork failed
                 out += [fn(item) for item in stripe]
                 continue
             outcomes, raised = _read_reply(child[1])
             read = k + 1
-            out += [_relink(outcome, causes) for outcome, causes in outcomes]
+            out += [_relink(*outcome) for outcome in outcomes]
             if raised is not None:
                 raise _relink(*raised)
     finally:
@@ -247,18 +263,17 @@ def _read_reply(reply: BinaryIO) -> tuple[list[tuple], tuple | None]:
 
 
 def _run_stripe(fn: Callable, stripe: Sequence) -> tuple[list[tuple], tuple | None]:
-    """In a forked worker: each item's outcome with the __cause__ chain pickle drops.
+    """In a forked worker: each item's outcome, made portable.
 
-    The stripe stops at the first exception, which comes back beside
-    the outcomes before it, so the caller raises it in order.
+    The stripe stops at the first exception, which comes back portable
+    beside the outcomes before it, so the caller raises it in order.
     """
     outcomes = []
     for item in stripe:
         try:
-            outcome = fn(item)
+            outcomes.append(_portable(fn(item)))
         except Exception as e:
-            return outcomes, (_portable(e), _portable_causes(e))
-        outcomes.append((outcome, _portable_causes(outcome)))
+            return outcomes, _portable(e)
     return outcomes, None
 
 
@@ -270,25 +285,23 @@ def _round_trips(value) -> bool:
     return True
 
 
-def _portable(error: Exception) -> Exception:
-    """error, or a LimaseError naming its class when pickle cannot rebuild it."""
-    if _round_trips(error):
-        return error
-    return LimaseError(f"{type(error).__name__} in a forked worker: {error}")
+def _portable(outcome) -> tuple[object, list[BaseException]]:
+    """outcome and the __cause__ chain pickle drops, as pickle can rebuild them in the caller.
 
-
-def _portable_causes(outcome) -> list[BaseException]:
-    """An error's __cause__ chain, cut before the first link that fails a pickle round trip.
-
-    A cause comes from the black box and can be of any class; one that
-    cannot be rebuilt from its pickle would lose the whole reply.
+    An exception that pickle cannot rebuild, returned or raised, becomes
+    a LimaseError naming its class.  A cause comes from the black box
+    and can be of any class, so the chain is cut before its first link
+    that fails a pickle round trip.
     """
-    chain = []
-    cause = outcome.__cause__ if isinstance(outcome, BaseException) else None
+    if not isinstance(outcome, BaseException):
+        return outcome, []
+    chain, cause = [], outcome.__cause__
     while cause is not None and cause not in chain and _round_trips(cause):
         chain.append(cause)
         cause = cause.__cause__
-    return chain
+    if not _round_trips(outcome):
+        outcome = LimaseError(f"{type(outcome).__name__} in a forked worker: {outcome}")
+    return outcome, chain
 
 
 def _relink(outcome, causes: list[BaseException]):

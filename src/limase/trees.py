@@ -393,11 +393,9 @@ def predict_stack(stack: TreeStack, X: np.ndarray, n_groups: int = 1) -> np.ndar
     that per-tree mean bit for bit.
 
     The blocks are independent, so they go through stripes.stripe_map,
-    which forks them over every CPU when a block's time says striping
-    saves time: the last walk's block time, or else block 0's, walked and
-    timed in the caller before the rest fork.  Each block's scores are
-    written into the result here; where a block runs does not change
-    them.
+    which forks them over every CPU when a block time says striping
+    saves time (see stripes).  Each block's scores are written into the
+    result here; where a block runs does not change them.
     """
     X = np.ascontiguousarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != stack.d:

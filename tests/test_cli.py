@@ -558,6 +558,18 @@ class TestUsageErrors:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "explain", "global", "sp", "bench"])
+    @pytest.mark.parametrize("out", ["taken", "taken/out"], ids=["file", "under-file"])
+    def test_out_file_rejected_before_any_model(self, reg_csv, tmp_path, capsys,
+                                                no_model_built, command, out):
+        (tmp_path / "taken").write_text("kept\n")
+        code = run(command, "--data", reg_csv, "--target", "y", "--model", "mlp",
+                   "--count", 3, "--out", tmp_path / out)
+        assert code == 2
+        assert f"--out {tmp_path / out} cannot be a directory: {tmp_path / 'taken'} is a file" \
+            in capsys.readouterr().err
+        assert (tmp_path / "taken").read_text() == "kept\n"
+
     def test_exact_budget_on_17_features_rejected_before_any_model(
             self, tmp_path, capsys, no_model_built):
         X = RandomStream(66).normal_matrix(20, 17)

@@ -53,6 +53,16 @@ class TestAttach:
             attach_external(server("server_classifier.py"), d=2,
                             task=Task.classification(4))
 
+    @pytest.mark.parametrize("field, value, d, message", [
+        ("d", "true", 1, "declares d=True, expected 1"),
+        ("d", "2.0", 2, "declares d=2.0, expected 2"),
+        ("k", "true", 2, "declares invalid k=True"),
+        ("k", "1.0", 2, "declares invalid k=1.0"),
+    ], ids=["d-bool", "d-float", "k-bool", "k-float"])
+    def test_hello_sizes_must_be_json_integers(self, field, value, d, message):
+        with pytest.raises(ProtocolError, match=message):
+            attach_external(server("server_hello.py") + [field, value], d=d, task="regression")
+
     def test_spawn_failure(self):
         with pytest.raises(ProtocolError, match="spawn"):
             attach_external(["/nonexistent/binary"], d=2, task="regression")

@@ -123,6 +123,13 @@ class TwoPartError(Exception):
         super().__init__(f"{code}: {text}")
 
 
+class TwoPartLimaseError(LimaseError):
+    """A LimaseError that its own pickle cannot rebuild: __init__ wants two arguments."""
+
+    def __init__(self, code, text):
+        super().__init__(f"{code}: {text}")
+
+
 class CountingModel(BlackBoxModel):
     """Wraps a model and records the batch of each predict call."""
 
@@ -681,6 +688,22 @@ class TestForkedBatch:
         assert forked[5].__cause__ is None
         for a, b in zip(forked[:5], serial[:5]):
             assert np.array_equal(a.explanation.phi, b.explanation.phi)
+
+    def test_row_error_pickle_cannot_rebuild_stays_in_its_row(self, monkeypatch):
+        rows = RandomStream(13).normal_matrix(30, 2)
+        X = np.vstack([rows[:5], [[1000.0, 0.0]]])  # row 5 is in the worker's stripe
+        cfg = LimaseConfig(n_samples=50, seed=0)
+        forked = limase_explain_batch(FlakyModel(2, error=lambda m: TwoPartLimaseError(7, m)),
+                                      X, meta_for(rows), cfg)
+        serial = self._serial(monkeypatch,
+                              FlakyModel(2, error=lambda m: TwoPartLimaseError(7, m)),
+                              X, meta_for(rows), cfg)
+        assert type(serial[5]) is TwoPartLimaseError
+        assert type(forked[5]) is LimaseError
+        assert str(forked[5]) == f"TwoPartLimaseError in a forked worker: {serial[5]}"
+        for a, b in zip(forked[:5], serial[:5]):
+            assert np.array_equal(a.explanation.phi, b.explanation.phi)
+        assert no_child_processes()
 
     def test_worker_exception_propagates_and_no_child_outlives_batch(self, reg_data,
                                                                      monkeypatch):

@@ -87,7 +87,8 @@ def pid_of(item):
 def forked(monkeypatch):
     """One BLAS thread and no saving floor, so any call of two or more items forks.
 
-    Returns the list of item counts that _map_forked was called with.
+    Returns, for each call of _map_forked, the number of items still to
+    run when it forks: all of them, or all but item 0.
     """
     if sys.platform != "linux":
         pytest.skip("items are forked only on Linux")
@@ -97,9 +98,9 @@ def forked(monkeypatch):
     monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", 0.0)
     inner, calls = limase.stripes._map_forked, []
 
-    def spy(fn, items, workers, *loop):
-        calls.append(len(items))
-        return inner(fn, items, workers, *loop)
+    def spy(fn, items, bounds, done, loop):
+        calls.append(len(items) - len(done))
+        return inner(fn, items, bounds, done, loop)
 
     monkeypatch.setattr(limase.stripes, "_map_forked", spy)
     yield calls
@@ -296,6 +297,16 @@ class TestItemTimes:
         assert forked == [5, 6]  # the stale time forked once; the caller's first item re-timed it
         assert limase.stripes._item_s[item.__code__] < MIN_SAVING_S / 6
 
+    def test_one_item_keeps_no_time(self, forked):
+        def item(sleep_s):
+            time.sleep(sleep_s)
+            return sleep_s
+
+        assert stripe_map(item, [0.0, 0.0]) == [0.0, 0.0]
+        kept = dict(limase.stripes._item_s)
+        assert stripe_map(item, [MIN_SAVING_S]) == [MIN_SAVING_S]  # the plain loop
+        assert limase.stripes._item_s == kept and forked == [1]
+
     def test_nothing_kept_inside_a_forked_worker(self, forked, monkeypatch):
         kept = []
 
@@ -335,6 +346,12 @@ class TestItemTimes:
             forked.clear()
             assert run() == want
             assert forked == [items]  # every item, before item 0; nothing nested forks
+
+    def test_odd_fork_first_call_gives_the_caller_the_longer_stripe(self, forked):
+        assert stripe_map(pid_of, range(3))[:2] == [os.getpid()] * 2  # times item 0
+        pids = stripe_map(pid_of, range(3))
+        assert forked == [2, 3]  # after item 0, then before it
+        assert pids[:2] == [os.getpid()] * 2 and pids[2] != os.getpid()
 
     def test_first_failing_item_raises_in_order_on_later_calls(self, forked):
         def failing(i):
@@ -483,11 +500,11 @@ class TestKernelRows:
         want = serial(monkeypatch, explain_rows, model, X, explain)
         inner, open_maps, deepest = limase.stripes._map_forked, [], []
 
-        def nesting(fn, items, workers, *loop):
+        def nesting(fn, items, bounds, done, loop):
             open_maps.append(len(items))
             deepest.append(len(open_maps))
             try:
-                return inner(fn, items, workers, *loop)
+                return inner(fn, items, bounds, done, loop)
             finally:
                 open_maps.pop()
 
@@ -537,13 +554,11 @@ class TestWalkBlocks:
     """A stacked forest walk's row blocks, as the items of one stripe map."""
 
     @pytest.mark.parametrize("k", [None, 3])
-    def test_forked_scores_equal_reference_walk(self, forked, monkeypatch, k):
+    def test_forked_scores_equal_reference_walk(self, forked, k):
         data = (make_classification_dataset(21, 300, 4, k) if k
                 else tiny_dataset(Task.regression(), n=300, d=4))
         forest = fit_random_forest(data, 40, TreeParams(max_depth=5), RandomStream(4))
         tree = forest.trees[0]
-        # a worker even for a lone block: the tail blocks run there, the caller's stripe is empty
-        monkeypatch.setattr(limase.stripes, "_fork_workers", lambda items: 2)
         for n_trees, walk, reference in (
                 (len(forest.trees), forest.raw_scores, lambda X: reference_scores(forest, X)),
                 (1, lambda X: predict_batch(tree, X), lambda X: reference_walk(tree, X))):
@@ -553,11 +568,12 @@ class TestWalkBlocks:
                 forked.clear()
                 limase.stripes._item_s.clear()
                 assert walk(X).tobytes() == reference(X).tobytes(), n
-                # block 0 in the caller; a single-row tail joins the block before it
-                assert forked == ([] if n == 0 else [1] if n >= step + 2 else [0]), n
-                # the next walk forks every block, block 0 too
+                # a lone block is the plain loop (a single-row tail joins the
+                # block before it); of two, block 0 runs first in the caller
+                assert forked == ([1] if n >= step + 2 else []), n
+                # the next walk forks both blocks, block 0 too
                 assert walk(X).tobytes() == reference(X).tobytes(), n
-                assert forked[1:] == ([forked[0] + 1] if n else []), n
+                assert forked[1:] == ([2] if forked else []), n
 
     def test_one_chunk_kernel_call_equals_serial_bytes(self, forked, monkeypatch):
         # every mask in one chunk, as on forest-cls: the chunk's walk is what forks
@@ -581,6 +597,29 @@ class TestWalkBlocks:
         forest.predict(RandomStream(24).normal_matrix(1001, 10))
         assert forked == []
 
+    def test_kernel_rows_chunk_walk_forks_before_block_0_after_the_first_row(
+            self, forked, monkeypatch):
+        # the forest-cls shape: 150 trees at d=10, 20 background rows, budget 2048;
+        # a row walks x and its background in one block each, which keep no time,
+        # then its chunk's 12k composite rows in about 113 blocks, whose block 0
+        # takes 0.6-0.9 ms on a 2-vCPU VM: 56 blocks beyond the longest stripe
+        # estimate 35-50 ms
+        data = make_classification_dataset(23, 1000, 10, 3)
+        forest = fit_random_forest(data, 50, TreeParams(max_depth=6), RandomStream(5))
+        monkeypatch.setattr(limase.stripes, "_MIN_SAVING_S", MIN_SAVING_S)
+        inner, done_before = limase.stripes._map_forked, []
+
+        def spy(fn, items, bounds, done, loop):
+            done_before.append(len(done))  # 1 after block 0, 0 before it
+            return inner(fn, items, bounds, done, loop)
+
+        monkeypatch.setattr(limase.stripes, "_map_forked", spy)
+        for row in range(3):
+            kernel_shap(forest, data.rows[30 + row], data.rows[1:21], 2048, RandomStream(row))
+            if done_before == []:  # after the first row
+                pytest.skip("walk blocks too fast here for a chunk walk to fork")
+        assert done_before == [1, 0, 0]
+
     def test_no_walk_forks_inside_forked_rows(self, forked, monkeypatch):
         data = make_classification_dataset(12, 200, 5, 3)
         forest = fit_random_forest(data, 40, TreeParams(max_depth=4), RandomStream(13))
@@ -589,12 +628,12 @@ class TestWalkBlocks:
                       data.features, cfg)
         inner, caller, open_maps = limase.stripes._map_forked, os.getpid(), []
 
-        def nesting(fn, items, workers, *loop):
+        def nesting(fn, items, bounds, done, loop):
             # raised in a worker, this fails the batch, as its row's error is no LimaseError
             assert os.getpid() == caller and not open_maps, "a nested fork"
             open_maps.append(len(items))
             try:
-                return inner(fn, items, workers, *loop)
+                return inner(fn, items, bounds, done, loop)
             finally:
                 open_maps.pop()
 

@@ -9,7 +9,8 @@ serial call (an infinite saving floor) with a call that forks every item
 before item 0 (a zero floor, once the loop has kept its item time), reps
 times each (default 25), in one process.  One JSON line per setting gives
 the item time, the estimate that stripes.stripe_map compares with
-_MIN_SAVING_S, both medians, the saving and how many calls forking won.
+_MIN_SAVING_S before item 0 (stripes._saving_s), both medians, the
+saving and how many calls forking won.
 """
 import json
 import math
@@ -43,10 +44,10 @@ def pairs(call, n_items):
             (forked if fork_first else serial).append(timed(call))
     s, f = statistics.median(serial), statistics.median(forked)
     workers = min(stripes._usable_cpus() // stripes._BLAS_THREADS, n_items)
-    beyond = n_items - -(-n_items // workers)
     item = s / n_items
+    estimate = stripes._saving_s(item, stripes._bounds(n_items, workers), 0)
     return {"items": n_items, "item_ms": round(1e3 * item, 2),
-            "estimate_ms": round(1e3 * item * beyond, 1),
+            "estimate_ms": round(1e3 * estimate, 1),
             "serial_ms": round(1e3 * s, 1), "forked_ms": round(1e3 * f, 1),
             "saved_ms": round(1e3 * (s - f), 1),
             "forked_wins": sum(b < a for a, b in zip(serial, forked)), "reps": REPS}
