@@ -278,6 +278,8 @@ def attach_external(
             raise ProtocolError(f"external model declares k={k}, expected {task.n_outputs}")
         if kind == "regression" and k != 1:
             raise ProtocolError(f"regression model must declare k=1, got {k}")
+        if kind == "classification" and k < 2:
+            raise ProtocolError(f"classification model must declare k >= 2, got {k}")
         model.task = Task.classification(k) if kind == "classification" else Task.regression()
         probe = RandomStream(_PROBE_SEED).normal_matrix(_PROBE_ROWS, d)
         first = model.predict(probe).values

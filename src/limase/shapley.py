@@ -180,13 +180,17 @@ def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple:
 
     A box has one slot per distinct feature on the leaf's path.  All
     leaves walk up to their roots together, one vectorized step per
-    level.  Returns (feature, lo, hi, z, value, base): the splits on the
-    path of leaf l that test feature[l, j] send x there iff lo[l, j] < x
-    <= hi[l, j], and their cover ratios multiply to z[l, j]; value[l] is
-    the leaf's value divided by the number of trees, and base is the mean
-    of the trees' root values.  A leaf with fewer distinct features than
-    the widest is padded with null players: feature d, an unbounded
-    interval and z = 1.
+    level.  Returns (feature, lo, hi, z, leaf_feature, value, base), with
+    the slot arrays stored slot-major, shape (width, leaves), so the
+    kernel steps along rows of all leaves: the splits on the path of leaf
+    l that test feature[j, l] send x there iff lo[j, l] < x <= hi[j, l],
+    and their cover ratios multiply to z[j, l].  leaf_feature is feature
+    flattened leaf-major (feature.T.ravel()), the index order in which
+    the kernel sums slot contributions into phi.  value[l] is the leaf's
+    value divided by the number of trees, and base is the mean of the
+    trees' root values.  A leaf with fewer distinct features than the
+    widest is padded with null players: feature d, an unbounded interval
+    and z = 1.
     """
     span, d = slice(int(stack.start[first]), int(stack.start[stop])), stack.d
     feature, threshold = stack.feature[span], stack.threshold[span]
@@ -225,12 +229,12 @@ def _leaf_boxes(stack: TreeStack, first: int, stop: int) -> tuple:
     width = np.bincount(leaf, minlength=leaves.size)
     slot = np.arange(starts.size) - (np.cumsum(width) - width)[leaf]
 
-    shape = (leaves.size, max(1, int(width.max())))
+    shape = (max(1, int(width.max())), leaves.size)
     boxes = (np.full(shape, d), np.full(shape, -np.inf), np.full(shape, np.inf), np.ones(shape))
     for box, slots in zip(boxes, (f, lo, hi, z)):
-        box[leaf, slot] = slots
+        box[slot, leaf] = slots
     base = float(np.mean(stack.value[stack.start[first:stop]]))
-    return boxes + (value[leaves] / (stop - first), base)
+    return boxes + (boxes[0].T.ravel(), value[leaves] / (stop - first), base)
 
 
 def _box_shap(boxes: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
@@ -243,29 +247,37 @@ def _box_shap(boxes: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
     with w_k = k! (D-1-k)! / D!.  The product over all slots is built once;
     slot i's factor comes out by synthetic division when o_i = 1 (no
     division, and stable as z_i <= 1) and by dividing by z_i when o_i = 0.
+
+    The boxes are slot-major, so every step runs along a row of all
+    leaves, and after j slots the product has degree j: its higher rows
+    are zero and are left alone.  Each float operation is the one a
+    leaf-major kernel makes, in the same order, and two rules keep the
+    sums in it: the one BLAS call gets the row-major (leaves, width + 1)
+    coefficient matrix, and np.bincount gets the contributions
+    leaf-major, through leaf_feature.
     """
-    feature, lo, hi, z, value, _ = boxes
+    feature, lo, hi, z, leaf_feature, value, _ = boxes
     d = x.size
     xs = np.append(x, 0.0)[feature]  # padded slots test 0 against (-inf, inf]
     inside = (xs > lo) & (xs <= hi)
     o = inside.astype(float)
-    n_leaves, width = z.shape
-    poly = np.zeros((n_leaves, width + 1))  # coefficient of t^k in column k
-    poly[:, 0] = 1.0
+    width = z.shape[0]
+    poly = np.zeros((width + 1, z.shape[1]))  # coefficient of t^k in row k
+    poly[0] = 1.0
     for j in range(width):
-        grown = poly * z[:, j, None]
-        grown[:, 1:] += poly[:, :-1] * o[:, j, None]
-        poly = grown
+        shifted = poly[:j + 1] * o[j]
+        poly[:j + 1] *= z[j]
+        poly[1:j + 2] += shifted
     w = np.array([1.0 / (width * comb(width - 1, k)) for k in range(width)])
-    q = np.broadcast_to(poly[:, width, None], z.shape)
+    q = np.broadcast_to(poly[width], z.shape)
     by_one = w[width - 1] * q
     for k in range(width - 1, 0, -1):
-        q = poly[:, k, None] - z * q
+        q = poly[k] - z * q
         by_one += w[k - 1] * q
-    by_zero = (poly[:, :width] @ w)[:, None] / z
-    contrib = value[:, None] * (o - z) * np.where(inside, by_one, by_zero)
-    phi = np.bincount(feature.ravel(), contrib.ravel(), minlength=d + 1)[:d]
-    fx = float(value[inside.all(axis=1)].sum())
+    by_zero = (np.ascontiguousarray(poly.T)[:, :width] @ w) / z
+    contrib = value * (o - z) * np.where(inside, by_one, by_zero)
+    phi = np.bincount(leaf_feature, contrib.T.ravel(), minlength=d + 1)[:d]
+    fx = float(value[inside.all(axis=0)].sum())
     return phi, fx
 
 

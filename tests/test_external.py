@@ -63,6 +63,12 @@ class TestAttach:
         with pytest.raises(ProtocolError, match=message):
             attach_external(server("server_hello.py") + [field, value], d=d, task="regression")
 
+    def test_classification_hello_needs_two_classes(self):
+        # the hello declares k=1, which no classifier has: a protocol fault of the child
+        with pytest.raises(ProtocolError, match="k >= 2, got 1"):
+            attach_external(server("server_hello.py") + ["task", '"classification"'], d=2,
+                            task="classification")
+
     def test_spawn_failure(self):
         with pytest.raises(ProtocolError, match="spawn"):
             attach_external(["/nonexistent/binary"], d=2, task="regression")
