@@ -1,10 +1,13 @@
 """Exact Shapley machinery against the brute-force oracle."""
+from math import comb
+
 import numpy as np
 import pytest
 
 import limase.shapley
 from limase.core import ConfigError, DataError, RandomStream, Task
 from limase.models import ForestModel, TreeModel, fit_random_forest, load_model, save_model
+from limase.pipeline import LimaseConfig, limase_explain
 from limase.shapley import (
     enumerate_tree_values,
     forest_shap,
@@ -14,7 +17,13 @@ from limase.shapley import (
 )
 from limase.trees import LEAF, DecisionTree, TreeParams, predict_batch
 
-from conftest import make_classification_dataset, random_tree, tree_from_nodes
+from conftest import (
+    make_classification_dataset,
+    make_regression_dataset,
+    random_mlp,
+    random_tree,
+    tree_from_nodes,
+)
 
 NAN = float("nan")
 
@@ -403,6 +412,102 @@ class TestForestShap:
         # forest_shap has no check of its own: an empty forest cannot be built
         with pytest.raises(DataError, match="at least one tree"):
             forest_shap(ForestModel(trees=[], task=Task.regression(), d=2), np.zeros(2))
+
+
+def leaf_major(boxes: tuple) -> tuple:
+    """The slot-major boxes laid out leaf-major, (leaves, width), as the reference reads them."""
+    feature, lo, hi, z, leaf_feature, value, base = boxes
+    assert np.array_equal(leaf_feature, feature.T.ravel())
+    return tuple(np.ascontiguousarray(a.T) for a in (feature, lo, hi, z)) + (value, base)
+
+
+def leaf_major_box_shap(boxes: tuple, x: np.ndarray) -> tuple[np.ndarray, float]:
+    """The leaf-major kernel that the slot-major one must match bit for bit.
+
+    Every numpy step runs along one leaf's few slots; the float
+    operations, and the order of every sum, are the ones _box_shap makes.
+    """
+    feature, lo, hi, z, value, _ = boxes
+    d = x.size
+    xs = np.append(x, 0.0)[feature]
+    inside = (xs > lo) & (xs <= hi)
+    o = inside.astype(float)
+    n_leaves, width = z.shape
+    poly = np.zeros((n_leaves, width + 1))
+    poly[:, 0] = 1.0
+    for j in range(width):
+        grown = poly * z[:, j, None]
+        grown[:, 1:] += poly[:, :-1] * o[:, j, None]
+        poly = grown
+    w = np.array([1.0 / (width * comb(width - 1, k)) for k in range(width)])
+    q = np.broadcast_to(poly[:, width, None], z.shape)
+    by_one = w[width - 1] * q
+    for k in range(width - 1, 0, -1):
+        q = poly[:, k, None] - z * q
+        by_one += w[k - 1] * q
+    by_zero = (poly[:, :width] @ w)[:, None] / z
+    contrib = value[:, None] * (o - z) * np.where(inside, by_one, by_zero)
+    phi = np.bincount(feature.ravel(), contrib.ravel(), minlength=d + 1)[:d]
+    return phi, float(value[inside.all(axis=1)].sum())
+
+
+class TestSlotMajorKernel:
+    """The slot-major kernel against the leaf-major reference, byte for byte."""
+
+    def assert_same_bits(self, exp, boxes: tuple, x: np.ndarray):
+        reference = leaf_major(boxes)
+        phi, fx = leaf_major_box_shap(reference, x)
+        assert exp.phi.tobytes() == phi.tobytes()
+        assert exp.fx == fx
+        assert exp.base_value == reference[-1]
+
+    def test_boxes_are_slot_major(self):
+        data = make_classification_dataset(30, 200, 5, 3)
+        forest = fit_random_forest(data, 4, TreeParams(max_depth=4), RandomStream(0))
+        for feature, lo, hi, z, leaf_feature, value, _ in forest.boxes:
+            assert feature.shape == lo.shape == hi.shape == z.shape == (z.shape[0], value.size)
+            assert all(a.flags.c_contiguous for a in (feature, lo, hi, z, leaf_feature))
+
+    def test_three_class_forest_with_padded_slots(self):
+        data = make_classification_dataset(31, 300, 6, 3)
+        forest = fit_random_forest(data, 8, TreeParams(max_depth=5), RandomStream(1))
+        for c, boxes in enumerate(forest.boxes):
+            assert (boxes[0] == data.d).any()  # some leaves are padded with null players
+            for x in data.rows[:12]:
+                self.assert_same_bits(forest_shap(forest, x, c), boxes, x)
+
+    def test_surrogate_boxes(self):
+        data = make_regression_dataset(32, 200, 8)
+        model = random_mlp(33, 8, [16, 16])
+        for i in range(4):
+            x = data.rows[i]
+            surrogate = limase_explain(model, x, data.features,
+                                       LimaseConfig(seed=i, n_samples=400)).surrogate
+            boxes = limase.shapley._leaf_boxes(surrogate, 0, 1)
+            for row in (x, data.rows[10 + i]):
+                self.assert_same_bits(tree_shap(surrogate, row), boxes, row)
+
+    def test_one_leaf_tree_is_a_width_one_null_box(self):
+        tree = tree_from_nodes([(LEAF, NAN, LEAF, LEAF, 5.0, 2.5)], 3, TreeParams())
+        boxes = limase.shapley._leaf_boxes(tree, 0, 1)
+        assert boxes[0].tolist() == [[3]] and boxes[3].tolist() == [[1.0]]
+        x = np.array([0.5, -1.0, 2.0])
+        self.assert_same_bits(tree_shap(tree, x), boxes, x)
+
+    def test_stump(self):
+        tree = hand_stump()
+        boxes = limase.shapley._leaf_boxes(tree, 0, 1)
+        for x in (X_RIGHT, np.array([-1.0, 3.0])):
+            self.assert_same_bits(tree_shap(tree, x), boxes, x)
+
+    def test_row_on_a_split_threshold(self):
+        tree = random_tree(RandomStream(34), d=4, max_depth=5)
+        boxes = limase.shapley._leaf_boxes(tree, 0, 1)
+        internal = np.flatnonzero(tree.feature != LEAF)
+        for i in internal[:6]:
+            x = RandomStream(35 + int(i)).normal(4)
+            x[tree.feature[i]] = tree.threshold[i]  # x <= threshold: it goes left
+            self.assert_same_bits(tree_shap(tree, x), boxes, x)
 
 
 class TestExplanationRecord:
