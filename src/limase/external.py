@@ -11,15 +11,23 @@ Responses may arrive out of order; ids correlate requests with answers.
 A reader thread owns the child's stdout; predict() blocks on a condition
 variable until its id shows up or the timeout passes.  A reply that
 arrives after its request timed out is dropped; one whose id was never
-issued fails the model with a ProtocolError.
+issued fails the model with a ProtocolError, and so does a line the
+reader cannot decode: the pipes carry UTF-8, JSON's own encoding (RFC
+8259), whatever the locale.
 
 Every predict line is byte for byte what json.dumps makes of the message.
 A batch that repeats values, such as KernelSHAP's composites of x and a
 few background rows, has each distinct value formatted once and its rows
-streamed in blocks.
+streamed in blocks.  A mostly distinct batch, such as limase's
+perturbations, is formatted with array arithmetic, a block of rows at a
+time, and written in one piece: each value gets repr's shortest
+round-trip digits from an exact product (Dekker's two-product) and the
+shortest-digits rule that Ryu implements.  The few cells that arithmetic
+cannot decide with margin are spelled by json.dumps.
 """
 from __future__ import annotations
 
+import functools
 import json
 import shlex
 import subprocess
@@ -40,10 +48,193 @@ DEFAULT_TIMEOUT = 30.0
 _PROBE_ROWS = 4
 _PROBE_SEED = 0x70726F6265  # "probe"
 
+# Characters of a bad reply line that an error message quotes
+_QUOTE_CHARS = 200
 # Rows per write when a predict line is streamed
 _BLOCK_ROWS = 512
 # Leading rows whose values decide whether a batch is worth deduplicating
 _SAMPLE_ROWS = 32
+# Cells per block when a mostly distinct batch is formatted with array arithmetic
+_FORMAT_CELLS = 2048
+
+# Each formatted cell is first laid out in _WIDTH bytes, 8-byte words:
+#   "-0.000" d1 "." | d2 "." d3 "." d4 "." d5 "." | ... | d14 "." ... d17 "." | "], [" pad
+# and a keep-mask picks its bytes: the sign, "0." and leading zeros below 1, the
+# significant digits, the point after the units digit, and ", " (or "], [" at
+# the end of a row).  A cell the formatter declines gets json's own spelling
+# written over the first _TEXT_WIDTH bytes instead.
+_WIDTH = 48
+_TEXT_WIDTH = 32
+_EXPONENTS = range(-4, 16)  # repr spells 1e-4 <= |v| < 1e16 in fixed notation
+_DIGITS = 18  # 0 (a zero) to 17 significant digits
+_TEXT_KEY = 2 * len(_EXPONENTS) * _DIGITS * 2
+# 10**k is a double exactly for k <= 22; each is split in halves for Dekker's product
+_POW10 = 10.0 ** np.arange(23)
+_SPLITTER = 134217729.0  # 2**27 + 1
+# A candidate this close (in units of the scaled value) to a tie or to the edge
+# of the value's rounding interval is left to json.dumps
+_MARGIN = 1e-9
+
+
+def _excerpt(text) -> str:
+    """repr of a reply line, or of what was read of it, cut to _QUOTE_CHARS."""
+    if len(text) <= _QUOTE_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTE_CHARS]!r}... ({len(text)} in all)"
+
+
+def _split(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of each double into two halves of at most 26 bits."""
+    c = _SPLITTER * a
+    high = c - (c - a)
+    return high, a - high
+
+
+_POW10_HIGH, _POW10_LOW = _split(_POW10)
+
+
+def _exact_scale(a: np.ndarray, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10**k as an unevaluated sum hi + lo, exactly (Dekker's two-product)."""
+    b, b_high, b_low = _POW10[k], _POW10_HIGH[k], _POW10_LOW[k]
+    hi = a * b
+    a_high, a_low = _split(a)
+    lo = ((a_high * b_high - hi) + a_high * b_low + a_low * b_high) + a_low * b_low
+    return hi, lo
+
+
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The words and keep-masks of the layout above, and trailing zeros of 4-digit groups.
+
+    lead[d] is the first word with leading digit d, groups[g] the word of the
+    4-digit group g with a point slot after each digit, zeros[g] how many
+    trailing zeros g has (4 for 0), and masks[key] the keep-mask of a cell,
+    keyed ((negative * 20 + exponent + 4) * 18 + digits) * 2 + row end for a
+    formatted cell and _TEXT_KEY + (length - 1) * 2 + row end for a text.
+    """
+    lead = np.frombuffer(b"".join(b"-0.000%d." % d for d in range(10)), np.uint64)
+    g = np.arange(10_000)
+    group = np.full((10_000, 8), ord("."), np.uint8)
+    group[:, 0::2] = 48 + np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1)
+    zeros = np.zeros(10_000, np.uint8)
+    for power in (10, 100, 1000, 10_000):
+        zeros += g % power == 0
+    digit_slot = 6 + 2 * np.arange(17)
+    masks = np.zeros((_TEXT_KEY + 2 * _TEXT_WIDTH, _WIDTH), bool)
+    key = 0
+    for negative in (0, 1):
+        for exponent in _EXPONENTS:
+            for n in range(_DIGITS):
+                keep = np.zeros(_WIDTH, bool)
+                keep[0] = negative
+                if exponent < 0:  # "0." and -exponent - 1 zeros, then the digits
+                    keep[1 : 2 - exponent] = True
+                    keep[digit_slot[:n]] = True
+                else:  # digits to the units and one after the point, which may be a zero
+                    keep[digit_slot[: max(n, exponent + 2)]] = True
+                    keep[digit_slot[exponent] + 1] = True
+                masks[key] = masks[key + 1] = keep
+                key += 2
+    for length in range(1, _TEXT_WIDTH + 1):
+        masks[key : key + 2, :length] = True
+        key += 2
+    masks[1::2, 40:44] = True  # "], [" at the end of a row
+    masks[0::2, 41:43] = True  # ", " elsewhere
+    return lead, group.view(np.uint64).ravel(), zeros, masks.view(np.uint64)
+
+
+def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """repr's digits of each value as a 17-digit integer, its decimal exponent, and declined.
+
+    A finite v with 1e-4 <= |v| < 1e16 is scaled by 10**(16 - E), E its
+    decimal exponent, to p = |v| * 10**(16 - E) in [1e16, 1e17), which is
+    held exactly as hi + lo.  repr spells the shortest decimal inside v's
+    rounding interval, |candidate - p| < h with h half an ulp of v scaled
+    the same way, and of those the nearest to p.  h lies in (0.55, 11.1),
+    so at most one 15-digit decimal fits, and p rounded to 17 digits always
+    does.  The digits are thus those of p rounded to 15 digits if that
+    fits, else to 16 if that fits, else to 17; a spelling shorter than 15
+    digits is the 15-digit one without its trailing zeros.  declined marks
+    what is left to json.dumps: zeros (whose other outputs are meaningless),
+    values outside that range or not finite, mantissas that are a power of
+    two (their interval is lopsided), and candidates within _MARGIN of a tie
+    or of the interval's edge.
+    """
+    bits = v.view(np.int64)
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16) & (bits << 12 != 0)  # not NaN, inf or a power of two
+    a = np.where(fast, a, 1.5)
+    exponent = np.floor(np.log10(a)).astype(np.int64)
+    hi, lo = _exact_scale(a, 16 - exponent)
+    # log10 may miss by one within a few ulps of a power of ten
+    declined = ~fast | (hi < 1e16) | (hi >= 1e17) | ((hi == 1e16) & (lo < 0))
+    high = hi.astype(np.int64)  # an integer, as hi >= 1e16 > 2**53
+    half_ulp = ((a.view(np.int64) & 0x7FF0000000000000).view(np.float64) * 2.0**-53
+                * _POW10[16 - exponent])
+    # each candidate as its offset from high; a level decides only the cells that no
+    # shorter candidate fits, and a tie there matters only if the tied ones fit
+    move = np.rint(lo)  # p rounded to 17 digits
+    tie = np.abs(np.abs(move - lo) - 0.5) <= _MARGIN
+    taken = np.zeros(v.size, bool)
+    for step in (100, 10):  # p rounded to 15 and 16 digits
+        below = (high - high // step * step).astype(np.float64)
+        candidate = np.rint((below + lo) / step) * step - below
+        gap = np.abs(candidate - lo)
+        fits = (gap < half_ulp) & ~taken
+        declined |= ~taken & ((np.abs(gap - half_ulp) <= _MARGIN)
+                              | ((np.abs(gap - step / 2) <= _MARGIN) & fits))
+        move = np.where(fits, candidate, move)
+        taken |= fits
+    declined |= tie & ~taken
+    digits = high + move.astype(np.int64)
+    declined |= digits >= 10**17  # p rounded up to 1e17: declined, not renormalised
+    digits[declined] = 10**16  # json.dumps spells these
+    return digits, exponent, declined
+
+
+def _format_rows(X: np.ndarray) -> np.ndarray:
+    """The bytes of X's rows as json.dumps spells them, each row closed by "], [".
+
+    The digits come from _shortest_digits and are laid out as described
+    above; zeros are spelled "0.0" and "-0.0" from the layout too, and the
+    cells _shortest_digits declines get json.dumps's spelling, made in one
+    call for the block.
+    """
+    lead_words, group_words, group_zeros, masks = _format_tables()
+    v = X.ravel()
+    digits, exponent, declined = _shortest_digits(v)
+    zero = v == 0
+    declined &= ~zero
+    upper = digits // 10**8
+    lower = digits - upper * 10**8
+    lead = upper // 10**8
+    upper -= lead * 10**8
+    groups = [upper // 10**4, upper % 10**4, lower // 10**4, lower % 10**4]
+    trailing = group_zeros[groups[3]]
+    run = groups[3] == 0
+    for g in groups[2::-1]:
+        trailing += run * group_zeros[g]
+        run &= g == 0
+    count = (17 - trailing) * ~zero
+    exponent[zero] = -2  # "0." and one zero
+    d = X.shape[1]
+    key = ((((v.view(np.int64) < 0) * len(_EXPONENTS) + exponent + 4) * _DIGITS + count) * 2
+           + (np.arange(v.size) % d == d - 1))
+    words = np.empty((v.size, _WIDTH // 8), np.uint64)
+    words[:, 0] = lead_words[lead]
+    for column, g in enumerate(groups, 1):
+        words[:, column] = group_words[g]
+    words[:, 5] = np.frombuffer(b"], [    ", np.uint64)
+    if declined.any():
+        cells = np.flatnonzero(declined)
+        texts = json.dumps(v[cells].tolist())[1:-1].split(", ")
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        padded = np.zeros((cells.size, _TEXT_WIDTH), np.uint8)
+        padded[np.arange(_TEXT_WIDTH) < lengths[:, None]] = np.frombuffer(
+            "".join(texts).encode("ascii"), np.uint8)
+        words[cells, : _TEXT_WIDTH // 8] = padded.view(np.uint64)
+        key[cells] = _TEXT_KEY + (lengths - 1) * 2 + key[cells] % 2
+    return np.compress(masks[key].view(bool).ravel(), words.view(np.uint8).ravel())
 
 
 def _write_predict(out, request_id: int, X: np.ndarray) -> None:
@@ -54,26 +245,36 @@ def _write_predict(out, request_id: int, X: np.ndarray) -> None:
     rows go out in blocks of _BLOCK_ROWS, so the whole line is never one
     string.  Values are told apart by their bits, which keeps -0.0 apart
     from 0.0.  The sample spares mostly distinct batches, such as limase's
-    perturbations, a sort of every cell.
+    perturbations, a sort of every cell; those are formatted by
+    _format_rows in blocks of about _FORMAT_CELLS cells and written as
+    one string.
     """
     d = X.shape[1]
     bits = X.view(np.int64).ravel()
     sample = bits[: _SAMPLE_ROWS * d]
+    head = json.dumps({"type": "predict", "id": request_id, "inputs": None})
+    head = head.removesuffix("null}")
     if 2 * np.unique(sample).size < sample.size:
         distinct, inverse = np.unique(bits, return_inverse=True)
         if 2 * distinct.size < bits.size:
             # json's own spelling of each value (NaN, Infinity, 1e+16); none contains ", "
             texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                              dtype=object)
-            head = json.dumps({"type": "predict", "id": request_id, "inputs": None})
-            out.write(head.removesuffix("null}") + "[")
+            out.write(head + "[")
             for start in range(0, X.shape[0], _BLOCK_ROWS):
                 rows = texts[inverse[start * d : (start + _BLOCK_ROWS) * d]].reshape(-1, d)
                 body = "], [".join(map(", ".join, rows.tolist()))
                 out.write((", [" if start else "[") + body + "]")
             out.write("]}\n")
             return
-    out.write(json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()}) + "\n")
+    if X.size == 0:
+        out.write(json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()}) + "\n")
+        return
+    step = max(1, _FORMAT_CELLS // d)
+    blocks = [str(_format_rows(X[start : start + step]), "ascii")
+              for start in range(0, X.shape[0], step)]
+    blocks[-1] = blocks[-1].removesuffix(", [")
+    out.write("".join([head, "[[", *blocks, "]}\n"]))
 
 
 class ExternalModel(BlackBoxModel):
@@ -102,7 +303,7 @@ class ExternalModel(BlackBoxModel):
                 command,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",  # JSON's own encoding (RFC 8259), whatever the locale
                 bufsize=1,
             )
         except OSError as e:
@@ -113,46 +314,56 @@ class ExternalModel(BlackBoxModel):
     # -- reader thread -------------------------------------------------
 
     def _read_loop(self) -> None:
-        for line in self._proc.stdout:
-            line = line.rstrip("\n")
-            if not line.strip():
-                continue
-            try:
-                msg = json.loads(line)
-            except json.JSONDecodeError:
-                self._fail(f"malformed JSON from external model: {line!r}")
-                return
-            if not isinstance(msg, dict) or "type" not in msg:
-                self._fail(f"message without a type from external model: {line!r}")
-                return
-            kind = msg["type"]
-            if kind == "hello":
-                with self._cond:
-                    self._hello = msg
-                    self._cond.notify_all()
-            elif kind in ("result", "error"):
-                if "id" not in msg:
-                    self._fail(f"{kind} message without id: {line!r}")
+        try:
+            for line in self._proc.stdout:
+                if not self._take(line.rstrip("\n")):
                     return
-                request_id = msg["id"]
-                if type(request_id) is not int:  # not a bool, float or string either
-                    self._fail(f"{kind} message with a non-integer id: {line!r}")
-                    return
-                with self._cond:
-                    issued = 0 <= request_id < self._next_id
-                    if request_id in self._abandoned:
-                        self._abandoned.remove(request_id)
-                    elif issued:
-                        self._results[request_id] = msg
-                        self._cond.notify_all()
-                if not issued:
-                    # nothing would pop it, and the request it was meant for would time out
-                    self._fail(f"{kind} message with an id never issued: {line!r}")
-                    return
-            else:
-                self._fail(f"unknown message type {kind!r} from external model")
-                return
+        except UnicodeDecodeError as e:
+            self._fail(f"reply from external model is not UTF-8: {_excerpt(e.object)}")
+            return
         self._fail("external model closed its output stream")
+
+    def _take(self, line: str) -> bool:
+        """Act on one reply line; False when it failed the model."""
+        if not line.strip():
+            return True
+        try:
+            msg = json.loads(line)
+        except Exception as e:  # a RecursionError too: any reply the reader cannot decode
+            self._fail(f"malformed JSON from external model ({type(e).__name__}): "
+                       f"{_excerpt(line)}")
+            return False
+        if not isinstance(msg, dict) or "type" not in msg:
+            self._fail(f"message without a type from external model: {_excerpt(line)}")
+            return False
+        kind = msg["type"]
+        if kind == "hello":
+            with self._cond:
+                self._hello = msg
+                self._cond.notify_all()
+        elif kind in ("result", "error"):
+            if "id" not in msg:
+                self._fail(f"{kind} message without id: {_excerpt(line)}")
+                return False
+            request_id = msg["id"]
+            if type(request_id) is not int:  # not a bool, float or string either
+                self._fail(f"{kind} message with a non-integer id: {_excerpt(line)}")
+                return False
+            with self._cond:
+                issued = 0 <= request_id < self._next_id
+                if request_id in self._abandoned:
+                    self._abandoned.remove(request_id)
+                elif issued:
+                    self._results[request_id] = msg
+                    self._cond.notify_all()
+            if not issued:
+                # nothing would pop it, and the request it was meant for would time out
+                self._fail(f"{kind} message with an id never issued: {_excerpt(line)}")
+                return False
+        else:
+            self._fail(f"unknown message type {kind!r} from external model")
+            return False
+        return True
 
     def _fail(self, message: str) -> None:
         with self._cond:
