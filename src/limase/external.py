@@ -157,8 +157,8 @@ def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     digits is the 15-digit one without its trailing zeros.  declined marks
     what is left to json.dumps: zeros (whose other outputs are meaningless),
     values outside that range or not finite, mantissas that are a power of
-    two (their interval is lopsided), and candidates within _MARGIN of a tie
-    or of the interval's edge.
+    two (their interval is lopsided), values whose log10 missed E by one,
+    and candidates within _MARGIN of a tie or of the interval's edge.
     """
     bits = v.view(np.int64)
     a = np.abs(v)

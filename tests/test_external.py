@@ -360,10 +360,11 @@ def adversarial_values(kind: str) -> np.ndarray:
         return np.concatenate([powers, np.nextafter(powers, np.inf),
                                np.nextafter(powers, -np.inf)])
     if kind == "notation_switch":  # repr's fixed notation is 1e-4 <= |v| < 1e16
-        steps = [np.array([1e-4, 1e16])]
-        for direction in (np.inf, -np.inf) * 4:
-            steps.append(np.nextafter(steps[-1 if direction > 0 else 0], direction))
-        return np.concatenate(steps)
+        up = down = [np.array([1e-4, 1e16])]
+        for _ in range(4):
+            up = up + [np.nextafter(up[-1], np.inf)]
+            down = down + [np.nextafter(down[-1], -np.inf)]
+        return np.concatenate(up + down[1:])
     if kind == "powers_of_two":
         return 2.0 ** np.arange(-1074, 1024)
     if kind == "half_way":
