@@ -15,20 +15,24 @@ issued fails the model with a ProtocolError, and so does a line the
 reader cannot decode: the pipes carry UTF-8, JSON's own encoding (RFC
 8259), whatever the locale.
 
-Every predict line is byte for byte what json.dumps makes of the message.
-A batch that repeats values, such as KernelSHAP's composites of x and a
-few background rows, has each distinct value formatted once and its rows
-streamed in blocks.  A mostly distinct batch, such as limase's
-perturbations, is formatted with array arithmetic, a block of rows at a
-time, and written in one piece: each value gets repr's shortest
-round-trip digits from an exact product (Dekker's two-product) and the
-shortest-digits rule that Ryu implements.  The few cells that arithmetic
-cannot decide with margin are spelled by json.dumps.
+Every predict line is byte for byte what json.dumps makes of the message,
+written a block of rows at a time as each block is made.  A batch that
+repeats values, such as KernelSHAP's composites of x and background rows,
+has each distinct value formatted once and gathered.  A mostly distinct
+batch, such as limase's perturbations, is formatted with array
+arithmetic: each value gets repr's shortest round-trip digits from an
+exact product (Dekker's two-product) and the shortest-digits rule that
+Ryu implements.  The few cells that arithmetic cannot decide with margin
+are spelled by json.dumps.  A request's timeout bounds its writes too: a
+child that stops reading fails the model and is killed, since part of a
+line is already on the pipe.
 """
 from __future__ import annotations
 
 import functools
 import json
+import os
+import select
 import shlex
 import subprocess
 import threading
@@ -50,11 +54,7 @@ _PROBE_SEED = 0x70726F6265  # "probe"
 
 # Characters of a bad reply line that an error message quotes
 _QUOTE_CHARS = 200
-# Rows per write when a predict line is streamed
-_BLOCK_ROWS = 512
-# Leading rows whose values decide whether a batch is worth deduplicating
-_SAMPLE_ROWS = 32
-# Cells per block when a mostly distinct batch is formatted with array arithmetic
+# Cells per write when a predict line is streamed
 _FORMAT_CELLS = 2048
 
 # Each formatted cell is first laid out in _WIDTH bytes, 8-byte words:
@@ -156,13 +156,14 @@ def _shortest_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     fits, else to 16 if that fits, else to 17; a spelling shorter than 15
     digits is the 15-digit one without its trailing zeros.  declined marks
     what is left to json.dumps: zeros (whose other outputs are meaningless),
-    values outside that range or not finite, mantissas that are a power of
-    two (their interval is lopsided), values whose log10 missed E by one,
-    and candidates within _MARGIN of a tie or of the interval's edge.
+    values outside that range or not finite, values whose log10 missed E
+    by one, and candidates within _MARGIN of a tie or of the interval's
+    edge.  A power of two's interval reaches only half as far below it as
+    above, yet all 67 powers of two in the range format as repr does
+    without a decline; TestFormatter checks every one.
     """
-    bits = v.view(np.int64)
     a = np.abs(v)
-    fast = (a >= 1e-4) & (a < 1e16) & (bits << 12 != 0)  # not NaN, inf or a power of two
+    fast = (a >= 1e-4) & (a < 1e16)  # not NaN or inf either
     a = np.where(fast, a, 1.5)
     exponent = np.floor(np.log10(a)).astype(np.int64)
     hi, lo = _exact_scale(a, 16 - exponent)
@@ -237,44 +238,50 @@ def _format_rows(X: np.ndarray) -> np.ndarray:
     return np.compress(masks[key].view(bool).ravel(), words.view(np.uint8).ravel())
 
 
-def _write_predict(out, request_id: int, X: np.ndarray) -> None:
-    """Write json.dumps({"type": "predict", "id": ..., "inputs": X.tolist()}) + newline.
+def _write_predict(write, request_id: int, X: np.ndarray) -> None:
+    """Pass write the bytes of the predict line for X, a block of rows at a time.
 
-    When fewer than half the cells of X, and of its first _SAMPLE_ROWS
-    rows, are distinct, each distinct value is formatted once and the
-    rows go out in blocks of _BLOCK_ROWS, so the whole line is never one
-    string.  Values are told apart by their bits, which keeps -0.0 apart
-    from 0.0.  The sample spares mostly distinct batches, such as limase's
-    perturbations, a sort of every cell; those are formatted by
-    _format_rows in blocks of about _FORMAT_CELLS cells and written as
-    one string.
+    The line is json.dumps({"type": "predict", "id": request_id, "inputs":
+    X.tolist()}) and a newline.  The rows go out in blocks of about
+    _FORMAT_CELLS cells, one write per block as it is made, so the line is
+    never one string.  Every block of a line is spelled one way.  When
+    fewer than half the cells of X are distinct, each distinct value is
+    formatted once by json.dumps and gathered; values are told apart by
+    their bits, which keeps -0.0 apart from 0.0.  Otherwise _format_rows
+    spells the block.  One cell per row, cycling the columns, decides
+    before the whole batch is counted, which spares a mostly distinct
+    batch a sort of every cell.  KernelSHAP's composites of
+    x and n_bg background rows hold at most d * (n_bg + 1) distinct values,
+    so a batch of more than about 2d coalitions reads as repeated at any
+    background size; a limase cloud reads as distinct unless more than
+    half its columns are constant, and then the repeated spelling suits it.
     """
-    d = X.shape[1]
-    bits = X.view(np.int64).ravel()
-    sample = bits[: _SAMPLE_ROWS * d]
     head = json.dumps({"type": "predict", "id": request_id, "inputs": None})
     head = head.removesuffix("null}")
-    if 2 * np.unique(sample).size < sample.size:
-        distinct, inverse = np.unique(bits, return_inverse=True)
-        if 2 * distinct.size < bits.size:
+    if X.size == 0:  # no rows, or rows of no columns
+        write(f"{head}{json.dumps(X.tolist())}}}\n".encode())
+        return
+    n, d = X.shape
+    bits = X.view(np.int64)
+    rows = np.arange(n)
+    texts = None
+    if 2 * np.unique(bits[rows, rows % d]).size < n:
+        distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
+        if 2 * distinct.size < X.size:
             # json's own spelling of each value (NaN, Infinity, 1e+16); none contains ", "
             texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                              dtype=object)
-            out.write(head + "[")
-            for start in range(0, X.shape[0], _BLOCK_ROWS):
-                rows = texts[inverse[start * d : (start + _BLOCK_ROWS) * d]].reshape(-1, d)
-                body = "], [".join(map(", ".join, rows.tolist()))
-                out.write((", [" if start else "[") + body + "]")
-            out.write("]}\n")
-            return
-    if X.size == 0:
-        out.write(json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()}) + "\n")
-        return
+            inverse = inverse.reshape(n, d)
+    write(head.encode() + b"[[")
     step = max(1, _FORMAT_CELLS // d)
-    blocks = [str(_format_rows(X[start : start + step]), "ascii")
-              for start in range(0, X.shape[0], step)]
-    blocks[-1] = blocks[-1].removesuffix(", [")
-    out.write("".join([head, "[[", *blocks, "]}\n"]))
+    for start in range(0, n, step):
+        if texts is None:
+            block = _format_rows(X[start : start + step])
+        else:
+            spelled = texts[inverse[start : start + step]].tolist()
+            block = ("], [".join(map(", ".join, spelled)) + "], [").encode()
+        write(block if start + step < n else block[:-3])  # each row closed by "], ["
+    write(b"]}\n")
 
 
 class ExternalModel(BlackBoxModel):
@@ -308,6 +315,7 @@ class ExternalModel(BlackBoxModel):
             )
         except OSError as e:
             raise ProtocolError(f"failed to spawn external model {command!r}: {e}") from e
+        os.set_blocking(self._proc.stdin.fileno(), False)  # _send bounds each write
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -384,13 +392,40 @@ class ExternalModel(BlackBoxModel):
                 raise ProtocolError(self._fatal)
             return self._hello
 
-    def _send(self, request_id: int, X: np.ndarray) -> None:
-        try:
-            with self._write_lock:
-                _write_predict(self._proc.stdin, request_id, X)
-                self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError, OSError) as e:
-            raise ProtocolError(f"external model is not accepting requests: {e}") from e
+    def _send(self, request_id: int, X: np.ndarray, deadline: float) -> None:
+        """Write the request line to the child's non-blocking stdin by the deadline.
+
+        A child that stops reading leaves part of the line on the pipe, and
+        no later request could be told from it, so the model fails and the
+        child is killed.
+        """
+        with self._write_lock:
+            if self._fatal is not None:
+                raise ProtocolError(self._fatal)
+            try:
+                fd = self._proc.stdin.fileno()
+                writable = select.poll()
+                writable.register(fd, select.POLLOUT)
+
+                def write(data) -> None:
+                    data = memoryview(data)
+                    while data:
+                        try:
+                            data = data[os.write(fd, data):]
+                        except BlockingIOError:
+                            remaining = deadline - time.monotonic()
+                            if remaining <= 0 or not writable.poll(remaining * 1000):
+                                raise TimeoutError from None
+
+                _write_predict(write, request_id, X)
+            except TimeoutError:
+                message = (f"timed out sending prediction {request_id}: "
+                           "the external model stopped reading its input")
+                self._fail(message)
+                self._proc.kill()
+                raise ProtocolError(message) from None
+            except (ValueError, OSError) as e:  # a closed stdin, or a child that exited
+                raise ProtocolError(f"external model is not accepting requests: {e}") from e
 
     def predict(self, X: np.ndarray) -> ModelOutput:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -399,8 +434,8 @@ class ExternalModel(BlackBoxModel):
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-        self._send(request_id, X)
         deadline = time.monotonic() + self.timeout
+        self._send(request_id, X, deadline)
         with self._cond:
             while request_id not in self._results and self._fatal is None:
                 remaining = deadline - time.monotonic()

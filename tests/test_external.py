@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from limase import external
+from limase import external, kernel
 from limase.core import RandomStream, Task, compute_feature_meta
 from limase.external import ProtocolError, attach_external
 from limase.kernel import kernel_shap
@@ -172,6 +172,19 @@ class TestProtocol:
         assert time.monotonic() - began < 5
         assert len(str(err.value)) < 2 * external._QUOTE_CHARS  # a bounded quote
 
+    def test_child_that_stops_reading_fails_the_model(self):
+        # the write of a line larger than the pipe's buffer must give up at the timeout
+        with attach_external(server("server_deaf.py"), d=30, task="regression",
+                             timeout=1) as model:
+            began = time.monotonic()
+            with pytest.raises(ProtocolError, match="timed out sending prediction 2"):
+                model.predict(limase_cloud(20))
+            assert time.monotonic() - began < model.timeout + 2
+            began = time.monotonic()
+            with pytest.raises(ProtocolError, match="timed out sending prediction 2"):
+                model.predict(np.zeros((1, 30)))
+            assert time.monotonic() - began < 0.5
+
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):
             attach_external(server("server_errors.py"), d=2, task="regression")
@@ -233,10 +246,29 @@ def zero_column() -> np.ndarray:
     return X
 
 
-class Pieces(list):
-    """A text stream that keeps each write."""
+def write_line(monkeypatch, request_id, X) -> tuple[bytes, int]:
+    """The line _write_predict writes for X, and how many of its cells _format_rows spelled."""
+    pieces, formatted, format_rows = [], [], external._format_rows
 
-    write = list.append
+    def spy(block):
+        formatted.append(block.size)
+        return format_rows(block)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(external, "_format_rows", spy)
+        external._write_predict(pieces.append, request_id, X)
+    return b"".join(pieces), sum(formatted)
+
+
+def kernel_chunk(n_bg: int) -> np.ndarray:
+    """The composites of kernel_shap's first model call at d=30, budget 2048, n_bg background rows.
+
+    Its coalitions are mostly of one or d - 1 features, in bitmask order.
+    """
+    rng = RandomStream(20 + n_bg)
+    x, background = rng.normal_matrix(1, 30)[0], rng.normal_matrix(n_bg, 30)
+    member = kernel._sample_masks(30, 2048, rng)[0][: kernel._CHUNK_ROWS // n_bg]
+    return np.where(member[:, None, :], x, background).reshape(-1, 30)
 
 
 SPECIAL = np.array([-0.0, 0.0, 1e-310, 5e-324, 1e16, 1e-7, 1.7e308, -1.7e308])
@@ -244,32 +276,40 @@ NON_FINITE = np.array([np.nan, np.inf, -np.inf, 1.5])
 
 
 class TestWireBytes:
-    """Each request line the child reads is json.dumps of the same message."""
+    """Each request line the child reads is json.dumps of the same message.
+
+    Each case says whether _format_rows spells its cells; when it does not,
+    each distinct value is spelled once and gathered.
+    """
 
     CASES = {
-        "kernel_composites": (composites(300, 6, 1), True),
-        "all_distinct": (RandomStream(2).normal_matrix(50, 4), False),
+        "kernel_composites": (composites(300, 6, 1), False),
+        "kernel_d30_background_1": (kernel_chunk(1), False),
+        "kernel_d30_background_5": (kernel_chunk(5), False),
+        "kernel_d30_background_20": (kernel_chunk(20), False),
+        "kernel_d30_background_100": (kernel_chunk(100), False),
+        "all_distinct": (RandomStream(2).normal_matrix(50, 4), True),
         "zero_rows": (np.empty((0, 3)), False),
-        "one_row": (RandomStream(3).normal_matrix(1, 5), False),
-        "one_column": (np.repeat([[0.5], [-2.0], [3.25]], 40, axis=0), True),
-        "special_values": (np.tile(SPECIAL, (30, 1)), True),
-        "nan_and_inf": (np.tile(NON_FINITE, (30, 1)), True),
-        "column_slice": (composites(300, 6, 4)[:, 1:4], True),
+        "one_row": (RandomStream(3).normal_matrix(1, 5), True),
+        "one_column": (np.repeat([[0.5], [-2.0], [3.25]], 40, axis=0), False),
+        "special_values": (np.tile(SPECIAL, (30, 1)), False),
+        "nan_and_inf": (np.tile(NON_FINITE, (30, 1)), False),
+        "column_slice": (composites(300, 6, 4)[:, 1:4], False),
         "repeated_head_distinct_tail": (
-            np.vstack([np.zeros((40, 3)), RandomStream(8).normal_matrix(200, 3)]), False),
+            np.vstack([np.zeros((40, 3)), RandomStream(8).normal_matrix(200, 3)]), True),
         "distinct_head_repeated_tail": (
             np.vstack([RandomStream(9).normal_matrix(40, 3), np.zeros((200, 3))]), False),
-        "limase_cloud": (limase_cloud(10), False),
-        "decade_edges": (decade_edges(), False),
-        "zero_column": (zero_column(), False),
+        "limase_cloud": (limase_cloud(10), True),
+        "decade_edges": (decade_edges(), True),
+        "zero_column": (zero_column(), True),
     }
 
     @pytest.mark.parametrize("case", CASES)
-    def test_line_equals_json_dumps(self, case, tmp_path):
-        X, repeats = self.CASES[case]
-        pieces = Pieces()
-        external._write_predict(pieces, 2, X)
-        assert (len(pieces) > 1) == repeats  # streamed in pieces or one json.dumps line
+    def test_line_equals_json_dumps(self, case, tmp_path, monkeypatch):
+        X, formatted = self.CASES[case]
+        line, cells = write_line(monkeypatch, 2, X)
+        assert line == predict_line(2, X)
+        assert cells == (X.size if formatted else 0)
         log = tmp_path / "requests.ndjson"
         d = X.shape[1]
         with attach_external(server("server_record.py") + [str(log), str(d)], d=d,
@@ -290,19 +330,19 @@ class TestWireBytes:
                                  task="regression") as model:
                 return kernel_shap(model, x, background, "exact", RandomStream(6))
 
-        writes, write_predict = [], external._write_predict
+        formatted, format_rows = [], external._format_rows
 
-        def counting(out, request_id, X):
-            pieces = Pieces()
-            write_predict(pieces, request_id, X)
-            writes.append(len(pieces))
-            out.write("".join(pieces))
+        def spy(block):
+            formatted.append(len(block))
+            return format_rows(block)
 
-        monkeypatch.setattr(external, "_write_predict", counting)
+        monkeypatch.setattr(external, "_format_rows", spy)
         streamed = explain(tmp_path / "streamed.ndjson")
-        assert max(writes) > 1  # the composites took the streamed path
-        monkeypatch.setattr(external, "_write_predict", lambda out, request_id, X:
-                            out.write(predict_line(request_id, X).decode()))
+        # the purity probes, x and the background were formatted; the composites were
+        # spelled a distinct value at a time
+        assert formatted == [external._PROBE_ROWS] * 2 + [1, len(background)]
+        monkeypatch.setattr(external, "_write_predict", lambda write, request_id, X:
+                            write(predict_line(request_id, X)))
         dumped = explain(tmp_path / "dumped.ndjson")
         assert streamed.phi.tobytes() == dumped.phi.tobytes()
         assert (tmp_path / "streamed.ndjson").read_bytes() \
@@ -318,11 +358,10 @@ class TestWireBytes:
         np.vstack([RandomStream(16).normal_matrix(40, 3),
                    [[np.nan, np.inf, -np.inf], [5e-324, -0.0, 1e300]]]),
     ], ids=["no_rows", "no_columns", "transposed", "strided", "all_declined", "non_finite"])
-    def test_odd_batches_equal_json_dumps(self, X):
-        pieces = Pieces()
-        external._write_predict(pieces, 5, X)
-        assert len(pieces) == 1
-        assert pieces[0] == predict_line(5, X).decode()
+    def test_odd_batches_equal_json_dumps(self, X, monkeypatch):
+        line, cells = write_line(monkeypatch, 5, X)
+        assert line == predict_line(5, X)
+        assert cells == X.size  # each batch is mostly distinct
 
 
 def formatted(values: np.ndarray) -> list[str]:
@@ -418,7 +457,7 @@ class TestFormatter:
 
 
 class Sink:
-    """A text stream that keeps only the sizes of its writes."""
+    """A byte stream that keeps only the sizes of its writes."""
 
     largest = total = 0
 
@@ -445,8 +484,8 @@ class TestStreamedMemory:
         values = rng.normal_matrix(6, 30)
         X = values[(6 * rng.uniform(7666 * 30)).astype(int).reshape(7666, 30), np.arange(30)]
         streamed, dumped = Sink(), Sink()
-        dumped_peak = traced_peak(lambda: dumped.write(predict_line(0, X).decode()))
-        streamed_peak = traced_peak(lambda: external._write_predict(streamed, 0, X))
+        dumped_peak = traced_peak(lambda: dumped.write(predict_line(0, X)))
+        streamed_peak = traced_peak(lambda: external._write_predict(streamed.write, 0, X))
         assert streamed.total == dumped.total
         assert streamed_peak <= dumped_peak
         # the rows go out in blocks, never as one string
@@ -459,7 +498,8 @@ class TestStreamedMemory:
         external._format_tables()  # built once per process, not per line
         formatted, dumped = Sink(), Sink()
         dumped_peak = traced_peak(lambda: dumped.write(
-            json.dumps({"type": "predict", "id": 0, "inputs": X.tolist()}) + "\n"))
-        formatted_peak = traced_peak(lambda: external._write_predict(formatted, 0, X))
+            (json.dumps({"type": "predict", "id": 0, "inputs": X.tolist()}) + "\n").encode()))
+        formatted_peak = traced_peak(lambda: external._write_predict(formatted.write, 0, X))
         assert formatted.total == dumped.total
         assert formatted_peak <= dumped_peak
+        assert formatted.largest < formatted.total // 8
