@@ -256,10 +256,9 @@ def _write_predict(write, request_id: int, X: np.ndarray) -> None:
     background size; a limase cloud reads as distinct unless more than
     half its columns are constant, and then the repeated spelling suits it.
     """
-    head = json.dumps({"type": "predict", "id": request_id, "inputs": None})
-    head = head.removesuffix("null}")
     if X.size == 0:  # no rows, or rows of no columns
-        write(f"{head}{json.dumps(X.tolist())}}}\n".encode())
+        line = json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()})
+        write(line.encode() + b"\n")
         return
     n, d = X.shape
     bits = X.view(np.int64)
@@ -271,15 +270,14 @@ def _write_predict(write, request_id: int, X: np.ndarray) -> None:
             # json's own spelling of each value (NaN, Infinity, 1e+16); none contains ", "
             texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                              dtype=object)
-            inverse = inverse.reshape(n, d)
-    write(head.encode() + b"[[")
+    write(b'{"type": "predict", "id": %d, "inputs": [[' % request_id)
     step = max(1, _FORMAT_CELLS // d)
     for start in range(0, n, step):
         if texts is None:
             block = _format_rows(X[start : start + step])
         else:
-            spelled = texts[inverse[start : start + step]].tolist()
-            block = ("], [".join(map(", ".join, spelled)) + "], [").encode()
+            spelled = texts[inverse[start * d : (start + step) * d]].reshape(-1, d)
+            block = ("], [".join(map(", ".join, spelled.tolist())) + "], [").encode()
         write(block if start + step < n else block[:-3])  # each row closed by "], ["
     write(b"]}\n")
 
@@ -311,11 +309,12 @@ class ExternalModel(BlackBoxModel):
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
                 encoding="utf-8",  # JSON's own encoding (RFC 8259), whatever the locale
-                bufsize=1,
             )
         except OSError as e:
             raise ProtocolError(f"failed to spawn external model {command!r}: {e}") from e
-        os.set_blocking(self._proc.stdin.fileno(), False)  # _send bounds each write
+        os.set_blocking(self._proc.stdin.fileno(), False)  # _write bounds each write
+        self._poll = select.poll()  # when the child's stdin can take more
+        self._poll.register(self._proc.stdin, select.POLLOUT)
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
         self._reader.start()
 
@@ -392,40 +391,19 @@ class ExternalModel(BlackBoxModel):
                 raise ProtocolError(self._fatal)
             return self._hello
 
-    def _send(self, request_id: int, X: np.ndarray, deadline: float) -> None:
-        """Write the request line to the child's non-blocking stdin by the deadline.
+    def _write(self, request_id: int, deadline: float, data) -> None:
+        """Write data to the child's non-blocking stdin, or fail the model at the deadline.
 
-        A child that stops reading leaves part of the line on the pipe, and
-        no later request could be told from it, so the model fails and the
-        child is killed.
+        A child that stops reading may leave part of a line on the pipe, and
+        no later request could be told from it, so the child is killed and
+        nothing more is written to the failed model.
         """
-        with self._write_lock:
-            if self._fatal is not None:
-                raise ProtocolError(self._fatal)
-            try:
-                fd = self._proc.stdin.fileno()
-                writable = select.poll()
-                writable.register(fd, select.POLLOUT)
-
-                def write(data) -> None:
-                    data = memoryview(data)
-                    while data:
-                        try:
-                            data = data[os.write(fd, data):]
-                        except BlockingIOError:
-                            remaining = deadline - time.monotonic()
-                            if remaining <= 0 or not writable.poll(remaining * 1000):
-                                raise TimeoutError from None
-
-                _write_predict(write, request_id, X)
-            except TimeoutError:
-                message = (f"timed out sending prediction {request_id}: "
-                           "the external model stopped reading its input")
-                self._fail(message)
+        while len(data):
+            if self._fatal or not self._poll.poll(1000 * max(0, deadline - time.monotonic())):
+                self._fail(f"timed out writing prediction {request_id}: the model stopped reading")
                 self._proc.kill()
-                raise ProtocolError(message) from None
-            except (ValueError, OSError) as e:  # a closed stdin, or a child that exited
-                raise ProtocolError(f"external model is not accepting requests: {e}") from e
+                raise ProtocolError(self._fatal)
+            data = data[os.write(self._proc.stdin.fileno(), data) :]
 
     def predict(self, X: np.ndarray) -> ModelOutput:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -435,7 +413,11 @@ class ExternalModel(BlackBoxModel):
             request_id = self._next_id
             self._next_id += 1
         deadline = time.monotonic() + self.timeout
-        self._send(request_id, X, deadline)
+        try:
+            with self._write_lock:
+                _write_predict(functools.partial(self._write, request_id, deadline), request_id, X)
+        except (ValueError, OSError) as e:  # a closed stdin, or a child that exited
+            raise ProtocolError(f"external model is not accepting requests: {e}") from e
         with self._cond:
             while request_id not in self._results and self._fatal is None:
                 remaining = deadline - time.monotonic()
@@ -469,11 +451,7 @@ class ExternalModel(BlackBoxModel):
         proc = getattr(self, "_proc", None)
         if proc is None:
             return
-        if proc.stdin and not proc.stdin.closed:
-            try:
-                proc.stdin.close()
-            except OSError:
-                pass
+        proc.stdin.close()  # _write bypasses its buffer, so closing flushes nothing
         try:
             proc.wait(timeout=2.0)
         except subprocess.TimeoutExpired:

@@ -177,11 +177,11 @@ class TestProtocol:
         with attach_external(server("server_deaf.py"), d=30, task="regression",
                              timeout=1) as model:
             began = time.monotonic()
-            with pytest.raises(ProtocolError, match="timed out sending prediction 2"):
+            with pytest.raises(ProtocolError, match="timed out writing prediction 2"):
                 model.predict(limase_cloud(20))
             assert time.monotonic() - began < model.timeout + 2
             began = time.monotonic()
-            with pytest.raises(ProtocolError, match="timed out sending prediction 2"):
+            with pytest.raises(ProtocolError, match="timed out writing prediction 2"):
                 model.predict(np.zeros((1, 30)))
             assert time.monotonic() - began < 0.5
 
