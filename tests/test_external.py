@@ -457,7 +457,7 @@ class TestFormatter:
 
 
 class Sink:
-    """A byte stream that keeps only the sizes of its writes."""
+    """A stream that keeps only the sizes of its writes (ASCII text or bytes)."""
 
     largest = total = 0
 
@@ -498,7 +498,7 @@ class TestStreamedMemory:
         external._format_tables()  # built once per process, not per line
         formatted, dumped = Sink(), Sink()
         dumped_peak = traced_peak(lambda: dumped.write(
-            (json.dumps({"type": "predict", "id": 0, "inputs": X.tolist()}) + "\n").encode()))
+            json.dumps({"type": "predict", "id": 0, "inputs": X.tolist()}) + "\n"))
         formatted_peak = traced_peak(lambda: external._write_predict(formatted.write, 0, X))
         assert formatted.total == dumped.total
         assert formatted_peak <= dumped_peak
