@@ -16,7 +16,7 @@ reader cannot decode: the pipes carry UTF-8, JSON's own encoding (RFC
 8259), whatever the locale.
 
 Every predict line is byte for byte what json.dumps makes of the message,
-written a block of rows at a time as each block is made.  A batch that
+made and written in blocks of rows, never as one string.  A batch that
 repeats values, such as KernelSHAP's composites of x and background rows,
 has each distinct value formatted once and gathered.  A mostly distinct
 batch, such as limase's perturbations, is formatted with array
@@ -218,9 +218,8 @@ def _format_rows(X: np.ndarray) -> np.ndarray:
         run &= g == 0
     count = (17 - trailing) * ~zero
     exponent[zero] = -2  # "0." and one zero
-    d = X.shape[1]
     key = ((((v.view(np.int64) < 0) * len(_EXPONENTS) + exponent + 4) * _DIGITS + count) * 2
-           + (np.arange(v.size) % d == d - 1))
+           + (np.arange(1, v.size + 1) % X.shape[1] == 0))  # the last cell of a row
     words = np.empty((v.size, _WIDTH // 8), np.uint64)
     words[:, 0] = lead_words[lead]
     for column, g in enumerate(groups, 1):
@@ -238,48 +237,46 @@ def _format_rows(X: np.ndarray) -> np.ndarray:
     return np.compress(masks[key].view(bool).ravel(), words.view(np.uint8).ravel())
 
 
-def _write_predict(write, request_id: int, X: np.ndarray) -> None:
-    """Pass write the bytes of the predict line for X, a block of rows at a time.
+def _predict_blocks(request_id: int, X: np.ndarray) -> list:
+    """The bytes of the predict line for X, in blocks of about _FORMAT_CELLS cells.
 
     The line is json.dumps({"type": "predict", "id": request_id, "inputs":
-    X.tolist()}) and a newline.  The rows go out in blocks of about
-    _FORMAT_CELLS cells, one write per block as it is made, so the line is
-    never one string.  Every block of a line is spelled one way.  When
-    fewer than half the cells of X are distinct, each distinct value is
-    formatted once by json.dumps and gathered; values are told apart by
-    their bits, which keeps -0.0 apart from 0.0.  Otherwise _format_rows
-    spells the block.  One cell per row, cycling the columns, decides
-    before the whole batch is counted, which spares a mostly distinct
-    batch a sort of every cell.  KernelSHAP's composites of
-    x and n_bg background rows hold at most d * (n_bg + 1) distinct values,
-    so a batch of more than about 2d coalitions reads as repeated at any
-    background size; a limase cloud reads as distinct unless more than
-    half its columns are constant, and then the repeated spelling suits it.
+    X.tolist()}) and a newline; it is never joined into one string.  Every
+    block of a line is spelled one way.  When fewer than half the cells of
+    X are distinct, each distinct value is formatted once by json.dumps and
+    gathered; values are told apart by their bits, which keeps -0.0 apart
+    from 0.0.  Otherwise _format_rows spells the block.  One cell per row,
+    cycling the columns, decides before the whole batch is counted, which
+    spares a mostly distinct batch a sort of every cell.  KernelSHAP's
+    composites of x and n_bg background rows hold at most d * (n_bg + 1)
+    distinct values, so a batch of more than about 2d coalitions reads as
+    repeated at any background size; a limase cloud reads as distinct
+    unless more than half its columns are constant, and then the repeated
+    spelling suits it.
     """
     if X.size == 0:  # no rows, or rows of no columns
-        line = json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()})
-        write(line.encode() + b"\n")
-        return
+        return [json.dumps({"type": "predict", "id": request_id, "inputs": X.tolist()}).encode()
+                + b"\n"]
     n, d = X.shape
     bits = X.view(np.int64)
-    rows = np.arange(n)
     texts = None
-    if 2 * np.unique(bits[rows, rows % d]).size < n:
+    if 2 * np.unique(bits[np.arange(n), np.arange(n) % d]).size < n:
         distinct, inverse = np.unique(bits.ravel(), return_inverse=True)
         if 2 * distinct.size < X.size:
             # json's own spelling of each value (NaN, Infinity, 1e+16); none contains ", "
             texts = np.array(json.dumps(distinct.view(np.float64).tolist())[1:-1].split(", "),
                              dtype=object)
-    write(b'{"type": "predict", "id": %d, "inputs": [[' % request_id)
+    blocks = [b'{"type": "predict", "id": %d, "inputs": [[' % request_id]
     step = max(1, _FORMAT_CELLS // d)
-    for start in range(0, n, step):
+    for start in range(0, n, step):  # each row closed by "], ["
         if texts is None:
-            block = _format_rows(X[start : start + step])
+            blocks.append(_format_rows(X[start : start + step]))
         else:
             spelled = texts[inverse[start * d : (start + step) * d]].reshape(-1, d)
-            block = ("], [".join(map(", ".join, spelled.tolist())) + "], [").encode()
-        write(block if start + step < n else block[:-3])  # each row closed by "], ["
-    write(b"]}\n")
+            blocks.append(("], [".join(map(", ".join, spelled.tolist())) + "], [").encode())
+    blocks[-1] = blocks[-1][:-3]
+    blocks.append(b"]}\n")
+    return blocks
 
 
 class ExternalModel(BlackBoxModel):
@@ -391,19 +388,22 @@ class ExternalModel(BlackBoxModel):
                 raise ProtocolError(self._fatal)
             return self._hello
 
-    def _write(self, request_id: int, deadline: float, data) -> None:
-        """Write data to the child's non-blocking stdin, or fail the model at the deadline.
+    def _write(self, request_id: int, deadline: float, blocks: list) -> None:
+        """Write the blocks to the child's non-blocking stdin, or fail the model at the deadline.
 
         A child that stops reading may leave part of a line on the pipe, and
         no later request could be told from it, so the child is killed and
-        nothing more is written to the failed model.
+        nothing more is written to the failed model.  The blocks are all made
+        before the first write: a write lets another client thread take the
+        GIL, and formatting between writes would wait for it each time.
         """
-        while len(data):
-            if self._fatal or not self._poll.poll(1000 * max(0, deadline - time.monotonic())):
-                self._fail(f"timed out writing prediction {request_id}: the model stopped reading")
-                self._proc.kill()
-                raise ProtocolError(self._fatal)
-            data = data[os.write(self._proc.stdin.fileno(), data) :]
+        for data in blocks:
+            while len(data):
+                if self._fatal or not self._poll.poll(1000 * max(0, deadline - time.monotonic())):
+                    self._fail(f"timed out writing prediction {request_id}: model stopped reading")
+                    self._proc.kill()
+                    raise ProtocolError(self._fatal)
+                data = data[os.write(self._proc.stdin.fileno(), data) :]
 
     def predict(self, X: np.ndarray) -> ModelOutput:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -413,9 +413,10 @@ class ExternalModel(BlackBoxModel):
             request_id = self._next_id
             self._next_id += 1
         deadline = time.monotonic() + self.timeout
+        blocks = _predict_blocks(request_id, X)
         try:
             with self._write_lock:
-                _write_predict(functools.partial(self._write, request_id, deadline), request_id, X)
+                self._write(request_id, deadline, blocks)
         except (ValueError, OSError) as e:  # a closed stdin, or a child that exited
             raise ProtocolError(f"external model is not accepting requests: {e}") from e
         with self._cond:

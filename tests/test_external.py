@@ -246,9 +246,9 @@ def zero_column() -> np.ndarray:
     return X
 
 
-def write_line(monkeypatch, request_id, X) -> tuple[bytes, int]:
-    """The line _write_predict writes for X, and how many of its cells _format_rows spelled."""
-    pieces, formatted, format_rows = [], [], external._format_rows
+def line_of(monkeypatch, request_id, X) -> tuple[bytes, int]:
+    """The predict line the client writes for X, and how many of its cells _format_rows spelled."""
+    formatted, format_rows = [], external._format_rows
 
     def spy(block):
         formatted.append(block.size)
@@ -256,8 +256,8 @@ def write_line(monkeypatch, request_id, X) -> tuple[bytes, int]:
 
     with monkeypatch.context() as patch:
         patch.setattr(external, "_format_rows", spy)
-        external._write_predict(pieces.append, request_id, X)
-    return b"".join(pieces), sum(formatted)
+        blocks = external._predict_blocks(request_id, X)
+    return b"".join(blocks), sum(formatted)
 
 
 def kernel_chunk(n_bg: int) -> np.ndarray:
@@ -307,7 +307,7 @@ class TestWireBytes:
     @pytest.mark.parametrize("case", CASES)
     def test_line_equals_json_dumps(self, case, tmp_path, monkeypatch):
         X, formatted = self.CASES[case]
-        line, cells = write_line(monkeypatch, 2, X)
+        line, cells = line_of(monkeypatch, 2, X)
         assert line == predict_line(2, X)
         assert cells == (X.size if formatted else 0)
         log = tmp_path / "requests.ndjson"
@@ -341,8 +341,8 @@ class TestWireBytes:
         # the purity probes, x and the background were formatted; the composites were
         # spelled a distinct value at a time
         assert formatted == [external._PROBE_ROWS] * 2 + [1, len(background)]
-        monkeypatch.setattr(external, "_write_predict", lambda write, request_id, X:
-                            write(predict_line(request_id, X)))
+        monkeypatch.setattr(external, "_predict_blocks", lambda request_id, X:
+                            [predict_line(request_id, X)])
         dumped = explain(tmp_path / "dumped.ndjson")
         assert streamed.phi.tobytes() == dumped.phi.tobytes()
         assert (tmp_path / "streamed.ndjson").read_bytes() \
@@ -359,7 +359,7 @@ class TestWireBytes:
                    [[np.nan, np.inf, -np.inf], [5e-324, -0.0, 1e300]]]),
     ], ids=["no_rows", "no_columns", "transposed", "strided", "all_declined", "non_finite"])
     def test_odd_batches_equal_json_dumps(self, X, monkeypatch):
-        line, cells = write_line(monkeypatch, 5, X)
+        line, cells = line_of(monkeypatch, 5, X)
         assert line == predict_line(5, X)
         assert cells == X.size  # each batch is mostly distinct
 
@@ -456,16 +456,6 @@ class TestFormatter:
         assert np.array_equal(declined, np.abs(cloud) < 1e-4)
 
 
-class Sink:
-    """A stream that keeps only the sizes of its writes (ASCII text or bytes)."""
-
-    largest = total = 0
-
-    def write(self, text):
-        self.largest = max(self.largest, len(text))
-        self.total += len(text)
-
-
 def traced_peak(send) -> int:
     """How far send's allocations rise at their peak above those before it, by tracemalloc."""
     tracemalloc.start()
@@ -483,23 +473,23 @@ class TestStreamedMemory:
         rng = RandomStream(7)
         values = rng.normal_matrix(6, 30)
         X = values[(6 * rng.uniform(7666 * 30)).astype(int).reshape(7666, 30), np.arange(30)]
-        streamed, dumped = Sink(), Sink()
-        dumped_peak = traced_peak(lambda: dumped.write(predict_line(0, X)))
-        streamed_peak = traced_peak(lambda: external._write_predict(streamed.write, 0, X))
-        assert streamed.total == dumped.total
-        assert streamed_peak <= dumped_peak
+        dumped, blocks = [], []
+        dumped_peak = traced_peak(lambda: dumped.append(predict_line(0, X)))
+        blocks_peak = traced_peak(lambda: blocks.extend(external._predict_blocks(0, X)))
+        assert sum(map(len, blocks)) == len(dumped[0])
+        assert blocks_peak <= dumped_peak
         # the rows go out in blocks, never as one string
-        assert streamed.largest < streamed.total // 8
+        assert max(map(len, blocks)) < len(dumped[0]) // 8
 
     def test_formatted_peak_no_higher_than_json_dumps(self):
         # a limase request: the formatter works in blocks, so its arrays stay below
         # the Python floats and lists that json.dumps makes of the whole matrix
         X = limase_cloud(19)
         external._format_tables()  # built once per process, not per line
-        formatted, dumped = Sink(), Sink()
-        dumped_peak = traced_peak(lambda: dumped.write(
+        dumped, blocks = [], []
+        dumped_peak = traced_peak(lambda: dumped.append(
             json.dumps({"type": "predict", "id": 0, "inputs": X.tolist()}) + "\n"))
-        formatted_peak = traced_peak(lambda: external._write_predict(formatted.write, 0, X))
-        assert formatted.total == dumped.total
-        assert formatted_peak <= dumped_peak
-        assert formatted.largest < formatted.total // 8
+        blocks_peak = traced_peak(lambda: blocks.extend(external._predict_blocks(0, X)))
+        assert sum(map(len, blocks)) == len(dumped[0])
+        assert blocks_peak <= dumped_peak
+        assert max(map(len, blocks)) < len(dumped[0]) // 8
