@@ -54,7 +54,7 @@ _PROBE_SEED = 0x70726F6265  # "probe"
 
 # Characters of a bad reply line that an error message quotes
 _QUOTE_CHARS = 200
-# Cells per write when a predict line is streamed
+# Cells per block of a predict line
 _FORMAT_CELLS = 2048
 
 # Each formatted cell is first laid out in _WIDTH bytes, 8-byte words:
@@ -268,7 +268,7 @@ def _predict_blocks(request_id: int, X: np.ndarray) -> list:
                              dtype=object)
     blocks = [b'{"type": "predict", "id": %d, "inputs": [[' % request_id]
     step = max(1, _FORMAT_CELLS // d)
-    for start in range(0, n, step):  # each row closed by "], ["
+    for start in range(0, n, step):  # each row closed by "], [", the last by "]"
         if texts is None:
             blocks.append(_format_rows(X[start : start + step]))
         else:
