@@ -15,17 +15,18 @@ issued fails the model with a ProtocolError, and so does a line the
 reader cannot decode: the pipes carry UTF-8, JSON's own encoding (RFC
 8259), whatever the locale.
 
-Every predict line is byte for byte what json.dumps makes of the message,
-made and written in blocks of rows, never as one string.  A batch that
-repeats values, such as KernelSHAP's composites of x and background rows,
-has each distinct value formatted once and gathered.  A mostly distinct
-batch, such as limase's perturbations, is formatted with array
-arithmetic: each value gets repr's shortest round-trip digits from an
-exact product (Dekker's two-product) and the shortest-digits rule that
+Every predict line is byte for byte what json.dumps makes of the message.
+It is made in blocks of rows, which keeps the formatter's temporaries to
+one block; the whole line is held, as its blocks, until it is written.
+A batch that repeats values, such as KernelSHAP's composites of x and
+background rows, has each distinct value formatted once and gathered.  A
+mostly distinct batch, such as limase's perturbations, is formatted with
+array arithmetic: each value gets repr's shortest round-trip digits from
+an exact product (Dekker's two-product) and the shortest-digits rule that
 Ryu implements.  The few cells that arithmetic cannot decide with margin
-are spelled by json.dumps.  A request's timeout bounds its writes too: a
-child that stops reading fails the model and is killed, since part of a
-line is already on the pipe.
+are spelled by json.dumps.  The timeout bounds every wait for the child
+to take more of a line too: a child that stops reading fails the model
+and is killed, since part of a line is already on the pipe.
 """
 from __future__ import annotations
 
@@ -218,8 +219,9 @@ def _format_rows(X: np.ndarray) -> np.ndarray:
         run &= g == 0
     count = (17 - trailing) * ~zero
     exponent[zero] = -2  # "0." and one zero
+    d = X.shape[1]
     key = ((((v.view(np.int64) < 0) * len(_EXPONENTS) + exponent + 4) * _DIGITS + count) * 2
-           + (np.arange(1, v.size + 1) % X.shape[1] == 0))  # the last cell of a row
+           + (np.arange(v.size) % d == d - 1))
     words = np.empty((v.size, _WIDTH // 8), np.uint64)
     words[:, 0] = lead_words[lead]
     for column, g in enumerate(groups, 1):
@@ -241,8 +243,9 @@ def _predict_blocks(request_id: int, X: np.ndarray) -> list:
     """The bytes of the predict line for X, in blocks of about _FORMAT_CELLS cells.
 
     The line is json.dumps({"type": "predict", "id": request_id, "inputs":
-    X.tolist()}) and a newline; it is never joined into one string.  Every
-    block of a line is spelled one way.  When fewer than half the cells of
+    X.tolist()}) and a newline.  The blocks keep the formatter's temporaries
+    small; they are not joined, but together they hold the whole line.
+    Every block of a line is spelled one way.  When fewer than half the cells of
     X are distinct, each distinct value is formatted once by json.dumps and
     gathered; values are told apart by their bits, which keeps -0.0 apart
     from 0.0.  Otherwise _format_rows spells the block.  One cell per row,
@@ -388,18 +391,21 @@ class ExternalModel(BlackBoxModel):
                 raise ProtocolError(self._fatal)
             return self._hello
 
-    def _write(self, request_id: int, deadline: float, blocks: list) -> None:
-        """Write the blocks to the child's non-blocking stdin, or fail the model at the deadline.
+    def _write(self, request_id: int, blocks: list) -> None:
+        """Write the blocks to the child's non-blocking stdin, or fail the model if it stops reading.
 
-        A child that stops reading may leave part of a line on the pipe, and
-        no later request could be told from it, so the child is killed and
-        nothing more is written to the failed model.  The blocks are all made
-        before the first write: a write lets another client thread take the
-        GIL, and formatting between writes would wait for it each time.
+        Each wait for the pipe to take more is bounded by the timeout on its
+        own, so a request queued behind others may wait while the child
+        works through them, yet a child that takes nothing for a whole
+        timeout fails.  It may leave part of a line on the pipe, and no later
+        request could be told from it, so the child is killed and nothing
+        more is written to the failed model.  The blocks are all made before
+        the first write: a write lets another client thread take the GIL,
+        and formatting between writes would wait for it each time.
         """
         for data in blocks:
             while len(data):
-                if self._fatal or not self._poll.poll(1000 * max(0, deadline - time.monotonic())):
+                if self._fatal or not self._poll.poll(1000 * self.timeout):
                     self._fail(f"timed out writing prediction {request_id}: model stopped reading")
                     self._proc.kill()
                     raise ProtocolError(self._fatal)
@@ -412,13 +418,13 @@ class ExternalModel(BlackBoxModel):
         with self._lock:
             request_id = self._next_id
             self._next_id += 1
-        deadline = time.monotonic() + self.timeout
         blocks = _predict_blocks(request_id, X)
         try:
             with self._write_lock:
-                self._write(request_id, deadline, blocks)
+                self._write(request_id, blocks)
         except (ValueError, OSError) as e:  # a closed stdin, or a child that exited
             raise ProtocolError(f"external model is not accepting requests: {e}") from e
+        deadline = time.monotonic() + self.timeout
         with self._cond:
             while request_id not in self._results and self._fatal is None:
                 remaining = deadline - time.monotonic()

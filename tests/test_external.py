@@ -4,6 +4,7 @@ import math
 import sys
 import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -184,6 +185,21 @@ class TestProtocol:
             with pytest.raises(ProtocolError, match="timed out writing prediction 2"):
                 model.predict(np.zeros((1, 30)))
             assert time.monotonic() - began < 0.5
+
+    def test_queued_request_gets_its_own_timeout(self):
+        # two lines larger than the pipe's buffer to a child that spends 0.6 of the
+        # timeout on each: the second cannot be written in full until the child has
+        # answered the first, and its timeout for the reply starts only then
+        X = RandomStream(3).normal_matrix(4000, 2)
+        X[0, 0] = 2000.0  # the fixture answers it 1 s late
+        with attach_external(server("server_slow.py"), d=2, task="regression") as model:
+            model.timeout = 1.0 / 0.6
+            began = time.monotonic()
+            with ThreadPoolExecutor(2) as pool:
+                outputs = list(pool.map(lambda _: model.predict(X).values, range(2)))
+            assert time.monotonic() - began > 2.0  # the child answered one after the other
+        for values in outputs:
+            np.testing.assert_array_equal(values[:, 0], X.sum(axis=1))
 
     def test_error_response_raises(self):
         with pytest.raises(ProtocolError, match="refusing on purpose"):
@@ -478,7 +494,8 @@ class TestStreamedMemory:
         blocks_peak = traced_peak(lambda: blocks.extend(external._predict_blocks(0, X)))
         assert sum(map(len, blocks)) == len(dumped[0])
         assert blocks_peak <= dumped_peak
-        # the rows go out in blocks, never as one string
+        # the line is made in blocks, which bounds the formatter's temporaries; the
+        # blocks together still hold the whole line, so this bounds no memory itself
         assert max(map(len, blocks)) < len(dumped[0]) // 8
 
     def test_formatted_peak_no_higher_than_json_dumps(self):
